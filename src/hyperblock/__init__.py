@@ -33,6 +33,6 @@ from .sampler import (
 from .spectral import ConvergenceError, adjacency, regularize, spectral_norm, top_subspace
 from .pipeline import PartitionFailure, PipelineConfig, partition, partition_2, partition_k
 from .metrics import AccuracyReport, accuracy_report, gamma_correctness, matched_accuracy
-from .concentration import ConcentrationRecord, concentration_trial, sweep
+from .concentration import ConcentrationRecord, concentration_trial
 
 __version__ = "0.1.0"

@@ -1,10 +1,9 @@
-"""Empirical spectral-norm concentration trials and sweeps.
+"""Empirical spectral-norm concentration trials.
 
 One trial samples an instance, forms the centered adjacency A - E[A] as a
 sparse-plus-low-rank operator (E[A] is block-constant: rank k plus a
 diagonal correction), and records the spectral-norm ratios before and
-after zeroing heavy rows.  A sweep runs a deterministic grid x seeds
-product and serializes one CSV row per trial.
+after zeroing heavy rows, serialized as one CSV row per trial.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ __all__ = [
     "expected_adjacency_operator",
     "centered_operator",
     "concentration_trial",
-    "sweep",
     "CSV_HEADER",
 ]
 
@@ -138,14 +136,6 @@ def concentration_trial(
         kept_fraction=len(kept) / params.n,
         high_degree_count=params.n - len(kept),
     )
-
-
-def sweep(grid: list[tuple[ModelParams, float]], seeds: list[int],
-          run_trial=concentration_trial) -> list[ConcentrationRecord]:
-    """Run every (grid point, seed) pair in deterministic order."""
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    return [run_trial(params, seed, tau) for params, tau in grid for seed in seeds]
 
 
 def records_to_csv(records: list[ConcentrationRecord]) -> str:

@@ -58,6 +58,9 @@ def read_hypergraph(text: str) -> tuple[Hypergraph, int, np.ndarray | None]:
         labels = np.array([int(tok) for tok in body[0].split()[1:]], dtype=np.int64)
         if len(labels) != n:
             raise ValueError(f"LABELS line has {len(labels)} entries, expected {n}")
+        outside = labels[(labels < 0) | (labels >= k)]
+        if len(outside):
+            raise ValueError(f"LABELS line has value {outside[0]} outside [0, {k})")
         body = body[1:]
     edges: dict[int, list[list[int]]] = {}
     colors: dict[int, list[int]] = {}
@@ -66,6 +69,8 @@ def read_hypergraph(text: str) -> tuple[Hypergraph, int, np.ndarray | None]:
     for ln in body:
         toks = ln.split()
         m = int(toks[0])
+        if m < 2:
+            raise ValueError(f"edge order must be at least 2: {ln!r}")
         rest = toks[1:]
         color = None
         if rest and rest[-1] in _CHAR_COLOR:

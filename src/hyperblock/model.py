@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "ModelParams",
     "OrderSubset",
     "ExpectedRates",
-    "Thresholds",
     "comb_floor",
     "degree_scale",
     "snr_subset",
@@ -41,7 +40,6 @@ __all__ = [
     "merging_threshold",
     "binary_correction_threshold",
     "blue_density_thresholds",
-    "thresholds",
     "error_rate_constant",
     "block_sizes",
     "ResourceLimitError",
@@ -149,27 +147,6 @@ class ExpectedRates:
     beta: float
     alpha_m: dict[int, float]
     beta_m: dict[int, float]
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Decision thresholds for the refinement stages at a given nu.
-
-    mu_c drives the red-edge correction vote, mu_m the blue-edge merging
-    test, and (mu_1, mu_t, mu_2) the blue-density filtering of candidate
-    sets.  psi_m / phi_m are the per-order probabilities that an edge is
-    blue conditioned on it not being red, within and across blocks.
-    """
-
-    nu: float
-    d: float
-    mu_c: float
-    mu_m: float
-    mu_1: float
-    mu_2: float
-    mu_t: float
-    psi_m: dict[int, float] = field(repr=False)
-    phi_m: dict[int, float] = field(repr=False)
 
 
 def degree_scale(params: ModelParams, subset: OrderSubset) -> float:
@@ -395,23 +372,6 @@ def blue_density_thresholds(
     mu1 *= 0.5
     mu2 *= 0.5
     return mu1, mu2, 0.5 * (mu1 + mu2)
-
-
-def thresholds(params: ModelParams, subset: OrderSubset, nu: float) -> Thresholds:
-    """Bundle every refinement threshold for one (subset, nu) choice."""
-    probs = blue_conditional_probs(params, subset)
-    mu1, mu2, mut = blue_density_thresholds(params, subset, nu)
-    return Thresholds(
-        nu=nu,
-        d=degree_scale(params, subset),
-        mu_c=correction_threshold(params, subset, nu),
-        mu_m=merging_threshold(params, subset, nu),
-        mu_1=mu1,
-        mu_2=mu2,
-        mu_t=mut,
-        psi_m={m: pq[0] for m, pq in probs.items()},
-        phi_m={m: pq[1] for m, pq in probs.items()},
-    )
 
 
 def error_rate_constant(subset: OrderSubset, nu: float, k: int) -> float:

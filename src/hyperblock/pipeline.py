@@ -31,8 +31,9 @@ from .sampler import (
     restrict,
     restrict_orders,
     split_vertices,
+    subset_mask,
 )
-from .spectral import (adjacency, bipartite_embed, mask_matrix, regularize,
+from .spectral import (adjacency, bipartite_embed, incidence, mask_matrix, regularize,
                        row_sums, top_subspace)
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "CandidateSet",
     "centering_vector",
     "blue_weighted_count",
-    "weighted_red_neighbors",
     "spectral_partition_k",
     "correction_k",
     "merging",
@@ -55,6 +55,10 @@ __all__ = [
 log = logging.getLogger("hyperblock")
 
 REGULARIZATION_FACTOR = 20
+
+# blue_weighted_count scores its sets in blocks of at most this many
+# edge x set counts, which bounds its memory whatever the number of sets
+_COUNT_BLOCK = 1 << 21
 
 
 class PartitionFailure(RuntimeError):
@@ -100,10 +104,12 @@ def _resolve_subset(params: ModelParams, cfg: PipelineConfig) -> OrderSubset:
     return cfg.subset if cfg.subset is not None else model.preprocess_select(params)
 
 
-def _mask_of(n: int, ids) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids, dtype=np.int64)] = True
-    return mask
+def _membership(n: int, sets) -> np.ndarray:
+    """n x len(sets) boolean matrix whose column j indicates sets[j]."""
+    members = np.zeros((n, len(sets)), dtype=bool)
+    for j, ids in enumerate(sets):
+        members[:, j] = subset_mask(n, ids)
+    return members
 
 
 def centering_vector(params: ModelParams, subset: OrderSubset, z_set) -> np.ndarray:
@@ -122,60 +128,41 @@ def centering_vector(params: ModelParams, subset: OrderSubset, z_set) -> np.ndar
         allp = model.comb_floor(3 * n / 4 - 2, m - 2)
         abar += (same * (a - b) + allp * b) / denom
         bbar += allp * b / denom
-    out = np.zeros(n)
-    out[np.asarray(list(z_set) if not isinstance(z_set, np.ndarray) else z_set, dtype=np.int64)] = (
-        0.5 * (abar + bbar)
-    )
+    return np.where(subset_mask(n, z_set), 0.5 * (abar + bbar), 0.0)
+
+
+def blue_weighted_count(h_blue: Hypergraph, sets) -> np.ndarray:
+    """Weighted count of blue edges fully inside each set: sum of m(m-1) each.
+
+    ``sets`` is a sequence of vertex sets; returns one count per set.
+    """
+    inc, order = incidence(h_blue)
+    members = _membership(h_blue.n, sets)
+    # an edge inside one of the sets lies inside their union; drop the rest
+    keep = inc @ members.any(axis=1) == order
+    inc, order = inc[keep], order[keep]
+    weight = order * (order - 1)
+    out = np.zeros(len(sets))
+    step = max(1, _COUNT_BLOCK // max(len(order), 1))
+    for j in range(0, len(sets), step):
+        inside = inc @ members[:, j:j + step]
+        out[j:j + step] = weight @ (inside == order[:, None])
     return out
 
 
-def blue_weighted_count(h_blue: Hypergraph, x_set) -> float:
-    """Weighted count of blue edges fully inside the set: sum of m(m-1) each."""
-    mask = _mask_of(h_blue.n, x_set)
-    total = 0.0
-    for m, arr in h_blue.edges.items():
-        if len(arr):
-            total += m * (m - 1) * int(mask[arr].all(axis=1).sum())
-    return total
+def _neighbor_scores(h: Hypergraph, members: np.ndarray) -> np.ndarray:
+    """S[v, i] = sum of (m_e - 1) over edges e through v with the rest in set i.
 
-
-def weighted_red_neighbors(h_red: Hypergraph, u: int, target_set, subset=None) -> float:
-    """Weighted red edges through u whose other endpoints all lie in the target.
-
-    Each order-m edge counts (m-1).  Requires u outside the target set.
+    ``members`` is the n x s membership matrix of the sets.  An edge of
+    order m has its other endpoints in the set when m of its endpoints lie
+    there if v does, and m - 1 if v does not.
     """
-    mask = _mask_of(h_red.n, target_set)
-    if mask[u]:
-        raise ValueError("u must not belong to the target set")
-    wanted = set(int(m) for m in subset) if subset is not None else None
-    total = 0.0
-    for m, arr in h_red.edges.items():
-        if wanted is not None and m not in wanted:
-            continue
-        if len(arr) == 0:
-            continue
-        has_u = (arr == u).any(axis=1)
-        if has_u.any():
-            rows = arr[has_u]
-            total += (m - 1) * int((mask[rows].sum(axis=1) == m - 1).sum())
-    return total
-
-
-def _neighbor_scores(h: Hypergraph, masks: list[np.ndarray]) -> np.ndarray:
-    """S[v, i] = sum over orders of (m-1) * #edges through v with the rest in set i."""
-    n = h.n
-    scores = np.zeros((n, len(masks)))
-    for m, arr in h.edges.items():
-        if len(arr) == 0:
-            continue
-        for i, mask in enumerate(masks):
-            inm = mask[arr]
-            tot = inm.sum(axis=1)
-            for p in range(m):
-                ok = (tot - inm[:, p]) == m - 1
-                if ok.any():
-                    np.add.at(scores[:, i], arr[ok, p], m - 1)
-    return scores
+    inc, order = incidence(h)
+    inside = inc @ members
+    weight = (order - 1)[:, None]
+    with_v = inc.T @ (weight * (inside == order[:, None]))
+    without_v = inc.T @ (weight * (inside == order[:, None] - 1))
+    return np.where(members, with_v, without_v)
 
 
 def spectral_partition_k(
@@ -209,9 +196,9 @@ def spectral_partition_k(
     threshold = REGULARIZATION_FACTOR * subset.m_max * d
 
     # subspace from the red hypergraph induced on Z u Y1
-    h_zy1 = restrict(h_red, np.concatenate([z, y1]))
-    kept = np.flatnonzero(row_sums(adjacency(h_zy1)) <= threshold)
-    a1 = mask_matrix(bipartite_embed(h_zy1, z, y1), kept)
+    a_zy1 = adjacency(restrict(h_red, np.concatenate([z, y1])))
+    kept = np.flatnonzero(row_sums(a_zy1) <= threshold)
+    a1 = mask_matrix(bipartite_embed(a_zy1, z, y1), kept)
     basis = top_subspace(a1, k, "left-singular", cfg.solver_tol, cfg.solver_max_iter,
                          seed=_derived_seed(cfg.seed, 3))
     if basis.singular_values[0] == 0.0:
@@ -224,13 +211,12 @@ def spectral_partition_k(
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=int(cfg.seed), spawn_key=(4,))))
     sampled = rng.choice(y2, size=s, replace=False)
-    a2 = bipartite_embed(restrict(h_red, np.concatenate([z, y2])), z, y2)
-    cols = a2[:, sampled].toarray().astype(np.float64)
+    a2 = bipartite_embed(adjacency(restrict(h_red, np.concatenate([z, y2]))), z, y2)
     # the sampled columns live on the red half of the coloring, so their
     # background expectation is half the nominal centering value; without
     # the 1/2 the uncanceled bias drives every column to the same ranking
     # when the signal is weak
-    centered = cols - 0.5 * centering_vector(params, subset, z)[:, None]
+    centered = a2[:, sampled].toarray() - 0.5 * centering_vector(params, subset, z)[:, None]
     proj = basis.vectors @ (basis.vectors.T @ centered)
 
     # top coordinates inside Z, ties by ascending vertex id
@@ -239,8 +225,11 @@ def spectral_partition_k(
     for j in range(s):
         order = np.argsort(-proj_z[:, j], kind="stable")
         sets.append(z[order[:set_size]])
+    # scoring allocates too; freeing the n x s float block first keeps it
+    # from raising the peak resident set
+    del centered, proj, proj_z
 
-    densities = np.array([blue_weighted_count(h_blue, ids) for ids in sets])
+    densities = blue_weighted_count(h_blue, sets)
     # drop the low-density half, but never a set that clears the aligned-set
     # density threshold: same-block candidates share edges, so one block's
     # whole cluster can fluctuate below the median at moderate n
@@ -254,7 +243,7 @@ def spectral_partition_k(
     accepted: list[int] = []
     masks: list[np.ndarray] = []
     for j in survivors:
-        mask = _mask_of(n, sets[j])
+        mask = subset_mask(n, sets[j])
         if all(int((mask & other).sum()) < overlap_cap for other in masks):
             accepted.append(j)
             masks.append(mask)
@@ -279,12 +268,11 @@ def correction_k(
     Neighbor counts are weighted by (m-1); ties go to the lowest set index.
     Returns a partition of Z.
     """
-    z_ids = np.asarray(list(z_set) if not isinstance(z_set, np.ndarray) else z_set,
-                       dtype=np.int64)
-    masks = [_mask_of(h_red.n, cs.vertices) for cs in candidate_sets]
-    scores = _neighbor_scores(h_red, masks)
-    choice = np.argmax(scores[z_ids], axis=1)
-    return [np.sort(z_ids[choice == i]) for i in range(len(candidate_sets))]
+    in_z = subset_mask(h_red.n, z_set)
+    scores = _neighbor_scores(h_red, _membership(h_red.n, [cs.vertices for cs in candidate_sets]))
+    choice = np.argmax(scores[in_z], axis=1)
+    z_ids = np.flatnonzero(in_z)
+    return [z_ids[choice == i] for i in range(len(candidate_sets))]
 
 
 def merging(
@@ -300,17 +288,14 @@ def merging(
     argmax count with lowest-index ties.  Returns a full labeling.
     """
     n = h_blue.n
-    y_ids = np.asarray(list(y_set) if not isinstance(y_set, np.ndarray) else y_set,
-                       dtype=np.int64)
+    in_y = subset_mask(n, y_set)
     labels = np.full(n, -1, dtype=np.int64)
     for i, ids in enumerate(corrected_sets):
         labels[ids] = i
-    masks = [_mask_of(n, ids) for ids in corrected_sets]
-    scores = _neighbor_scores(h_blue, masks)
-    qualify = scores[y_ids] >= mu_m
-    fallback = np.argmax(scores[y_ids], axis=1)
+    scores = _neighbor_scores(h_blue, _membership(n, corrected_sets))[in_y]
+    qualify = scores >= mu_m
     unique = qualify.sum(axis=1) == 1
-    labels[y_ids] = np.where(unique, np.argmax(qualify, axis=1), fallback)
+    labels[in_y] = np.where(unique, np.argmax(qualify, axis=1), np.argmax(scores, axis=1))
     return labels
 
 
@@ -379,11 +364,11 @@ def correction_2(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Swap vertices whose weighted blue cross-neighbor count reaches the threshold."""
     n = h_blue.n
-    m1 = _mask_of(n, side_1)
-    m2 = _mask_of(n, side_2)
+    m1 = subset_mask(n, side_1)
+    m2 = subset_mask(n, side_2)
     if (m1 & m2).any() or not (m1 | m2).all():
         raise ValueError("the two sides must partition the vertex set")
-    scores = _neighbor_scores(h_blue, [m1, m2])
+    scores = _neighbor_scores(h_blue, np.column_stack([m1, m2]))
     cross = np.where(m1, scores[:, 1], scores[:, 0])
     bad = cross >= threshold
     to_1 = (m1 & ~bad) | (m2 & bad)

@@ -36,6 +36,7 @@ __all__ = [
     "sample_hsbm",
     "color_edges",
     "split_vertices",
+    "subset_mask",
     "restrict",
     "restrict_orders",
 ]
@@ -318,7 +319,11 @@ def split_vertices(n: int, seed: int) -> SplitAssignment:
     return SplitAssignment(side.astype(np.int8))
 
 
-def _subset_mask(n: int, vertex_set) -> np.ndarray:
+def subset_mask(n: int, vertex_set) -> np.ndarray:
+    """Length-n boolean indicator of a vertex set (array or any iterable of ids).
+
+    Raises ValueError on ids outside [0, n).
+    """
     mask = np.zeros(n, dtype=bool)
     ids = np.asarray(list(vertex_set) if not isinstance(vertex_set, np.ndarray) else vertex_set,
                      dtype=np.int64)
@@ -334,7 +339,7 @@ def restrict(h: Hypergraph, vertex_set) -> Hypergraph:
 
     Vertex ids are preserved (no re-indexing); colors ride with edges.
     """
-    mask = _subset_mask(h.n, vertex_set)
+    mask = subset_mask(h.n, vertex_set)
     edges = {}
     colors = {} if h.is_colored else None
     for m, arr in h.edges.items():

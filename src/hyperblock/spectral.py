@@ -2,10 +2,12 @@
 
 Adjacency matrices are scipy CSR with integer weights: entry (i, j) counts
 the hyperedges containing both endpoints, so the i-th row sum equals
-``sum_m (m-1) * #(order-m edges through i)``.  Subspaces are extracted by
-randomized block power iteration with orthonormalization at every step;
-degenerate spectra are compared through projectors, never through
-individual vectors.
+``sum_m (m-1) * #(order-m edges through i)``.  The incidence matrix H
+holds one 0/1 row per hyperedge, all orders stacked, so ``H @ X`` counts
+the endpoints of every edge inside each column set of a 0/1 matrix X.
+Subspaces are extracted by randomized block power iteration with
+orthonormalization at every step; degenerate spectra are compared
+through projectors, never through individual vectors.
 """
 
 from __future__ import annotations
@@ -16,18 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .sampler import Hypergraph
+from .sampler import Hypergraph, subset_mask
 
 __all__ = [
     "ConvergenceError",
     "SubspaceBasis",
+    "incidence",
     "adjacency",
     "bipartite_embed",
     "row_sums",
     "regularize",
     "mask_matrix",
     "top_subspace",
-    "project",
     "spectral_norm",
 ]
 
@@ -56,6 +58,22 @@ class SubspaceBasis:
         return self.vectors.shape[1]
 
 
+def incidence(h: Hypergraph) -> tuple[sp.csr_array, np.ndarray]:
+    """Edge x vertex 0/1 incidence matrix and the order of each row.
+
+    Rows run through the orders in ascending order and, within one order,
+    follow ``h.edges[m]``; column indices within a row are ascending.
+    """
+    orders = sorted(m for m, arr in h.edges.items() if len(arr))
+    sizes = np.repeat(np.array(orders, dtype=np.int64),
+                      [len(h.edges[m]) for m in orders])
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    indices = (np.concatenate([h.edges[m].ravel() for m in orders]) if orders
+               else np.empty(0, dtype=np.int64))
+    data = np.ones(len(indices), dtype=np.int64)
+    return sp.csr_array((data, indices, indptr), shape=(len(sizes), h.n)), sizes
+
+
 def adjacency(h: Hypergraph) -> sp.csr_array:
     """Symmetric integer adjacency: (i, j) counts hyperedges containing both."""
     n = h.n
@@ -75,27 +93,22 @@ def adjacency(h: Hypergraph) -> sp.csr_array:
     return (upper + upper.T).tocsr()
 
 
-def _selector(n: int, vertex_set) -> sp.dia_array:
-    mask = np.zeros(n, dtype=np.int64)
-    ids = np.asarray(list(vertex_set) if not isinstance(vertex_set, np.ndarray) else vertex_set,
-                     dtype=np.int64)
-    if len(ids):
-        mask[ids] = 1
-    return sp.dia_array((mask[None, :], [0]), shape=(n, n))
+def _selector(mask: np.ndarray) -> sp.dia_array:
+    n = len(mask)
+    return sp.dia_array((mask.astype(np.int64)[None, :], [0]), shape=(n, n))
 
 
-def bipartite_embed(h: Hypergraph, rows, cols) -> sp.csr_array:
-    """Adjacency restricted to the rows x cols rectangle, zero elsewhere.
+def bipartite_embed(a, rows, cols) -> sp.csr_array:
+    """Adjacency ``a`` restricted to the rows x cols rectangle, zero elsewhere.
 
     The two vertex sets must be disjoint; the result is n x n and not
     symmetric.
     """
-    rows = np.asarray(list(rows) if not isinstance(rows, np.ndarray) else rows, dtype=np.int64)
-    cols = np.asarray(list(cols) if not isinstance(cols, np.ndarray) else cols, dtype=np.int64)
-    if np.intersect1d(rows, cols).size:
+    n = a.shape[0]
+    in_rows, in_cols = subset_mask(n, rows), subset_mask(n, cols)
+    if (in_rows & in_cols).any():
         raise ValueError("row and column vertex sets must be disjoint")
-    a = adjacency(h)
-    return (_selector(h.n, rows) @ a @ _selector(h.n, cols)).tocsr()
+    return (_selector(in_rows) @ a @ _selector(in_cols)).tocsr()
 
 
 def row_sums(a) -> np.ndarray:
@@ -105,7 +118,7 @@ def row_sums(a) -> np.ndarray:
 
 def mask_matrix(a, kept: np.ndarray):
     """Zero out the rows and columns not indexed by ``kept``."""
-    d = _selector(a.shape[0], kept)
+    d = _selector(subset_mask(a.shape[0], kept))
     return (d @ a @ d).tocsr()
 
 
@@ -196,15 +209,6 @@ def top_subspace(
         if residual <= tol * scale:
             return SubspaceBasis(u, svals)
     raise ConvergenceError(f"subspace iteration did not converge in {max_iter} steps", residual)
-
-
-def project(basis: SubspaceBasis, v: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of v (vector or stacked columns) onto the basis."""
-    u = basis.vectors
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape[0] != u.shape[0]:
-        raise ValueError(f"dimension mismatch: basis is {u.shape[0]}, vector is {v.shape[0]}")
-    return u @ (u.T @ v)
 
 
 def spectral_norm(a, tol: float = 1e-8, max_iter: int = 2000, seed: int = 0) -> float:

@@ -182,8 +182,9 @@ def test_criterion_06_concentration_trend():
     The boundedness half holds with a wide margin.  The monotone half is
     implemented exactly as stated and is expected to fail: at fixed degree
     scale the ratio's mean drifts slightly upward with n while its spread
-    shrinks, leaving the percentile flat to within noise (see the decisions
-    ledger for the measured analysis).
+    shrinks, leaving the percentile flat to within noise.  Measured p90 for
+    n = 500, 1000, 2000, 4000: 1.8383, 1.8377, 1.8320, 1.8344 -- far below
+    10, but 1.8320 < 1.8344 breaks the non-increasing chain.
     """
     sizes = (500, 1000, 2000, 4000)
     tasks = [(n, t) for n in sizes for t in range(50)]

@@ -98,6 +98,12 @@ class TestDetectCommand:
                     "n = 100\nk = 2\norders = 2:30,3\n" + f"input = {hfile}\n")
         assert main(["detect", "--config", bad, "--out", "-"]) == 2
 
+    def test_labels_outside_k_exit_2(self, tmp_path, capsys):
+        hfile = write(tmp_path / "h.txt", "HSBM 6 2 2\nLABELS 0 0 0 5 7 1\n2 1 3\n")
+        cfg = write(tmp_path / "c.cfg", f"n = 6\nk = 2\norders = 2:3,1\ninput = {hfile}\n")
+        assert main(["detect", "--config", cfg, "--out", "-"]) == 2
+        assert "LABELS line has value 5 outside [0, 2)" in capsys.readouterr().err
+
     def test_missing_input_exit_3(self, tmp_path):
         cfg = write(tmp_path / "c.cfg", BASE + "input = /nonexistent/h.txt\n")
         assert main(["detect", "--config", cfg, "--out", "-"]) == 3

@@ -10,9 +10,10 @@ from hyperblock.concentration import (
     centered_operator,
     expected_adjacency_operator,
     records_to_csv,
-    sweep,
 )
+from hyperblock.config import parse_config
 from hyperblock.model import ModelParams, ResourceLimitError, expected_adjacency
+from hyperblock.runner import conclab_records
 from hyperblock.sampler import sample_hsbm
 from hyperblock.spectral import adjacency, spectral_norm
 
@@ -81,22 +82,26 @@ class TestConcentrationTrial:
 
 
 class TestSweep:
+    """The conclab grid: every size x trial seed, in order."""
+
+    @staticmethod
+    def config(extra):
+        return parse_config("n = 80\nk = 2\norders = 2:6,3;3:4,1\n" + extra, "conclab")
+
     def test_cardinality(self):
-        p1 = ModelParams(60, 2, {2: (6, 3)})
-        p2 = ModelParams(80, 2, {2: (6, 3)})
-        recs = sweep([(p1, 60.0)], [0])
+        recs = conclab_records(self.config("sizes = 60\n"))
         assert len(recs) == 1
-        recs = sweep([(p1, 60.0), (p2, 60.0)], [0, 1, 2])
+        recs = conclab_records(self.config("sizes = 60,80\ntrials = 3\n"))
         assert len(recs) == 6
         assert [r.n for r in recs] == [60, 60, 60, 80, 80, 80]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            sweep([], [0])
+            self.config("sizes =\n")
 
     def test_csv_deterministic(self):
-        p = ModelParams(60, 2, {2: (6, 3), 3: (4, 1)})
-        a = records_to_csv(sweep([(p, 60.0)], [0, 1]))
-        b = records_to_csv(sweep([(p, 60.0)], [0, 1]))
+        cfg = self.config("sizes = 60\ntrials = 2\n")
+        a = records_to_csv(conclab_records(cfg))
+        b = records_to_csv(conclab_records(cfg))
         assert a == b
         assert a.startswith("n,k,d,tau,seed,raw_ratio,reg_ratio,kept_fraction,")

@@ -46,6 +46,16 @@ class TestHypergraphFormat:
         with pytest.raises(ValueError):
             read_hypergraph("HSBM 4 2 2\n2 0 1 R\n2 2 3\n")  # mixed coloring
 
+    @pytest.mark.parametrize("text, named", [
+        ("HSBM 6 2 2\nLABELS 0 0 0 5 7 1\n2 1 3\n", "LABELS line has value 5"),
+        ("HSBM 6 2 2\nLABELS 0 0 -1 1 1 1\n", "LABELS line has value -1"),
+        ("HSBM 6 2 2\n1 3\n", "'1 3'"),
+        ("HSBM 6 2 2\n0\n", "'0'"),
+    ])
+    def test_rejects_labels_outside_k_and_orders_below_2(self, text, named):
+        with pytest.raises(ValueError, match=named):
+            read_hypergraph(text)
+
     def test_labels_round_trip(self):
         labels = np.array([0, 2, 1, 1, 0])
         assert (read_labels(write_labels(labels)) == labels).all()

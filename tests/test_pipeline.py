@@ -21,7 +21,7 @@ from hyperblock.pipeline import (
     partition_k,
     spectral_partition_2,
     spectral_partition_k,
-    weighted_red_neighbors,
+    _neighbor_scores,
 )
 from hyperblock.sampler import (
     BLUE,
@@ -68,52 +68,67 @@ class TestCenteringVector:
 class TestBlueWeightedCount:
     def test_single_inside_edge(self):
         h = colored(6, {3: [[0, 1, 2]]}, {3: [BLUE]})
-        assert blue_weighted_count(h.blue(), [0, 1, 2, 3]) == 6.0
+        assert blue_weighted_count(h.blue(), [[0, 1, 2, 3], [0, 1]]).tolist() == [6.0, 0.0]
 
     def test_no_blue_edges(self):
         h = colored(6, {3: [[0, 1, 2]]}, {3: [RED]})
-        assert blue_weighted_count(h.blue(), [0, 1, 2]) == 0.0
+        assert blue_weighted_count(h.blue(), [[0, 1, 2]]).tolist() == [0.0]
 
     def test_brute_force_agreement(self):
-        h, _ = sample_hsbm(ModelParams(40, 2, {2: (10, 4), 3: (8, 3)}), 5)
-        hc = color_edges(h, 1)
-        blue = hc.blue()
+        h, _ = sample_hsbm(ModelParams(40, 2, {2: (10, 4), 3: (8, 3), 4: (6, 2)}), 5)
+        blue = color_edges(h, 1).blue()
         rng = np.random.default_rng(2)
-        for _ in range(10):
-            x = rng.choice(40, size=12, replace=False)
-            xs = set(x.tolist())
-            want = sum(m * (m - 1)
-                       for m, arr in blue.edges.items()
-                       for row in arr if set(row.tolist()) <= xs)
-            assert blue_weighted_count(blue, x) == want
+        sets = [rng.choice(40, size=size, replace=False) for size in (12, 20, 20, 30, 40)]
+        want = [sum(m * (m - 1)
+                    for m, arr in blue.edges.items()
+                    for row in arr if set(row.tolist()) <= set(x.tolist()))
+                for x in sets]
+        assert blue_weighted_count(blue, sets).tolist() == want
+
+    def test_edgeless(self):
+        h = colored(5, {2: [], 3: []}, {2: [], 3: []})
+        assert blue_weighted_count(h.blue(), [[0, 1], [2, 3, 4]]).tolist() == [0.0, 0.0]
+
+
+def neighbor_scores(h, sets):
+    return _neighbor_scores(h, np.stack([np.isin(np.arange(h.n), x) for x in sets], axis=1))
 
 
 class TestWeightedRedNeighbors:
+    """(m-1)-weighted red-neighbor counts, the vote of the correction stages."""
+
     def test_single_edge(self):
         h = colored(6, {3: [[0, 1, 2]]}, {3: [RED]})
-        assert weighted_red_neighbors(h.red(), 0, [1, 2], S(3)) == 2.0
+        assert neighbor_scores(h.red(), [[1, 2]])[0, 0] == 2
 
     def test_empty_target(self):
         h = colored(6, {3: [[0, 1, 2]]}, {3: [RED]})
-        assert weighted_red_neighbors(h.red(), 0, [], S(3)) == 0.0
+        assert (neighbor_scores(h.red(), [[]]) == 0).all()
 
-    def test_membership_precondition(self):
-        h = colored(6, {2: [[0, 1]]}, {2: [RED]})
-        with pytest.raises(ValueError):
-            weighted_red_neighbors(h.red(), 0, [0, 1], S(2))
+    def test_member_counts_its_other_endpoints(self):
+        # vertex 0 belongs to the set; its edges need only their other ends in it
+        h = colored(6, {2: [[0, 1], [0, 3]], 3: [[0, 1, 2]]}, {2: [RED, RED], 3: [RED]})
+        scores = neighbor_scores(h.red(), [[0, 1, 2]])
+        assert scores[:, 0].tolist() == [1 + 2, 1 + 2, 2, 1, 0, 0]
 
     def test_brute_force_agreement(self):
-        h, _ = sample_hsbm(ModelParams(30, 2, {2: (8, 3), 3: (6, 2)}), 9)
+        h, _ = sample_hsbm(ModelParams(30, 2, {2: (8, 3), 3: (6, 2), 4: (5, 2)}), 9)
         red = color_edges(h, 4).red()
+        assert set(red.edges) == {2, 3, 4} and all(len(a) for a in red.edges.values())
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            u = int(rng.integers(0, 30))
-            target = set(rng.choice(30, size=10, replace=False).tolist()) - {u}
-            want = sum((m - 1)
-                       for m, arr in red.edges.items()
-                       for row in arr
-                       if u in row and set(row.tolist()) - {u} <= target)
-            assert weighted_red_neighbors(red, u, sorted(target), S(2, 3)) == want
+        sets = [set(rng.choice(30, size=size, replace=False).tolist()) for size in (5, 10, 20)]
+        got = neighbor_scores(red, [sorted(x) for x in sets])
+        for u in range(30):
+            for i, target in enumerate(sets):
+                want = sum((m - 1)
+                           for m, arr in red.edges.items()
+                           for row in arr
+                           if u in row and set(row.tolist()) - {u} <= target)
+                assert got[u, i] == want
+
+    def test_edgeless(self):
+        h = Hypergraph(4, {2: np.empty((0, 2), dtype=np.int64)})
+        assert neighbor_scores(h, [[0, 1], [2]]).tolist() == [[0, 0]] * 4
 
 
 def planted_k3(n=900, seed=0):

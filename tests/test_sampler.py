@@ -18,6 +18,7 @@ from hyperblock.sampler import (
     restrict_orders,
     sample_hsbm,
     split_vertices,
+    subset_mask,
 )
 
 
@@ -151,6 +152,14 @@ class TestRestrict:
         kept = {tuple(r): c for r, c in zip(sub.edges[2], sub.colors[2])}
         full = {tuple(r): c for r, c in zip(hc.edges[2], hc.colors[2])}
         assert kept == {e: c for e, c in full.items() if max(e) < 20}
+
+    def test_subset_mask(self):
+        assert subset_mask(5, range(2)).tolist() == [True, True, False, False, False]
+        assert subset_mask(5, np.array([4, 4])).tolist() == [False] * 4 + [True]
+        assert not subset_mask(5, set()).any()
+        for bad in ([0, 5], [-1]):
+            with pytest.raises(ValueError, match="out-of-range"):
+                subset_mask(5, bad)
 
     def test_restrict_orders(self):
         h, _ = sample_hsbm(ModelParams(40, 2, {2: (8, 2), 3: (6, 2)}), 1)

@@ -10,7 +10,7 @@ from hyperblock.spectral import (
     ConvergenceError,
     adjacency,
     bipartite_embed,
-    project,
+    incidence,
     regularize,
     row_sums,
     spectral_norm,
@@ -21,6 +21,31 @@ from hyperblock.spectral import (
 def planted_instance(n=260, k=2, a=40, b=4, seed=0):
     h, _ = sample_hsbm(ModelParams(n, k, {2: (a, b)}), seed)
     return adjacency(h).astype(np.float64)
+
+
+class TestIncidence:
+    def test_rows_follow_orders_and_edges(self):
+        h, _ = sample_hsbm(ModelParams(30, 2, {2: (8, 3), 3: (6, 2), 4: (5, 2)}), 1)
+        inc, order = incidence(h)
+        rows = [list(row) for m in sorted(h.edges) for row in h.edges[m].tolist()]
+        assert inc.shape == (len(rows), 30)
+        assert order.tolist() == [len(r) for r in rows]
+        assert [inc.indices[inc.indptr[e]:inc.indptr[e + 1]].tolist()
+                for e in range(len(rows))] == rows
+        assert (inc.data == 1).all()
+
+    def test_gram_off_diagonal_is_adjacency(self):
+        h, _ = sample_hsbm(ModelParams(40, 2, {2: (8, 3), 3: (5, 2)}), 2)
+        inc, _ = incidence(h)
+        gram = (inc.T @ inc).toarray()
+        np.fill_diagonal(gram, 0)
+        assert (gram == adjacency(h).toarray()).all()
+
+    def test_edgeless(self):
+        for h in (Hypergraph(5, {}), Hypergraph(5, {3: np.empty((0, 3), dtype=np.int64)})):
+            inc, order = incidence(h)
+            assert inc.shape == (0, 5) and len(order) == 0
+            assert (inc @ np.ones((5, 2))).shape == (0, 2)
 
 
 class TestAdjacency:
@@ -52,17 +77,17 @@ class TestAdjacency:
 class TestBipartiteEmbed:
     def test_empty_rows(self):
         h = Hypergraph(4, {2: np.array([[0, 1]])})
-        assert bipartite_embed(h, [], [0, 1]).nnz == 0
+        assert bipartite_embed(adjacency(h), [], [0, 1]).nnz == 0
 
     def test_single_edge(self):
         h = Hypergraph(4, {2: np.array([[0, 1]])})
-        a = bipartite_embed(h, [0], [1]).toarray()
+        a = bipartite_embed(adjacency(h), [0], [1]).toarray()
         assert a[0, 1] == 1 and a.sum() == 1
 
     def test_pattern_inside_rectangle(self):
         h, _ = sample_hsbm(ModelParams(30, 2, {2: (8, 4)}), 3)
         rows, cols = np.arange(0, 15), np.arange(15, 30)
-        a = bipartite_embed(h, rows, cols)
+        a = bipartite_embed(adjacency(h), rows, cols)
         r, c = a.nonzero()
         assert set(r) <= set(rows) and set(c) <= set(cols)
         full = adjacency(h).toarray()
@@ -71,7 +96,7 @@ class TestBipartiteEmbed:
     def test_overlap_rejected(self):
         h = Hypergraph(4, {2: np.array([[0, 1]])})
         with pytest.raises(ValueError):
-            bipartite_embed(h, [0, 1], [1, 2])
+            bipartite_embed(adjacency(h), [0, 1], [1, 2])
 
 
 class TestRowSums:
@@ -175,31 +200,6 @@ class TestTopSubspace:
             top_subspace(a, 0)
         with pytest.raises(ValueError):
             top_subspace(a, 2, "sideways")
-
-
-class TestProject:
-    def test_in_span(self):
-        basis = top_subspace(np.diag([3.0, 2.0, 0.1, 0.1]), 2, "symmetric-eigen")
-        v = basis.vectors @ np.array([1.5, -2.0])
-        assert np.linalg.norm(project(basis, v) - v) < 1e-10
-
-    def test_orthogonal(self):
-        basis = top_subspace(np.diag([3.0, 2.0, 0.1, 0.1]), 2, "symmetric-eigen")
-        v = np.array([0.0, 0.0, 1.0, -1.0])
-        assert np.linalg.norm(project(basis, v)) < 1e-10
-
-    def test_idempotent(self):
-        a = planted_instance(n=80)
-        basis = top_subspace(a, 2)
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal(80)
-        once = project(basis, v)
-        assert np.linalg.norm(project(basis, once) - once) < 1e-10
-
-    def test_dimension_mismatch(self):
-        basis = top_subspace(np.eye(4), 2)
-        with pytest.raises(ValueError):
-            project(basis, np.ones(5))
 
 
 class TestSpectralNorm:
