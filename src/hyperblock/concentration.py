@@ -101,8 +101,6 @@ def concentration_trial(
     params: ModelParams,
     seed: int,
     tau: float,
-    norm_tol: float = 1e-6,
-    norm_max_iter: int = 4000,
     dense_cap: int = DENSE_CAP,
 ) -> ConcentrationRecord:
     """Sample one instance and measure |A - E A| / sqrt(d) raw and regularized.
@@ -120,10 +118,8 @@ def concentration_trial(
     if d == 0.0:
         return ConcentrationRecord(params.n, params.k, d, tau, seed, 0.0, 0.0,
                                    1.0, 0)
-    raw = spectral_norm(centered_operator(params, a), tol=norm_tol,
-                        max_iter=norm_max_iter, seed=seed)
-    reg = spectral_norm(centered_operator(params, a, kept), tol=norm_tol,
-                        max_iter=norm_max_iter, seed=seed)
+    raw = spectral_norm(centered_operator(params, a), seed=seed)
+    reg = spectral_norm(centered_operator(params, a, kept), seed=seed)
     sqrt_d = d ** 0.5
     return ConcentrationRecord(
         n=params.n,

@@ -89,6 +89,16 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
+def _comma_list(conv):
+    """Parser of a nonempty comma-separated list of conv values."""
+    def parse(value: str) -> tuple:
+        items = [t.strip() for t in value.split(",")]
+        if "" in items:
+            raise ValueError("expected a comma-separated list with no empty entries")
+        return tuple(conv(t) for t in items)
+    return parse
+
+
 def parse_config(text: str, command: str) -> ExperimentConfig:
     """Parse and validate the config text for the given command."""
     if command not in CONFIG_KEYS:
@@ -113,40 +123,44 @@ def parse_config(text: str, command: str) -> ExperimentConfig:
         if req not in values:
             raise ValueError(f"missing required key {req!r}")
 
+    def get(key, conv, default=None):
+        if key not in values:
+            return default
+        try:
+            return conv(values[key])
+        except ValueError as exc:
+            raise ValueError(f"{key} = {values[key]!r}: {exc}") from None
+
     cfg = ExperimentConfig(
         command=command,
-        n=int(values["n"]),
-        k=int(values["k"]),
-        orders=_parse_orders(values["orders"]),
-        nu=float(values.get("nu", "0.75")),
-        seed=int(values.get("seed", "0")),
+        n=get("n", int),
+        k=get("k", int),
+        orders=get("orders", _parse_orders),
+        nu=get("nu", float, 0.75),
+        seed=get("seed", int, 0),
+        labels=get("labels", _parse_bool, True),
+        colors=get("colors", _parse_bool, False),
+        input=values.get("input"),
+        ladder=get("ladder", _comma_list(float), ()),
+        base_b=get("base_b", float, 0.0),
+        ladder_order=get("ladder_order", int, 2),
+        trials=get("trials", int, 1),
+        sizes=get("sizes", _comma_list(int), ()),
+        tau=get("tau", float),
     )
     if not 0.5 < cfg.nu < 1.0:
         raise ValueError(f"nu must lie in (0.5, 1), got {cfg.nu}")
     if cfg.seed < 0 or cfg.seed >= 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    if "labels" in values:
-        cfg.labels = _parse_bool(values["labels"])
-    if "colors" in values:
-        cfg.colors = _parse_bool(values["colors"])
-    if "input" in values:
-        cfg.input = values["input"]
-    if "ladder" in values:
-        cfg.ladder = tuple(float(t) for t in values["ladder"].split(","))
-    if "base_b" in values:
-        cfg.base_b = float(values["base_b"])
-    if "ladder_order" in values:
-        cfg.ladder_order = int(values["ladder_order"])
-    if "trials" in values:
-        cfg.trials = int(values["trials"])
-        if cfg.trials < 1:
-            raise ValueError("trials must be at least 1")
-    if "sizes" in values:
-        cfg.sizes = tuple(int(t) for t in values["sizes"].split(","))
-    if "tau" in values:
-        cfg.tau = float(values["tau"])
-        if cfg.tau < 0:
-            raise ValueError("tau must be nonnegative")
+    if cfg.trials < 1:
+        raise ValueError("trials must be at least 1")
+    if cfg.tau is not None and cfg.tau < 0:
+        raise ValueError("tau must be nonnegative")
+    for n in cfg.sizes:
+        try:
+            cfg.model_params(n)
+        except ValueError as exc:
+            raise ValueError(f"sizes entry {n}: {exc}") from None
 
     if command == "experiment" and not cfg.ladder:
         raise ValueError("experiment needs a ladder of rate gaps")

@@ -71,16 +71,11 @@ class PartitionFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs for one pipeline run: target correctness nu, subset, seed, solver."""
+    """Knobs for one pipeline run: target correctness nu, subset, seed."""
 
     nu: float = 0.75
     subset: OrderSubset | None = None
     seed: int = 0
-    # looser than the solver defaults: near-degenerate bulk eigenvalues at
-    # weak signal make the last decimal digits of the subspace expensive
-    # and worthless for clustering
-    solver_tol: float = 1e-7
-    solver_max_iter: int = 2000
 
     def __post_init__(self):
         if not 0.5 < self.nu < 1.0:
@@ -199,8 +194,7 @@ def spectral_partition_k(
     a_zy1 = adjacency(restrict(h_red, np.concatenate([z, y1])))
     kept = np.flatnonzero(row_sums(a_zy1) <= threshold)
     a1 = mask_matrix(bipartite_embed(a_zy1, z, y1), kept)
-    basis = top_subspace(a1, k, "left-singular", cfg.solver_tol, cfg.solver_max_iter,
-                         seed=_derived_seed(cfg.seed, 3))
+    basis = top_subspace(a1, k, "left-singular", seed=_derived_seed(cfg.seed, 3))
     if basis.singular_values[0] == 0.0:
         raise PartitionFailure("red bipartite adjacency carries no signal")
 
@@ -334,8 +328,7 @@ def spectral_partition_2(
     d = model.degree_scale(params, subset)
     threshold = REGULARIZATION_FACTOR * subset.m_max * d
     a_reg, _ = regularize(adjacency(h_red), threshold)
-    basis = top_subspace(a_reg, 2, "symmetric-eigen", cfg.solver_tol, cfg.solver_max_iter,
-                         seed=_derived_seed(cfg.seed, 3))
+    basis = top_subspace(a_reg, 2, "symmetric-eigen", seed=_derived_seed(cfg.seed, 3))
     if basis.singular_values[0] == 0.0:
         raise PartitionFailure("regularized red adjacency is zero")
 

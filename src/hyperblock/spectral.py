@@ -5,9 +5,11 @@ the hyperedges containing both endpoints, so the i-th row sum equals
 ``sum_m (m-1) * #(order-m edges through i)``.  The incidence matrix H
 holds one 0/1 row per hyperedge, all orders stacked, so ``H @ X`` counts
 the endpoints of every edge inside each column set of a 0/1 matrix X.
-Subspaces are extracted by randomized block power iteration with
-orthonormalization at every step; degenerate spectra are compared
-through projectors, never through individual vectors.
+Subspaces and norms come from ARPACK's implicitly restarted Lanczos method
+(Lehoucq, Sorensen & Yang 1998) through ``scipy.sparse.linalg.eigsh``,
+started from a seeded vector so that results are deterministic;
+degenerate spectra are compared through projectors, never through
+individual vectors.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence, aslinearoperator, eigsh
 
 from .sampler import Hypergraph, subset_mask
 
@@ -39,11 +42,7 @@ OVERSAMPLE = 4
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted; carries the last residual seen."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (last residual {residual:.3e})")
-        self.residual = residual
+    """Restart budget exhausted before every wanted eigenpair converged."""
 
 
 @dataclass(frozen=True)
@@ -134,24 +133,32 @@ def regularize(a, threshold: float) -> tuple[sp.csr_array, np.ndarray]:
     return mask_matrix(a, kept), kept
 
 
-def _matmat(a, x: np.ndarray) -> np.ndarray:
-    if sp.issparse(a) or isinstance(a, np.ndarray):
-        return a @ x
-    return a.matmat(x)
-
-
-def _rmatmat(a, x: np.ndarray) -> np.ndarray:
-    if sp.issparse(a) or isinstance(a, np.ndarray):
-        return a.T @ x
-    return a.rmatmat(x)
-
-
 def _nnz(a) -> int:
     if sp.issparse(a):
         return a.nnz
     if isinstance(a, np.ndarray):
         return int(np.count_nonzero(a))
     return -1  # operator form: assume nonzero
+
+
+def _eigsh(op, k: int, tol: float, max_iter: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """k eigenpairs of the symmetric operator op, by descending |eigenvalue|."""
+    n = op.shape[0]
+    if k == n:  # ARPACK needs k < n
+        theta, u = np.linalg.eigh(op.matmat(np.eye(n)))
+    else:
+        rng = np.random.default_rng(seed)
+        try:
+            # ARPACK's default Krylov dimension (at least 20) spans a small
+            # matrix whole, which then converges in one pass whatever
+            # max_iter says; a smaller one keeps the restart budget binding
+            theta, u = eigsh(op, k, which="LM", v0=rng.standard_normal(n),
+                             ncv=min(n, 2 * k + 1 + OVERSAMPLE), tol=tol,
+                             maxiter=max_iter, rng=rng)
+        except ArpackNoConvergence as exc:
+            raise ConvergenceError(str(exc)) from exc
+    order = np.argsort(-np.abs(theta), kind="stable")[:k]
+    return theta[order], u[:, order]
 
 
 def top_subspace(
@@ -167,9 +174,12 @@ def top_subspace(
     ``mode`` is ``"left-singular"`` (left singular vectors of a) or
     ``"symmetric-eigen"`` (eigenvectors of a symmetric matrix ordered by
     absolute eigenvalue; singular_values holds those magnitudes).
-    Randomized block power iteration with k+4 oversampling; a converged
-    triple satisfies ``|a v - s u| <= tol * s_1``.  Raises
-    ConvergenceError when max_iter is exhausted.
+    ARPACK's implicitly restarted Lanczos method (scipy's ``eigsh``) runs
+    on a, or on a a^T in the left-singular mode, from a start vector drawn
+    from ``seed``.  An eigenpair (theta, u) of that operator is converged
+    when ``|op u - theta u| <= tol * |theta|``.  ``max_iter`` is the
+    budget of implicit restarts; ConvergenceError is raised when it runs
+    out.  k == n, which ARPACK cannot serve, is solved densely.
     """
     n = a.shape[0]
     if not 1 <= k <= n:
@@ -178,60 +188,24 @@ def top_subspace(
         raise ValueError(f"unknown mode {mode!r}")
     if _nnz(a) == 0:
         return SubspaceBasis(np.eye(n, k), np.zeros(k))
-
-    rng = np.random.default_rng(seed)
-    p = min(n, k + OVERSAMPLE)
-    q = np.linalg.qr(rng.standard_normal((n, p)))[0]
-    residual = np.inf
-    for _ in range(max_iter):
-        if mode == "left-singular":
-            q = np.linalg.qr(_matmat(a, _rmatmat(a, q)))[0]
-            b = _rmatmat(a, q).T  # p x n, equals q^T a
-            u_small, svals, _ = np.linalg.svd(b, full_matrices=False)
-            u = q @ u_small[:, :k]
-            # right vectors of the leading triples, for the residual test
-            av = b.T @ u_small[:, :k]  # n x k, equals a^T u = v * s
-            svals = svals[:k]
-            resid = _matmat(a, np.where(svals > 0, av / np.where(svals > 0, svals, 1.0), av))
-            residual = np.linalg.norm(resid - u * svals, axis=0).max()
-        else:
-            aq = _matmat(a, q)
-            q_next = np.linalg.qr(aq)[0]
-            t = q.T @ aq
-            t = 0.5 * (t + t.T)
-            theta, y = np.linalg.eigh(t)
-            order = np.argsort(-np.abs(theta))[:k]
-            u = q @ y[:, order]
-            svals = np.abs(theta[order])
-            residual = np.linalg.norm(_matmat(a, u) - u * theta[order], axis=0).max()
-            q = q_next
-        scale = svals[0] if svals[0] > 0 else 1.0
-        if residual <= tol * scale:
-            return SubspaceBasis(u, svals)
-    raise ConvergenceError(f"subspace iteration did not converge in {max_iter} steps", residual)
+    op = aslinearoperator(a)
+    if mode == "symmetric-eigen":
+        theta, u = _eigsh(op, k, tol, max_iter, seed)
+        return SubspaceBasis(u, np.abs(theta))
+    # eigenvalues of a a^T are the squared singular values
+    theta, u = _eigsh(op @ op.H, k, tol, max_iter, seed)
+    return SubspaceBasis(u, np.sqrt(np.maximum(theta, 0.0)))
 
 
-def spectral_norm(a, tol: float = 1e-8, max_iter: int = 2000, seed: int = 0) -> float:
-    """Largest singular value by block power iteration on a^T a.
+def spectral_norm(a, tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER,
+                  seed: int = 0) -> float:
+    """Spectral norm of a symmetric matrix: its largest |eigenvalue|.
 
-    Accepts sparse matrices, dense arrays, or linear operators exposing
-    matmat/rmatmat.  Stops when the estimate moves by less than
-    ``tol * estimate`` between iterations.
+    Accepts symmetric sparse matrices, dense arrays, or linear operators;
+    for a nonsymmetric input the result is not its norm.  Solver, ``tol``,
+    ``max_iter`` and ConvergenceError are as in ``top_subspace``.
     """
-    n = a.shape[0]
     if _nnz(a) == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
-    p = min(n, OVERSAMPLE)
-    q = np.linalg.qr(rng.standard_normal((n, p)))[0]
-    last = 0.0
-    for _ in range(max_iter):
-        z = _rmatmat(a, q)
-        w = _matmat(a, z)
-        est = float(np.linalg.norm(q.T @ w, 2)) ** 0.5
-        q = np.linalg.qr(w)[0]
-        if est > 0 and abs(est - last) <= tol * est:
-            return est
-        last = est
-    raise ConvergenceError(f"norm iteration did not converge in {max_iter} steps",
-                           abs(est - last))
+    theta, _ = _eigsh(aslinearoperator(a), 1, tol, max_iter, seed)
+    return float(abs(theta[0]))

@@ -70,6 +70,21 @@ class TestConcentrationTrial:
             concentration_trial(ModelParams(5000, 2, {2: (5, 1)}), 0, tau=60.0,
                                 dense_cap=4000)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ratios_match_dense_norms(self, seed):
+        p = ModelParams(500, 2, {2: (10, 5), 3: (10, 5)})
+        tau = 1.2  # low enough that some rows are zeroed
+        rec = concentration_trial(p, seed, tau=tau)
+        h, _ = sample_hsbm(p, seed)
+        a = adjacency(h).toarray().astype(np.float64)
+        w = a - expected_adjacency(p)
+        kept = (a.sum(axis=1) <= tau * rec.d).astype(np.float64)
+        assert 0 < kept.sum() < p.n
+        wm = kept[:, None] * w * kept[None, :]
+        sqrt_d = math.sqrt(rec.d)
+        assert rec.raw_ratio * sqrt_d == pytest.approx(np.linalg.norm(w, 2), rel=1e-8)
+        assert rec.reg_ratio * sqrt_d == pytest.approx(np.linalg.norm(wm, 2), rel=1e-8)
+
     def test_log_degree_raw_ratio_bounded(self):
         # degree scale 2 ln n: the unregularized ratio stays under a fixed bound
         for n in (500, 1000, 2000, 4000):

@@ -106,3 +106,28 @@ class TestConfig:
         assert cfg.resolved_tau() == 60.0
         cfg = parse_config("n = 100\nk = 2\norders = 2:6,3\ntau = 2.5\n", "conclab")
         assert cfg.resolved_tau() == 2.5
+
+    @pytest.mark.parametrize("command, extra, named", [
+        ("conclab", "sizes =\n", "sizes = ''"),
+        ("conclab", "sizes = 60,,80\n", "sizes = '60,,80'"),
+        ("conclab", "sizes = 60,x\n", "sizes = '60,x'"),
+        ("conclab", "trials = x\n", "trials = 'x'"),
+        ("conclab", "tau = big\n", "tau = 'big'"),
+        ("experiment", "ladder =\n", "ladder = ''"),
+        ("experiment", "ladder = 1,2\nbase_b = -\n", "base_b = '-'"),
+        ("snr", "seed = 1.5\n", "seed = '1.5'"),
+        ("sample", "labels = maybe\n", "labels = 'maybe'"),
+    ])
+    def test_bad_value_names_its_key(self, command, extra, named):
+        with pytest.raises(ValueError, match=named):
+            parse_config("n = 20\nk = 2\norders = 2:4,1\n" + extra, command)
+
+    @pytest.mark.parametrize("sizes, named", [
+        ("0,-5", "sizes entry 0: n must be positive"),
+        ("60,1", "sizes entry 1: n must be at least k"),
+        ("60,2", "sizes entry 2: edge order 3 exceeds n = 2"),
+    ])
+    def test_sizes_checked_at_parse_time(self, sizes, named):
+        with pytest.raises(ValueError, match=named):
+            parse_config(f"n = 80\nk = 2\norders = 2:6,3;3:4,1\nsizes = {sizes}\n",
+                         "conclab")

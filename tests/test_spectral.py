@@ -194,6 +194,16 @@ class TestTopSubspace:
         with pytest.raises(ConvergenceError):
             top_subspace(a, 1, "left-singular", tol=1e-15, max_iter=3)
 
+    @pytest.mark.parametrize("mode", ["symmetric-eigen", "left-singular"])
+    def test_k_equals_n(self, mode):
+        # ARPACK needs k < n; the full basis is solved densely
+        q = np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))[0]
+        dense = q @ np.diag([3.0, -2.0, 1.0, 0.5]) @ q.T
+        for a in (dense, sp.csr_array(dense)):
+            basis = top_subspace(a, 4, mode)
+            assert np.allclose(basis.singular_values, [3.0, 2.0, 1.0, 0.5], atol=1e-12)
+            assert np.allclose(np.abs(basis.vectors.T @ q), np.eye(4), atol=1e-10)
+
     def test_bad_arguments(self):
         a = np.eye(4)
         with pytest.raises(ValueError):
@@ -216,3 +226,8 @@ class TestSpectralNorm:
             a = planted_instance(n=200, seed=seed)
             want = np.linalg.norm(a.toarray(), 2)
             assert spectral_norm(a, 1e-10) == pytest.approx(want, rel=1e-8)
+
+    def test_nonconvergence_raises(self):
+        a = np.diag(np.linspace(1.0, 0.99, 12))
+        with pytest.raises(ConvergenceError):
+            spectral_norm(a, tol=1e-15, max_iter=3)
