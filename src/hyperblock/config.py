@@ -4,15 +4,18 @@ Syntax: one ``key = value`` per line, ``#`` starts a comment.  Unknown
 keys are rejected.  The ``orders`` value lists per-order rate pairs as
 ``m:a,b`` separated by semicolons, e.g. ``orders = 2:80,2;3:40,2``.
 
-Keys by command (required unless a default is shown):
+Keys by command:
 
-    common      n, k, orders, nu (0.75), seed (0)
+    common      n, k, orders, nu, seed
     snr         nothing extra
-    sample      labels (true), colors (false)
-    detect      input (path, optional; sample inline when absent)
-    experiment  ladder (e.g. 10,20,40,80), base_b, ladder_order (2),
-                trials (1)
-    conclab     sizes (e.g. 500,1000), tau (20 * max order), trials (1)
+    sample      labels, colors
+    detect      input (path; sample inline when absent)
+    experiment  ladder (e.g. 10,20,40,80), base_b, ladder_order, trials
+    conclab     sizes (e.g. 500,1000), tau, trials
+
+n, k and orders are required, and so is ladder for experiment.  An
+absent key takes the default declared on ``ExperimentConfig``; an absent
+tau resolves to 20 * max order.
 """
 
 from __future__ import annotations
@@ -99,6 +102,25 @@ def _comma_list(conv):
     return parse
 
 
+# value parser per key; the defaults of absent keys live on ExperimentConfig
+_CONVERT = {
+    "n": int,
+    "k": int,
+    "orders": _parse_orders,
+    "nu": float,
+    "seed": int,
+    "labels": _parse_bool,
+    "colors": _parse_bool,
+    "input": str,
+    "ladder": _comma_list(float),
+    "base_b": float,
+    "ladder_order": int,
+    "trials": int,
+    "sizes": _comma_list(int),
+    "tau": float,
+}
+
+
 def parse_config(text: str, command: str) -> ExperimentConfig:
     """Parse and validate the config text for the given command."""
     if command not in CONFIG_KEYS:
@@ -123,31 +145,13 @@ def parse_config(text: str, command: str) -> ExperimentConfig:
         if req not in values:
             raise ValueError(f"missing required key {req!r}")
 
-    def get(key, conv, default=None):
-        if key not in values:
-            return default
+    def get(key):
         try:
-            return conv(values[key])
+            return _CONVERT[key](values[key])
         except ValueError as exc:
             raise ValueError(f"{key} = {values[key]!r}: {exc}") from None
 
-    cfg = ExperimentConfig(
-        command=command,
-        n=get("n", int),
-        k=get("k", int),
-        orders=get("orders", _parse_orders),
-        nu=get("nu", float, 0.75),
-        seed=get("seed", int, 0),
-        labels=get("labels", _parse_bool, True),
-        colors=get("colors", _parse_bool, False),
-        input=values.get("input"),
-        ladder=get("ladder", _comma_list(float), ()),
-        base_b=get("base_b", float, 0.0),
-        ladder_order=get("ladder_order", int, 2),
-        trials=get("trials", int, 1),
-        sizes=get("sizes", _comma_list(int), ()),
-        tau=get("tau", float),
-    )
+    cfg = ExperimentConfig(command=command, **{key: get(key) for key in values})
     if not 0.5 < cfg.nu < 1.0:
         raise ValueError(f"nu must lie in (0.5, 1), got {cfg.nu}")
     if cfg.seed < 0 or cfg.seed >= 2**64:

@@ -161,6 +161,13 @@ def _eigsh(op, k: int, tol: float, max_iter: int, seed: int) -> tuple[np.ndarray
     return theta[order], u[:, order]
 
 
+def _left_singular(op, k: int, tol: float, max_iter: int, seed: int) -> SubspaceBasis:
+    """Top k left singular vectors and singular values of the operator op."""
+    # eigenvalues of op op^T are the squared singular values
+    theta, u = _eigsh(op @ op.H, k, tol, max_iter, seed)
+    return SubspaceBasis(u, np.sqrt(np.maximum(theta, 0.0)))
+
+
 def top_subspace(
     a,
     k: int,
@@ -192,20 +199,18 @@ def top_subspace(
     if mode == "symmetric-eigen":
         theta, u = _eigsh(op, k, tol, max_iter, seed)
         return SubspaceBasis(u, np.abs(theta))
-    # eigenvalues of a a^T are the squared singular values
-    theta, u = _eigsh(op @ op.H, k, tol, max_iter, seed)
-    return SubspaceBasis(u, np.sqrt(np.maximum(theta, 0.0)))
+    return _left_singular(op, k, tol, max_iter, seed)
 
 
 def spectral_norm(a, tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER,
                   seed: int = 0) -> float:
-    """Spectral norm of a symmetric matrix: its largest |eigenvalue|.
+    """Spectral norm: the largest singular value of a.
 
-    Accepts symmetric sparse matrices, dense arrays, or linear operators;
-    for a nonsymmetric input the result is not its norm.  Solver, ``tol``,
-    ``max_iter`` and ConvergenceError are as in ``top_subspace``.
+    Accepts sparse matrices, dense arrays, or linear operators of any
+    shape.  ARPACK runs on a a^T as in the left-singular mode of
+    ``top_subspace``, with the same ``tol``, ``max_iter`` and
+    ConvergenceError.
     """
     if _nnz(a) == 0:
         return 0.0
-    theta, _ = _eigsh(aslinearoperator(a), 1, tol, max_iter, seed)
-    return float(abs(theta[0]))
+    return float(_left_singular(aslinearoperator(a), 1, tol, max_iter, seed).singular_values[0])

@@ -231,3 +231,10 @@ class TestSpectralNorm:
         a = np.diag(np.linspace(1.0, 0.99, 12))
         with pytest.raises(ConvergenceError):
             spectral_norm(a, tol=1e-15, max_iter=3)
+
+    @pytest.mark.parametrize("shape", [(30, 30), (30, 45), (45, 30)])
+    def test_nonsymmetric_and_rectangular(self, shape):
+        a = np.random.default_rng(7).standard_normal(shape)
+        want = np.linalg.norm(a, 2)
+        assert spectral_norm(a, 1e-10) == pytest.approx(want, rel=1e-8)
+        assert spectral_norm(sp.csr_array(a), 1e-10) == pytest.approx(want, rel=1e-8)
