@@ -60,6 +60,12 @@ class ExperimentConfig:
     def model_params(self, n: int | None = None) -> ModelParams:
         return ModelParams(n if n is not None else self.n, self.k, dict(self.orders))
 
+    def ladder_params(self, gap: float) -> ModelParams:
+        """Model of one experiment rung: ``ladder_order`` gets rates (base_b + gap, base_b)."""
+        orders = dict(self.orders)
+        orders[self.ladder_order] = (self.base_b + gap, self.base_b)
+        return ModelParams(self.n, self.k, orders)
+
     def resolved_tau(self) -> float:
         if self.tau is not None:
             return self.tau
@@ -170,4 +176,9 @@ def parse_config(text: str, command: str) -> ExperimentConfig:
         raise ValueError("experiment needs a ladder of rate gaps")
     # validate model preconditions up front
     cfg.model_params()
+    for gap in cfg.ladder:
+        try:
+            cfg.ladder_params(gap)
+        except ValueError as exc:
+            raise ValueError(f"ladder entry {gap}: {exc}") from None
     return cfg

@@ -7,6 +7,10 @@ Hypergraph format (line oriented, diff-able):
     <m> <v_1> ... <v_m> [R|B]           (one line per edge, 0-indexed,
                                          vertices strictly ascending)
 
+Edge lines may come in any order; the reader puts each order's rows in
+canonical (lexicographic) order, so a file's line order never changes
+the hypergraph it describes.  The writer emits that order.
+
 Label files are ``vertex_id<TAB>block`` lines.  Floats in CSV output are
 serialized with repr so reruns are byte-identical.
 """
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sampler import BLUE, RED, Hypergraph
+from .sampler import BLUE, RED, Hypergraph, _row_order
 
 __all__ = [
     "write_hypergraph",
@@ -25,28 +29,138 @@ __all__ = [
 ]
 
 _COLOR_CHAR = {RED: "R", BLUE: "B"}
-_CHAR_COLOR = {"R": RED, "B": BLUE}
+_BLOCK = 1 << 14  # edge lines tokenized at a time
 
 
 def write_hypergraph(h: Hypergraph, k: int, labels: np.ndarray | None = None) -> str:
     """Serialize to the text format; edges ordered by (m, tuple)."""
     m_max = max(h.edges) if h.edges else 2
-    lines = [f"HSBM {h.n} {k} {m_max}"]
+    parts = [f"HSBM {h.n} {k} {m_max}\n"]
     if labels is not None:
-        lines.append("LABELS " + " ".join(str(int(b)) for b in labels))
+        ids = np.asarray(labels).astype(np.int64).tolist()
+        parts.append("LABELS " + " ".join(map(str, ids)) + "\n")
+    # each cell carries the separator that follows it, so one join writes an order
+    top = max((int(arr.max()) + 1 for arr in h.edges.values() if len(arr)), default=0)
+    spaced = np.array([f"{v} " for v in range(top)], dtype=object)
+    ended = np.array([f"{v}\n" for v in range(top)], dtype=object)
+    color_ended = np.array([f"{_COLOR_CHAR[c]}\n" for c in (RED, BLUE)], dtype=object)
     for m in sorted(h.edges):
         arr = h.edges[m]
-        colors = h.colors[m] if h.is_colored else None
-        for i, row in enumerate(arr):
-            cells = [str(m)] + [str(int(v)) for v in row]
-            if colors is not None:
-                cells.append(_COLOR_CHAR[int(colors[i])])
-            lines.append(" ".join(cells))
-    return "\n".join(lines) + "\n"
+        cells = np.empty((len(arr), m + 1 + h.is_colored), dtype=object)
+        cells[:, 0] = f"{m} "
+        cells[:, 1:m + 1] = spaced[arr]
+        if h.is_colored:
+            cells[:, -1] = color_ended[h.colors[m]]
+        else:
+            cells[:, -1] = ended[arr[:, -1]]
+        parts.append("".join(cells.ravel().tolist()))
+    return "".join(parts)
+
+
+def _ints(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 value of each str in an object array, and whether ``int`` accepts it.
+
+    Rejected tokens read as 0.  Values beyond int64 are clipped to
+    +-2**62, which keeps them outside every id range and vertex count.
+    """
+    try:
+        # numpy converts each str through int(), so it accepts what int() does
+        return tokens.astype(np.int64), np.ones(len(tokens), dtype=bool)
+    except (ValueError, OverflowError):
+        pass
+    values = np.zeros(len(tokens), dtype=np.int64)
+    ok = np.zeros(len(tokens), dtype=bool)
+    for i, tok in enumerate(tokens):
+        try:
+            values[i] = max(-2**62, min(2**62, int(tok)))
+            ok[i] = True
+        except ValueError:
+            pass
+    return values, ok
+
+
+def _tokenize(lines: list[str]) -> tuple[np.ndarray, ...]:
+    """Token counts, colors and numeric tokens of a block of edge lines.
+
+    Per line: its token count, and its color (-1 unless the last of two or
+    more tokens is R or B).  Per remaining token: its value and whether
+    ``int`` accepts it, as ``_ints`` gives them.
+    """
+    width = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
+    tokens = np.array(" ".join(lines).split(), dtype=object)
+    last = np.cumsum(width) - 1
+    color = np.select([tokens[last] == _COLOR_CHAR[c] for c in (RED, BLUE)], [RED, BLUE], -1)
+    color[width < 2] = -1
+    numeric = np.ones(len(tokens), dtype=bool)
+    numeric[last[color >= 0]] = False
+    return (width, color) + _ints(tokens[numeric])
+
+
+def _parse_edges(body: list[str], n: int) -> tuple[dict, dict | None]:
+    """Per-order edge arrays (rows sorted) and colors (or None) of the edge lines.
+
+    Every line is checked for an integer order, order >= 2, the vertex
+    count, integer ids, ids in [0, n) and strict ascent, in that order.
+    The first failing line in file order raises its first failing check.
+    """
+    if not body:
+        return {}, None
+    # blocks of lines bound the str objects alive at once, and with them the
+    # heap the process keeps after parsing
+    width, color, values, ok = (np.concatenate(part) for part in zip(*(
+        _tokenize(body[lo:lo + _BLOCK]) for lo in range(0, len(body), _BLOCK))))
+    colored = color >= 0
+
+    count = width - colored  # numeric tokens per line: the order, then the ids
+    first = np.cumsum(count) - count
+    m = values[first]
+    is_id = np.ones(len(values), dtype=bool)
+    is_id[first] = False
+    outside = ok & is_id & ((values < 0) | (values >= n))
+    descent = np.zeros(len(values), dtype=bool)
+    descent[1:] = is_id[1:] & is_id[:-1] & (values[1:] <= values[:-1])
+
+    def per_line(mask):
+        return np.logical_or.reduceat(mask, first)
+
+    # (failing lines, message) in the order each line is checked; a None
+    # message stands for int()'s own error on the line's first rejected token
+    checks = [
+        (~ok[first], None),
+        (m < 2, "edge order must be at least 2: {ln!r}"),
+        (count - 1 != m, "edge line has {ids} vertices, expected {m}: {ln!r}"),
+        (per_line(~ok & is_id), None),
+        (per_line(outside), "vertex id out of range in {ln!r}"),
+        (per_line(descent), "vertices must be strictly ascending in {ln!r}"),
+    ]
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        message = next(msg for mask, msg in checks if mask[i])
+        toks = body[i].split()[:count[i]]  # the numeric ones: order, then ids
+        if message is None:
+            lo = int(first[i])
+            int(toks[int(np.argmin(ok[lo:lo + len(toks)]))])  # raises
+        raise ValueError(message.format(ln=body[i], ids=len(toks) - 1, m=int(toks[0])))
+    if colored.any() and not colored.all():
+        raise ValueError("edge colors must be given on every line or none")
+
+    orders, first_line = np.unique(m, return_index=True)
+    edges, colors = {}, {}
+    for order in orders[np.argsort(first_line)].tolist():
+        lines = np.flatnonzero(m == order)
+        rows = values[first[lines, None] + np.arange(1, order + 1)]
+        perm = _row_order(rows)
+        edges[order] = rows[perm]
+        colors[order] = color[lines[perm]].astype(np.uint8)
+    return edges, (colors if colored.any() else None)
 
 
 def read_hypergraph(text: str) -> tuple[Hypergraph, int, np.ndarray | None]:
-    """Parse the text format; returns (hypergraph, k, labels-or-None)."""
+    """Parse the text format; returns (hypergraph, k, labels-or-None).
+
+    Malformed input raises ValueError naming the first bad line.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("HSBM "):
         raise ValueError("missing HSBM header line")
@@ -55,47 +169,15 @@ def read_hypergraph(text: str) -> tuple[Hypergraph, int, np.ndarray | None]:
     labels = None
     body = lines[1:]
     if body and body[0].startswith("LABELS "):
-        labels = np.array([int(tok) for tok in body[0].split()[1:]], dtype=np.int64)
+        toks = body[0].split()[1:]
+        labels = np.fromiter(map(int, toks), dtype=np.int64, count=len(toks))
         if len(labels) != n:
             raise ValueError(f"LABELS line has {len(labels)} entries, expected {n}")
         outside = labels[(labels < 0) | (labels >= k)]
         if len(outside):
             raise ValueError(f"LABELS line has value {outside[0]} outside [0, {k})")
         body = body[1:]
-    edges: dict[int, list[list[int]]] = {}
-    colors: dict[int, list[int]] = {}
-    any_color = False
-    any_plain = False
-    for ln in body:
-        toks = ln.split()
-        m = int(toks[0])
-        if m < 2:
-            raise ValueError(f"edge order must be at least 2: {ln!r}")
-        rest = toks[1:]
-        color = None
-        if rest and rest[-1] in _CHAR_COLOR:
-            color = _CHAR_COLOR[rest[-1]]
-            rest = rest[:-1]
-            any_color = True
-        else:
-            any_plain = True
-        if len(rest) != m:
-            raise ValueError(f"edge line has {len(rest)} vertices, expected {m}: {ln!r}")
-        verts = [int(t) for t in rest]
-        if any(v < 0 or v >= n for v in verts):
-            raise ValueError(f"vertex id out of range in {ln!r}")
-        if any(verts[i] >= verts[i + 1] for i in range(m - 1)):
-            raise ValueError(f"vertices must be strictly ascending in {ln!r}")
-        edges.setdefault(m, []).append(verts)
-        colors.setdefault(m, []).append(RED if color is None else color)
-    if any_color and any_plain:
-        raise ValueError("edge colors must be given on every line or none")
-    earr = {m: np.array(rows, dtype=np.int64).reshape(len(rows), m)
-            for m, rows in edges.items()}
-    carr = None
-    if any_color:
-        carr = {m: np.array(colors[m], dtype=np.uint8) for m in earr}
-    h = Hypergraph(n, earr, carr)
+    h = Hypergraph(n, *_parse_edges(body, n))
     h.validate()
     return h, k, labels
 

@@ -63,12 +63,6 @@ def run_detect_trial(spec: DetectTrial) -> metrics.AccuracyReport:
     return metrics.accuracy_report(truth, labels)
 
 
-def _experiment_point(cfg: ExperimentConfig, rung: int, gap: float) -> model.ModelParams:
-    orders = dict(cfg.orders)
-    orders[cfg.ladder_order] = (cfg.base_b + gap, cfg.base_b)
-    return model.ModelParams(cfg.n, cfg.k, orders)
-
-
 def experiment_rows(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[str], list[str]]:
     """Run the rate-gap ladder; returns (per-trial CSV rows, summary rows).
 
@@ -78,7 +72,7 @@ def experiment_rows(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[str], li
     specs = []
     meta = []
     for rung, gap in enumerate(cfg.ladder):
-        params = _experiment_point(cfg, rung, gap)
+        params = cfg.ladder_params(gap)
         subset = model.preprocess_select(params)
         snr = model.snr_subset(params, subset)
         for t in range(cfg.trials):

@@ -116,8 +116,7 @@ class Hypergraph:
                     raise ValueError(f"order {m}: vertex id out of range")
                 if not (np.diff(arr, axis=1) > 0).all():
                     raise ValueError(f"order {m}: tuples must be strictly ascending")
-                uniq = np.unique(arr, axis=0)
-                if len(uniq) != len(arr):
+                if len(_dedupe(arr)) != len(arr):
                     raise ValueError(f"order {m}: duplicate edge tuples")
             if self.colors is not None:
                 if m not in self.colors or len(self.colors[m]) != len(arr):
@@ -151,11 +150,22 @@ def ground_truth_labels(n: int, k: int) -> np.ndarray:
     return np.repeat(np.arange(k, dtype=np.int64), block_sizes(n, k))
 
 
+def _row_order(rows: np.ndarray) -> np.ndarray:
+    """Stable permutation that sorts the rows of an (E, m) array lexicographically.
+
+    Rows already in order (files written by ``write_hypergraph``, arrays
+    sorted before) take one linear pass and no sort.
+    """
+    prev, nxt = rows[:-1], rows[1:]
+    pair = np.arange(len(nxt))
+    col = (nxt != prev).argmax(axis=1)  # first column where neighbours differ
+    if (nxt[pair, col] >= prev[pair, col]).all():
+        return np.arange(len(rows))
+    return np.lexsort(rows.T[::-1])
+
+
 def _sort_rows(rows: np.ndarray) -> np.ndarray:
-    if len(rows) == 0:
-        return rows
-    order = np.lexsort(tuple(rows[:, c] for c in range(rows.shape[1] - 1, -1, -1)))
-    return rows[order]
+    return rows[_row_order(rows)]
 
 
 def _binomial_count(rng: np.random.Generator, size: int, p: float) -> int:
@@ -191,7 +201,11 @@ def _distinct_rows_mask(rows: np.ndarray) -> np.ndarray:
 
 
 def _dedupe(rows: np.ndarray) -> np.ndarray:
-    return np.unique(rows, axis=0)
+    """The distinct rows in lexicographic order, as ``np.unique(rows, axis=0)``."""
+    rows = _sort_rows(rows)
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
 
 
 def _draw_within(

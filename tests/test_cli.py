@@ -1,6 +1,10 @@
 """CLI behavior: outputs, reproducibility, exit codes."""
 
+import hashlib
+import random
+
 import numpy as np
+import pytest
 
 from hyperblock.cli import main
 from hyperblock.fileio import read_hypergraph, read_labels
@@ -60,6 +64,29 @@ class TestSampleCommand:
         assert a.read_bytes() != c.read_bytes()
 
 
+    # sha256 of the sampled file; any change to the sampler or color streams,
+    # or to the writer's bytes, changes these
+    PIN = "n = 600\nk = 3\norders = 2:40,4;3:30,3\n"
+    PINNED = {
+        ("", 1): "8b9753216fa0f809f63758f47865ea1c0caad2bbf75af7ce34416ba719001c43",
+        ("", 2): "c76e38fecd41ee3312cba9824c6c37f8cd37b07af5105fe22adf63826d4652b0",
+        ("", 3): "9267224ac029c159bbb634b7c37e8c64d8aa01a317ec821a0c734cb6e578e4f7",
+        ("colors = true\nlabels = false\n", 1):
+            "ba7754a8585362586b03f9d1399ec64f54949a62a78b90e8dea97d4256f798de",
+        ("colors = true\nlabels = false\n", 2):
+            "979dad46a9209cb168e3454444bb45591087be4451d0d9c01736d296fa960f10",
+        ("colors = true\nlabels = false\n", 3):
+            "7db8eeb55f1c264df81dcb60a288eb2e1206d1ccba6eebeaeb842f2fd357668d",
+    }
+
+    @pytest.mark.parametrize("extra, seed", list(PINNED))
+    def test_pinned_sample_bytes(self, tmp_path, extra, seed):
+        cfg = write(tmp_path / "c.cfg", self.PIN + extra)
+        out = tmp_path / "h.txt"
+        assert main(["sample", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED[extra, seed]
+
+
 class TestDetectCommand:
     def test_detect_from_file_with_report(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.cfg", BASE)
@@ -72,6 +99,23 @@ class TestDetectCommand:
         assert len(labels) == 200 and set(np.unique(labels)) <= {0, 1}
         out = capsys.readouterr().out
         assert out.startswith("gamma,matched_accuracy,misclassified_fraction\n")
+
+    def test_edge_line_order_does_not_change_labels(self, tmp_path, capsys):
+        model = "n = 600\nk = 3\norders = 2:40,4;3:30,3\nseed = 3\n"
+        hfile = tmp_path / "h.txt"
+        assert main(["sample", "--config", write(tmp_path / "s.cfg", model),
+                     "--out", str(hfile)]) == 0
+        lines = hfile.read_text().splitlines(keepends=True)
+        edges = lines[2:]
+        random.Random(0).shuffle(edges)
+        shuffled = write(tmp_path / "shuffled.txt", "".join(lines[:2] + edges))
+        outputs = []
+        for path in (hfile, shuffled):
+            cfg = write(tmp_path / "d.cfg", model + f"input = {path}\n")
+            lfile = tmp_path / "labels.tsv"
+            assert main(["detect", "--config", cfg, "--out", str(lfile)]) == 0
+            outputs.append((lfile.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
 
     def test_inline_sampling_deterministic(self, tmp_path):
         cfg = write(tmp_path / "c.cfg", BASE)

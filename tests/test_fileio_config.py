@@ -1,12 +1,92 @@
 """Serialization round-trips and config schema validation."""
 
+import random
+
 import numpy as np
 import pytest
 
 from hyperblock.config import parse_config
-from hyperblock.fileio import read_hypergraph, read_labels, write_hypergraph, write_labels
+from hyperblock.fileio import (
+    _BLOCK,
+    read_hypergraph,
+    read_labels,
+    write_hypergraph,
+    write_labels,
+)
 from hyperblock.model import ModelParams
-from hyperblock.sampler import color_edges, sample_hsbm
+from hyperblock.sampler import BLUE, RED, Hypergraph, color_edges, sample_hsbm
+
+
+def read_hypergraph_per_line(text):
+    """Line-by-line reader kept as an oracle: same checks and messages, file order kept."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("HSBM "):
+        raise ValueError("missing HSBM header line")
+    _, n_s, k_s, _m_s = lines[0].split()
+    n, k = int(n_s), int(k_s)
+    labels = None
+    body = lines[1:]
+    if body and body[0].startswith("LABELS "):
+        labels = np.array([int(tok) for tok in body[0].split()[1:]], dtype=np.int64)
+        if len(labels) != n:
+            raise ValueError(f"LABELS line has {len(labels)} entries, expected {n}")
+        outside = labels[(labels < 0) | (labels >= k)]
+        if len(outside):
+            raise ValueError(f"LABELS line has value {outside[0]} outside [0, {k})")
+        body = body[1:]
+    edges, colors = {}, {}
+    any_color = any_plain = False
+    for ln in body:
+        toks = ln.split()
+        m = int(toks[0])
+        if m < 2:
+            raise ValueError(f"edge order must be at least 2: {ln!r}")
+        rest = toks[1:]
+        color = None
+        if rest and rest[-1] in ("R", "B"):
+            color = RED if rest[-1] == "R" else BLUE
+            rest = rest[:-1]
+            any_color = True
+        else:
+            any_plain = True
+        if len(rest) != m:
+            raise ValueError(f"edge line has {len(rest)} vertices, expected {m}: {ln!r}")
+        verts = [int(t) for t in rest]
+        if any(v < 0 or v >= n for v in verts):
+            raise ValueError(f"vertex id out of range in {ln!r}")
+        if any(verts[i] >= verts[i + 1] for i in range(m - 1)):
+            raise ValueError(f"vertices must be strictly ascending in {ln!r}")
+        edges.setdefault(m, []).append(verts)
+        colors.setdefault(m, []).append(RED if color is None else color)
+    if any_color and any_plain:
+        raise ValueError("edge colors must be given on every line or none")
+    earr = {m: np.array(rows, dtype=np.int64).reshape(len(rows), m)
+            for m, rows in edges.items()}
+    carr = {m: np.array(colors[m], dtype=np.uint8) for m in earr} if any_color else None
+    h = Hypergraph(n, earr, carr)
+    h.validate()
+    return h, k, labels
+
+
+def assert_same_hypergraph(h, h_ref):
+    """Equal vertex count, orders and colors, with h_ref's rows in any order."""
+    assert h.n == h_ref.n and list(h.edges) == list(h_ref.edges)
+    assert h.is_colored == h_ref.is_colored
+    for m, rows in h_ref.edges.items():
+        perm = np.lexsort(rows.T[::-1])
+        assert h.edges[m].dtype == np.int64 and h.edges[m].shape == rows.shape
+        assert (h.edges[m] == rows[perm]).all()
+        if h.is_colored:
+            assert h.colors[m].dtype == np.uint8
+            assert (h.colors[m] == h_ref.colors[m][perm]).all()
+
+
+def shuffle_edge_lines(text, seed):
+    lines = text.splitlines(keepends=True)
+    head = 2 if len(lines) > 1 and lines[1].startswith("LABELS ") else 1
+    edges = lines[head:]
+    random.Random(seed).shuffle(edges)
+    return "".join(lines[:head] + edges)
 
 
 class TestHypergraphFormat:
@@ -56,9 +136,147 @@ class TestHypergraphFormat:
         with pytest.raises(ValueError, match=named):
             read_hypergraph(text)
 
+    def test_shuffled_lines_give_the_same_hypergraph(self):
+        h, labels = sample_hsbm(ModelParams(600, 3, {2: (40, 4), 3: (30, 3)}), 3)
+        for hh in (h, color_edges(h, 5)):
+            text = write_hypergraph(hh, 3, labels)
+            h_read, _, _ = read_hypergraph(text)
+            h_shuffled, _, _ = read_hypergraph(shuffle_edge_lines(text, 1))
+            assert_same_hypergraph(h_read, hh)
+            assert_same_hypergraph(h_shuffled, hh)
+
     def test_labels_round_trip(self):
         labels = np.array([0, 2, 1, 1, 0])
         assert (read_labels(write_labels(labels)) == labels).all()
+
+
+def _sampled_texts():
+    h, labels = sample_hsbm(ModelParams(300, 3, {2: (12, 3), 3: (8, 2), 4: (4, 1)}), 4)
+    empty, _ = sample_hsbm(ModelParams(30, 3, {2: (0, 0)}), 0)
+    return {
+        "uncolored with labels": write_hypergraph(h, 3, labels),
+        "colored without labels": write_hypergraph(color_edges(h, 9), 3, None),
+        "header only": write_hypergraph(empty, 3, None),
+        "labels only": write_hypergraph(empty, 3, np.arange(30) % 3),
+    }
+
+
+def _edge_lines(text, fn):
+    """Apply fn to each edge line (the header and LABELS lines stay as written)."""
+    return "".join(ln if ln.startswith(("HSBM ", "LABELS ")) else fn(ln)
+                   for ln in text.splitlines(keepends=True))
+
+
+_LAYOUTS = {
+    "as written": lambda t: t,
+    "tabs": lambda t: _edge_lines(t, lambda ln: ln.replace(" ", "\t")),
+    "runs of spaces": lambda t: _edge_lines(t, lambda ln: ln.replace(" ", "   ")),
+    "leading and trailing spaces": lambda t: _edge_lines(t, lambda ln: " \t" + ln[:-1] + "  \n"),
+    "blank lines": lambda t: t.replace("\n", "\n\n \t\n"),
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "no final newline": lambda t: t[:-1],
+    "shuffled edge lines": lambda t: shuffle_edge_lines(t, 7),
+}
+
+
+class TestReaderMatchesPerLineOracle:
+    @pytest.mark.parametrize("layout", list(_LAYOUTS))
+    @pytest.mark.parametrize("kind", list(_sampled_texts()))
+    def test_valid_files(self, kind, layout):
+        text = _LAYOUTS[layout](_sampled_texts()[kind])
+        h, k, labels = read_hypergraph(text)
+        h_ref, k_ref, labels_ref = read_hypergraph_per_line(text)
+        assert k == k_ref
+        assert (labels is None) == (labels_ref is None)
+        if labels is not None:
+            assert labels.dtype == np.int64 and (labels == labels_ref).all()
+        assert_same_hypergraph(h, h_ref)
+
+    def test_files_longer_than_one_parse_block(self):
+        n = 400
+        lines = [f"2 {i} {j}" for i in range(n) for j in range(i + 1, n)][:2 * _BLOCK + 100]
+        random.Random(2).shuffle(lines)
+        text = f"HSBM {n} 2 2\n" + "\n".join(lines) + "\n"
+        h, _, _ = read_hypergraph(text)
+        assert_same_hypergraph(h, read_hypergraph_per_line(text)[0])
+        colored = [ln + " " + "RB"[i % 2] for i, ln in enumerate(lines)]
+        variants = [
+            f"HSBM {n} 2 2\n" + "\n".join(colored) + "\n",
+            f"HSBM {n} 2 2\n" + "\n".join(colored[:-1] + lines[-1:]) + "\n",
+        ]
+        for at, bad in [(_BLOCK + 5, "2 7 3"), (2 * _BLOCK + 50, "2 0 x"), (_BLOCK - 1, "3 0 1")]:
+            edited = lines.copy()
+            edited[at] = bad
+            edited[-1] = "2 0 999"
+            variants.append(f"HSBM {n} 2 2\n" + "\n".join(edited) + "\n")
+        for text in variants:
+            try:
+                expected = read_hypergraph_per_line(text)[0]
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    read_hypergraph(text)
+                assert str(got.value) == str(exc)
+            else:
+                assert_same_hypergraph(read_hypergraph(text)[0], expected)
+
+    def test_integer_spellings_int_accepts(self):
+        text = "HSBM 12 2 2\n2 +0 0_1\n2 \u0661 \u0663\n2 007 11\n"
+        h, _, _ = read_hypergraph(text)
+        assert_same_hypergraph(h, read_hypergraph_per_line(text)[0])
+        assert h.edges[2].tolist() == [[0, 1], [1, 3], [7, 11]]
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "nonsense\n",
+        " HSBM 4 2 2\n",
+        "HSBM 4 2\n",
+        "HSBM x 2 2\n",
+        "HSBM 6 2 2\nLABELS 0 1\n",
+        "HSBM 3 2 2\nLABELS 0 x 1\n",
+        "HSBM 3 2 2\nLABELS 0 2 1\n2 0 1\n",
+        "HSBM 4 2 2\n2 3 1\n",
+        "HSBM 4 2 2\n2 0 9\n",
+        "HSBM 4 2 2\n2 1 1\n",
+        "HSBM 4 2 2\n2 -1 1\n",
+        "HSBM 4 2 2\n2 0 1 R\n2 2 3\n",
+        "HSBM 4 2 2\n2 0 1\n2 2 3 B\n",
+        "HSBM 6 2 2\n1 3\n",
+        "HSBM 6 2 2\n0\n",
+        "HSBM 6 2 2\n-3 0 1 2\n",
+        "HSBM 6 2 2\nx 1 2\n",
+        "HSBM 6 2 2\nR\n",
+        "HSBM 6 2 2\n2.0 1 2\n",
+        "HSBM 6 2 2\n2 1 y\n",
+        "HSBM 6 2 2\n2 1 2 3\n",
+        "HSBM 6 2 2\n3 1 2\n",
+        "HSBM 6 2 2\n2 R\n",
+        "HSBM 6 2 2\n2 1 R B\n",
+        "HSBM 6 2 2\n2 1 2 G\n",
+        "HSBM 6 2 2\nLABELS 0 0 0 1 1 1\n2 0 1\nLABELS 0 0 0 1 1 1\n",
+        "HSBM 6 2 2\n2 9 x\n",
+        "HSBM 6 2 2\n2 5 9 R\n",
+        "HSBM 6 2 2\n1 x\n",
+        "HSBM 6 2 2\n3 x\n",
+        "HSBM 6 2 2\n2 0 99999999999999999999\n",
+        "HSBM 6 2 2\n99999999999999999999 0 1\n",
+        "HSBM 6 2 2\n-99999999999999999999 0\n",
+        # the first bad line is named, whatever kind of error later lines have
+        "HSBM 6 2 2\n2 0 1\n2 3 2\n2 0 9\n",
+        "HSBM 6 2 2\n2 0 9\n2 x 1\n",
+        "HSBM 6 2 2\n3 0 1\n2 x 1\n",
+        "HSBM 6 2 2\n2 0 1\n2 x 1\n1 0\n",
+        "HSBM 6 2 2\n2 0 1 R\n2 2 3\n2 3 1 R\n",
+        "HSBM 6 2 2\n2 0 1\t \n\n2 4\t3\r\n",
+        # duplicates are reported for the first order in file order that has them
+        "HSBM 6 2 3\n3 0 1 2\n2 0 1\n2 0 1\n3 0 1 2\n",
+        "HSBM 6 2 3\n2 4 5 B\n3 0 1 2 R\n2 4 5 R\n",
+    ])
+    def test_malformed_files_raise_the_same_message(self, text):
+        with pytest.raises(ValueError) as ref:
+            read_hypergraph_per_line(text)
+        with pytest.raises(ValueError) as got:
+            read_hypergraph(text)
+        assert str(got.value) == str(ref.value)
 
 
 class TestConfig:
@@ -121,6 +339,15 @@ class TestConfig:
     def test_bad_value_names_its_key(self, command, extra, named):
         with pytest.raises(ValueError, match=named):
             parse_config("n = 20\nk = 2\norders = 2:4,1\n" + extra, command)
+
+    @pytest.mark.parametrize("ladder, named", [
+        ("10,-15", "ladder entry -15.0: order 3: need a_m >= b_m >= 0"),
+        ("-12,5", "ladder entry -12.0: order 3: need a_m >= b_m >= 0"),
+    ])
+    def test_ladder_checked_at_parse_time(self, ladder, named):
+        with pytest.raises(ValueError, match=named):
+            parse_config(f"n = 80\nk = 2\norders = 2:6,3\nladder = {ladder}\n"
+                         "base_b = 10\nladder_order = 3\n", "experiment")
 
     @pytest.mark.parametrize("sizes, named", [
         ("0,-5", "sizes entry 0: n must be positive"),

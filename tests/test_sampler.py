@@ -15,6 +15,8 @@ from hyperblock.sampler import (
     color_edges,
     ground_truth_labels,
     restrict,
+    _dedupe,
+    _row_order,
     restrict_orders,
     sample_hsbm,
     split_vertices,
@@ -78,6 +80,35 @@ class TestSampleHsbm:
         mean = n_cross * prob
         sigma = math.sqrt(n_cross * prob * (1 - prob) / 200)
         assert abs(np.mean(counts) - mean) < 4 * sigma
+
+
+class TestRowHelpers:
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_dedupe_matches_np_unique(self, m):
+        rng = np.random.default_rng(m)
+        for num, high in [(0, 3), (1, 3), (2, 1), (50, 3), (2000, 6), (2000, 10**6)]:
+            rows = rng.integers(0, high, size=(num, m))
+            rows = np.concatenate([rows, rows[rng.integers(0, max(num, 1), size=num // 2)]])
+            got = _dedupe(rows)
+            assert got.dtype == rows.dtype
+            assert np.array_equal(got, np.unique(rows, axis=0))
+
+    def test_row_order_is_the_stable_lexicographic_order(self):
+        rng = np.random.default_rng(0)
+        rows = rng.integers(0, 4, size=(500, 3))
+        assert np.array_equal(_row_order(rows), np.lexsort(rows.T[::-1]))
+        ordered = rows[_row_order(rows)]
+        # rows already in order, ties included, keep their positions
+        assert np.array_equal(_row_order(ordered), np.arange(len(ordered)))
+        swapped = ordered.copy()
+        swapped[[10, 400]] = swapped[[400, 10]]
+        assert np.array_equal(swapped[_row_order(swapped)], ordered)
+
+    def test_validate_rejects_duplicates(self):
+        h = Hypergraph(5, {2: np.array([[0, 1], [2, 3], [0, 1]], dtype=np.int64)})
+        with pytest.raises(ValueError, match="order 2: duplicate edge tuples"):
+            h.validate()
+        Hypergraph(5, {2: np.array([[2, 3], [0, 1]], dtype=np.int64)}).validate()
 
 
 class TestColorEdges:
