@@ -151,16 +151,7 @@ def ground_truth_labels(n: int, k: int) -> np.ndarray:
 
 
 def _row_order(rows: np.ndarray) -> np.ndarray:
-    """Stable permutation that sorts the rows of an (E, m) array lexicographically.
-
-    Rows already in order (files written by ``write_hypergraph``, arrays
-    sorted before) take one linear pass and no sort.
-    """
-    prev, nxt = rows[:-1], rows[1:]
-    pair = np.arange(len(nxt))
-    col = (nxt != prev).argmax(axis=1)  # first column where neighbours differ
-    if (nxt[pair, col] >= prev[pair, col]).all():
-        return np.arange(len(rows))
+    """Stable permutation that sorts the rows of an (E, m) array lexicographically."""
     return np.lexsort(rows.T[::-1])
 
 
