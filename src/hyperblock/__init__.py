@@ -10,7 +10,6 @@ from .model import (
     OrderSubset,
     ResourceLimitError,
     blue_density_thresholds,
-    correction_threshold,
     degree_scale,
     expected_adjacency,
     expected_eigenvalues,

@@ -21,7 +21,6 @@ import sys
 
 from . import concentration, fileio, metrics, model, pipeline, runner, sampler
 from .config import ExperimentConfig, parse_config
-from .model import ResourceLimitError
 from .pipeline import PartitionFailure
 from .spectral import ConvergenceError
 
@@ -156,7 +155,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config, args.command, args.seed)
         return _COMMANDS[args.command](cfg, args)
-    except (ValueError, ResourceLimitError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from . import model
-from .model import ModelParams, ResourceLimitError
+from .model import ModelParams
 from .sampler import sample_hsbm
 from .spectral import adjacency, row_sums, spectral_norm
 
@@ -26,7 +26,6 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-DENSE_CAP = 4000
 CSV_HEADER = "n,k,d,tau,seed,raw_ratio,reg_ratio,kept_fraction,high_degree_count"
 
 
@@ -101,15 +100,12 @@ def concentration_trial(
     params: ModelParams,
     seed: int,
     tau: float,
-    dense_cap: int = DENSE_CAP,
 ) -> ConcentrationRecord:
     """Sample one instance and measure |A - E A| / sqrt(d) raw and regularized.
 
     The kept set is {i : row(i) <= tau * d} with d = sum (m-1) a_m over all
     orders of the model.
     """
-    if params.n > dense_cap:
-        raise ResourceLimitError(f"n = {params.n} exceeds the trial cap {dense_cap}")
     h, _ = sample_hsbm(params, seed)
     a = adjacency(h).astype(np.float64)
     d = float(sum((m - 1) * ab[0] for m, ab in params.orders.items()))

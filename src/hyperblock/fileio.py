@@ -170,12 +170,15 @@ def read_hypergraph(text: str) -> tuple[Hypergraph, int, np.ndarray | None]:
     body = lines[1:]
     if body and body[0].startswith("LABELS "):
         toks = body[0].split()[1:]
-        labels = np.fromiter(map(int, toks), dtype=np.int64, count=len(toks))
+        labels, ok = _ints(np.array(toks, dtype=object))
+        if not ok.all():
+            int(toks[int(np.argmin(ok))])  # raises int()'s own error
         if len(labels) != n:
             raise ValueError(f"LABELS line has {len(labels)} entries, expected {n}")
-        outside = labels[(labels < 0) | (labels >= k)]
+        outside = np.flatnonzero((labels < 0) | (labels >= k))
         if len(outside):
-            raise ValueError(f"LABELS line has value {outside[0]} outside [0, {k})")
+            value = int(toks[outside[0]])  # as written, even beyond int64
+            raise ValueError(f"LABELS line has value {value} outside [0, {k})")
         body = body[1:]
     h = Hypergraph(n, *_parse_edges(body, n))
     h.validate()

@@ -94,24 +94,25 @@ def gamma_correctness(truth: np.ndarray, estimate: np.ndarray) -> float:
     return float(values[lo])
 
 
-def matched_accuracy(truth: np.ndarray, estimate: np.ndarray) -> float:
-    """Best-over-relabelings fraction of correctly labeled vertices."""
+def _matched(counts: np.ndarray) -> int:
+    """Most vertices any relabeling gets right: an assignment on the contingency table."""
     from scipy.optimize import linear_sum_assignment  # deferred: costs ~0.25 s to import
 
-    truth, estimate = _check_pair(truth, estimate)
-    counts = contingency(truth, estimate)
     rows, cols = linear_sum_assignment(counts, maximize=True)
-    return float(counts[rows, cols].sum() / len(truth))
+    return int(counts[rows, cols].sum())
+
+
+def matched_accuracy(truth: np.ndarray, estimate: np.ndarray) -> float:
+    """Best-over-relabelings fraction of correctly labeled vertices."""
+    truth, estimate = _check_pair(truth, estimate)
+    return _matched(contingency(truth, estimate)) / len(truth)
 
 
 def accuracy_report(truth: np.ndarray, estimate: np.ndarray) -> AccuracyReport:
     """Bundle both scores with the contingency table and misclassified count."""
-    from scipy.optimize import linear_sum_assignment  # deferred, as in matched_accuracy
-
     truth, estimate = _check_pair(truth, estimate)
     counts = contingency(truth, estimate)
-    rows, cols = linear_sum_assignment(counts, maximize=True)
-    matched = int(counts[rows, cols].sum())
+    matched = _matched(counts)
     return AccuracyReport(
         gamma=gamma_correctness(truth, estimate),
         matched_accuracy=matched / len(truth),

@@ -36,7 +36,6 @@ __all__ = [
     "expected_adjacency",
     "expected_eigenvalues",
     "blue_conditional_probs",
-    "correction_threshold",
     "merging_threshold",
     "binary_correction_threshold",
     "blue_density_thresholds",
@@ -282,29 +281,13 @@ def _check_nu(nu: float) -> None:
         raise ValueError(f"nu must lie in (0.5, 1), got {nu}")
 
 
-def correction_threshold(params: ModelParams, subset: OrderSubset, nu: float) -> float:
-    """Red-edge correction threshold mu_C.
-
-    Midpoint of the expected weighted red-neighbor counts of a correctly
-    and an incorrectly assigned vertex, given nu-correct candidate sets of
-    size n/(2k).
-    """
-    _check_nu(nu)
-    ms = _check_subset(params, subset)
-    n, k = params.n, params.k
-    total = 0.0
-    for m in ms:
-        a, b = params.orders[m]
-        denom = 2.0 * math.comb(n, m - 1)
-        good = comb_floor(nu * n / (2 * k), m - 1)
-        bad = comb_floor((1.0 - nu) * n / (2 * k), m - 1)
-        base = comb_floor(n / (2 * k), m - 1)
-        total += (m - 1) * ((good + bad) * (a - b) / denom + 2.0 * base * b / denom)
-    return 0.5 * total
-
-
 def merging_threshold(params: ModelParams, subset: OrderSubset, nu: float) -> float:
-    """Blue-edge merging threshold mu_M (same shape as mu_C with psi/phi rates)."""
+    """Blue-edge merging threshold mu_M.
+
+    Midpoint of the expected weighted blue-neighbor counts of a correctly
+    and an incorrectly assigned vertex, given nu-correct candidate sets of
+    size n/(2k), in terms of the psi_m/phi_m blue rates.
+    """
     _check_nu(nu)
     ms = _check_subset(params, subset)
     n, k = params.n, params.k

@@ -1,11 +1,15 @@
 """Sampling of non-uniform hypergraph block-model instances.
 
-Instances are drawn in two strata per edge order: the within-block stratum
-(all m-sets fully inside one block) and the cross stratum (everything
-else).  Each stratum's edge count is an exact Binomial draw, after which
-that many distinct m-sets are chosen uniformly inside the stratum.  This
-keeps the joint edge distribution exact while never enumerating the
-O(n^m) candidate sets in the sparse regime.
+Every m-set is an edge on its own: with probability ``p_a`` inside a block
+and ``p_b`` across blocks.  Blocks are contiguous id ranges, so each block
+draws a Bernoulli(p_a) subset of the m-sets of ``range(|B|)`` and shifts
+it by the block's first id; the cross stratum draws a Bernoulli(p_b)
+subset of all m-sets of ``range(n)`` and drops the rows that fall inside
+one block, which thins it exactly.  A Bernoulli(p) subset of N sets is an
+exact Binomial(N, p) count, then that many distinct ranks in ``range(N)``,
+then colex unranking through the combinatorial number system (Batagelj &
+Brandes 2005, "Efficient generation of large random networks").  Nothing
+is enumerated, rejected or redrawn.
 
 All randomness flows through counter-based Philox generators keyed by
 ``(seed, role, ...)`` so samples, colorings, and splits are reproducible
@@ -14,7 +18,6 @@ and independent trials can run in parallel.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -52,9 +55,9 @@ SIDE_Y2 = 2
 
 UNASSIGNED = -1
 
-# enumerate a stratum outright instead of rejection-sampling once it is
-# this small or the draw covers most of it
-_ENUMERATION_CAP = 200_000
+# the most sets one binomial draw covers; ranks must fit int64, so a
+# stratum is drawn over a range of fewer than 2**63 sets
+_RANK_PART = 2**62
 
 
 def _stream(seed: int, *tags: int) -> np.random.Generator:
@@ -164,31 +167,7 @@ def _binomial_count(rng: np.random.Generator, size: int, p: float) -> int:
         return 0
     if p >= 1.0:
         return size
-    if size > 2**62:
-        raise ValueError("stratum too large for an exact binomial draw")
     return int(rng.binomial(size, p))
-
-
-def _within_enumeration(blocks: list[np.ndarray], m: int) -> np.ndarray:
-    rows = []
-    for verts in blocks:
-        rows.extend(itertools.combinations(verts.tolist(), m))
-    return np.asarray(rows, dtype=np.int64).reshape(len(rows), m)
-
-
-def _cross_enumeration(n: int, labels: np.ndarray, m: int) -> np.ndarray:
-    rows = [c for c in itertools.combinations(range(n), m)
-            if not (labels[list(c)] == labels[c[0]]).all()]
-    return np.asarray(rows, dtype=np.int64).reshape(len(rows), m)
-
-
-def _take_enumerated(rng: np.random.Generator, universe: np.ndarray, count: int) -> np.ndarray:
-    idx = rng.choice(len(universe), size=count, replace=False)
-    return universe[np.sort(idx)]
-
-
-def _distinct_rows_mask(rows: np.ndarray) -> np.ndarray:
-    return (np.diff(rows, axis=1) > 0).all(axis=1)
 
 
 def _dedupe(rows: np.ndarray) -> np.ndarray:
@@ -199,73 +178,64 @@ def _dedupe(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
-def _draw_within(
-    rng: np.random.Generator,
-    blocks: list[np.ndarray],
-    m: int,
-    count: int,
-) -> np.ndarray:
-    """Uniformly draw ``count`` distinct m-sets, each inside a single block."""
-    weights = np.array([math.comb(len(b), m) for b in blocks], dtype=object)
-    total = int(sum(weights))
-    if count == 0 or total == 0:
-        return np.empty((0, m), dtype=np.int64)
-    count = min(count, total)
-    if total <= _ENUMERATION_CAP and count > total // 3:
-        return _take_enumerated(rng, _within_enumeration(blocks, m), count)
+def _bernoulli_ranks(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
+    """Ranks of a Bernoulli(p) subset of ``range(total)``, in no set order.
 
-    cum = np.cumsum([int(w) for w in weights])
-    collected = np.empty((0, m), dtype=np.int64)
-    while len(collected) < count:
-        need = count - len(collected)
-        batch = max(2 * need, 16)
-        # choose blocks proportionally to their number of m-sets
-        picks = np.searchsorted(cum, rng.integers(0, total, size=batch), side="right")
-        draws = np.empty((batch, m), dtype=np.int64)
-        for b in np.unique(picks):
-            rows = np.flatnonzero(picks == b)
-            verts = blocks[b]
-            cand = rng.integers(0, len(verts), size=(len(rows), m))
-            cand.sort(axis=1)
-            draws[rows] = verts[cand]
-        draws = draws[_distinct_rows_mask(draws)]
-        collected = _dedupe(np.concatenate([collected, draws]))
-    if len(collected) > count:
-        keep = rng.choice(len(collected), size=count, replace=False)
-        collected = collected[np.sort(keep)]
-    return collected
+    An exact binomial count, then that many distinct ranks.  A range above
+    ``_RANK_PART`` is drawn part by part, since Binomial(N1 + N2, p) is
+    Binomial(N1, p) + Binomial(N2, p).
+    """
+    if total >= 2**63:
+        raise ValueError("stratum too large for an exact binomial draw")
+    parts = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, total, _RANK_PART):
+        size = min(total - lo, _RANK_PART)
+        count = _binomial_count(rng, size, p)
+        parts.append(lo + rng.choice(size, count, replace=False, shuffle=False))
+    return np.concatenate(parts)
 
 
-def _draw_cross(
-    rng: np.random.Generator,
-    n: int,
-    labels: np.ndarray,
-    m: int,
-    count: int,
-    total: int,
-) -> np.ndarray:
-    """Uniformly draw ``count`` distinct m-sets spanning at least two blocks."""
-    if count == 0 or total == 0:
-        return np.empty((0, m), dtype=np.int64)
-    count = min(count, total)
-    if total <= _ENUMERATION_CAP and count > total // 3:
-        return _take_enumerated(rng, _cross_enumeration(n, labels, m), count)
+def _comb(c: np.ndarray, j: int) -> np.ndarray:
+    """Elementwise C(c, j) for int64 ``c``, exact whenever the result fits int64.
 
-    collected = np.empty((0, m), dtype=np.int64)
-    while len(collected) < count:
-        need = count - len(collected)
-        batch = max(2 * need, 16)
-        draws = rng.integers(0, n, size=(batch, m))
-        draws.sort(axis=1)
-        draws = draws[_distinct_rows_mask(draws)]
-        if len(draws):
-            lab = labels[draws]
-            draws = draws[(lab != lab[:, :1]).any(axis=1)]
-        collected = _dedupe(np.concatenate([collected, draws]))
-    if len(collected) > count:
-        keep = rng.choice(len(collected), size=count, replace=False)
-        collected = collected[np.sort(keep)]
-    return collected
+    Steps C(c, i + 1) = C(c, i) (c - i) / (i + 1) up to i = min(j, c - j),
+    with the product split as q (c - i) + r (c - i) / (i + 1) for
+    C(c, i) = q (i + 1) + r, so no intermediate exceeds the result.
+    """
+    t = np.minimum(j, c - j)
+    out = (t >= 0).astype(np.int64)
+    for i in range(int(t.max(initial=0))):
+        f = np.where(i < t, c - i, i + 1)
+        q, r = np.divmod(out, i + 1)
+        out = q * f + r * f // (i + 1)
+    return out
+
+
+def _unrank(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Rows of the m-subsets of ``range(n)`` with the given colex ranks.
+
+    A rank is C(c_m, m) + ... + C(c_1, 1) with c_1 < ... < c_m, the row's
+    ascending entries.  Each c_j is the largest c with C(c, j) <= the
+    remaining rank, which is below C(c_(j+1), j).  Since
+    (c - j + 1)^j <= j! C(c, j) <= (c - (j-1)/2)^j, a float root clipped to
+    [j - 1, c_(j+1) - 1] lands within about j/2 of c_j, and exact steps
+    finish; every C(c, j) they take is at most C(n, m), so it fits int64.
+    """
+    rows = np.empty((len(ranks), m), dtype=np.int64)
+    r = np.array(ranks, dtype=np.int64)
+    hi = np.full(len(r), n - 1, dtype=np.int64)
+    for j in range(m, 1, -1):
+        root = np.exp((np.log(np.maximum(r, 1)) + math.lgamma(j + 1)) / j)
+        c = np.clip(np.floor(root + (j - 1) / 2).astype(np.int64), j - 1, hi)
+        while (up := _comb(c + 1, j) <= r).any():
+            c += up
+        while (down := _comb(c, j) > r).any():
+            c -= down
+        rows[:, j - 1] = c
+        r -= _comb(c, j)
+        hi = c - 1
+    rows[:, 0] = r  # C(c, 1) = c
+    return rows
 
 
 def sample_hsbm(params: ModelParams, seed: int) -> tuple[Hypergraph, np.ndarray]:
@@ -277,8 +247,9 @@ def sample_hsbm(params: ModelParams, seed: int) -> tuple[Hypergraph, np.ndarray]
     ``seed``.
     """
     n, k = params.n, params.k
+    sizes = block_sizes(n, k).tolist()
+    starts = [sum(sizes[:b]) for b in range(k)]
     labels = ground_truth_labels(n, k)
-    blocks = [np.flatnonzero(labels == b) for b in range(k)]
     edges: dict[int, np.ndarray] = {}
     for m in sorted(params.orders):
         a, b = params.orders[m]
@@ -287,18 +258,17 @@ def sample_hsbm(params: ModelParams, seed: int) -> tuple[Hypergraph, np.ndarray]
         if pa > 1.0 or pb > 1.0:
             log.warning("order %d: rate/comb(n, m-1) above 1, clamping", m)
             pa, pb = min(pa, 1.0), min(pb, 1.0)
-        n_within = sum(math.comb(len(blk), m) for blk in blocks)
-        n_cross = math.comb(n, m) - n_within
 
         rng_w = _stream(seed, m, 0)
-        cnt_w = _binomial_count(rng_w, n_within, pa)
-        within = _draw_within(rng_w, blocks, m, cnt_w)
+        parts = [start + _unrank(_bernoulli_ranks(rng_w, math.comb(size, m), pa), size, m)
+                 for start, size in zip(starts, sizes)]
 
         rng_c = _stream(seed, m, 1)
-        cnt_c = _binomial_count(rng_c, n_cross, pb)
-        cross = _draw_cross(rng_c, n, labels, m, cnt_c, n_cross)
+        cross = _unrank(_bernoulli_ranks(rng_c, math.comb(n, m), pb), n, m)
+        # blocks are contiguous, so a sorted row lies in one block iff its ends do
+        parts.append(cross[labels[cross[:, 0]] != labels[cross[:, -1]]])
 
-        edges[m] = _sort_rows(np.concatenate([within, cross]))
+        edges[m] = _sort_rows(np.concatenate(parts))
     return Hypergraph(n, edges, None), labels
 
 

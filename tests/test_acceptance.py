@@ -183,8 +183,8 @@ def test_criterion_06_concentration_trend():
     implemented exactly as stated and is expected to fail: at fixed degree
     scale the ratio's mean drifts slightly upward with n while its spread
     shrinks, leaving the percentile flat to within noise.  Measured p90 for
-    n = 500, 1000, 2000, 4000: 1.8383, 1.8377, 1.8320, 1.8344 -- far below
-    10, but 1.8320 < 1.8344 breaks the non-increasing chain.
+    n = 500, 1000, 2000, 4000: 1.8545, 1.8241, 1.8248, 1.8303 -- far below
+    10, but 1.8241 < 1.8248 < 1.8303 breaks the non-increasing chain.
     """
     sizes = (500, 1000, 2000, 4000)
     tasks = [(n, t) for n in sizes for t in range(50)]

@@ -68,15 +68,15 @@ class TestSampleCommand:
     # or to the writer's bytes, changes these
     PIN = "n = 600\nk = 3\norders = 2:40,4;3:30,3\n"
     PINNED = {
-        ("", 1): "8b9753216fa0f809f63758f47865ea1c0caad2bbf75af7ce34416ba719001c43",
-        ("", 2): "c76e38fecd41ee3312cba9824c6c37f8cd37b07af5105fe22adf63826d4652b0",
-        ("", 3): "9267224ac029c159bbb634b7c37e8c64d8aa01a317ec821a0c734cb6e578e4f7",
+        ("", 1): "33f20955cdda90390ba4b527e6a992a6174fb37c12b25095d9775eb4009409e6",
+        ("", 2): "df610d815cc62c373d5748d87591eeaff896ccf0c8220d710c54fde89860d633",
+        ("", 3): "a583669e5611e667fc02f4617863709ad4a49f1401b6e158ec45948cd1117175",
         ("colors = true\nlabels = false\n", 1):
-            "ba7754a8585362586b03f9d1399ec64f54949a62a78b90e8dea97d4256f798de",
+            "ff025ec89db5c86717e78484a04cd863539bd0900c9cd4dd95ec5f148479bdd0",
         ("colors = true\nlabels = false\n", 2):
-            "979dad46a9209cb168e3454444bb45591087be4451d0d9c01736d296fa960f10",
+            "feeda089cd8680952e8202860a3ed5d134bc41425d7be08d2228e6c245ace19c",
         ("colors = true\nlabels = false\n", 3):
-            "7db8eeb55f1c264df81dcb60a288eb2e1206d1ccba6eebeaeb842f2fd357668d",
+            "804149d79ccb4654a1ec8c1db42dc93a2cc1202ccd723f95871acc5a7268c817",
     }
 
     @pytest.mark.parametrize("extra, seed", list(PINNED))
@@ -147,6 +147,12 @@ class TestDetectCommand:
         cfg = write(tmp_path / "c.cfg", f"n = 6\nk = 2\norders = 2:3,1\ninput = {hfile}\n")
         assert main(["detect", "--config", cfg, "--out", "-"]) == 2
         assert "LABELS line has value 5 outside [0, 2)" in capsys.readouterr().err
+
+    def test_labels_beyond_int64_exit_2(self, tmp_path, capsys):
+        hfile = write(tmp_path / "h.txt", "HSBM 3 2 2\nLABELS 0 99999999999999999999 1\n")
+        cfg = write(tmp_path / "c.cfg", f"n = 3\nk = 2\norders = 2:1,1\ninput = {hfile}\n")
+        assert main(["detect", "--config", cfg, "--out", "-"]) == 2
+        assert "LABELS line has value 99999999999999999999 outside [0, 2)" in capsys.readouterr().err
 
     def test_missing_input_exit_3(self, tmp_path):
         cfg = write(tmp_path / "c.cfg", BASE + "input = /nonexistent/h.txt\n")

@@ -12,7 +12,7 @@ from hyperblock.concentration import (
     records_to_csv,
 )
 from hyperblock.config import parse_config
-from hyperblock.model import ModelParams, ResourceLimitError, expected_adjacency
+from hyperblock.model import ModelParams, expected_adjacency
 from hyperblock.runner import conclab_records
 from hyperblock.sampler import sample_hsbm
 from hyperblock.spectral import adjacency, spectral_norm
@@ -65,18 +65,20 @@ class TestConcentrationTrial:
         assert 0 <= rec.kept_fraction <= 1
         assert rec.high_degree_count == round((1 - rec.kept_fraction) * 300)
 
-    def test_dense_cap(self):
-        with pytest.raises(ResourceLimitError):
-            concentration_trial(ModelParams(5000, 2, {2: (5, 1)}), 0, tau=60.0,
-                                dense_cap=4000)
+    def test_runs_above_4000(self):
+        rec = concentration_trial(ModelParams(5000, 2, {2: (5, 1)}), 0, tau=60.0)
+        assert rec.n == 5000
+        assert 0 < rec.raw_ratio < 10 and 0 < rec.reg_ratio < 10
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_ratios_match_dense_norms(self, seed):
         p = ModelParams(500, 2, {2: (10, 5), 3: (10, 5)})
-        tau = 1.2  # low enough that some rows are zeroed
-        rec = concentration_trial(p, seed, tau=tau)
         h, _ = sample_hsbm(p, seed)
         a = adjacency(h).toarray().astype(np.float64)
+        # tau just under this instance's heaviest row, so that rows are zeroed
+        tau = (a.sum(axis=1).max() - 0.5) / 30.0
+        rec = concentration_trial(p, seed, tau=tau)
+        assert rec.d == 30.0
         w = a - expected_adjacency(p)
         kept = (a.sum(axis=1) <= tau * rec.d).astype(np.float64)
         assert 0 < kept.sum() < p.n

@@ -129,6 +129,10 @@ class TestHypergraphFormat:
     @pytest.mark.parametrize("text, named", [
         ("HSBM 6 2 2\nLABELS 0 0 0 5 7 1\n2 1 3\n", "LABELS line has value 5"),
         ("HSBM 6 2 2\nLABELS 0 0 -1 1 1 1\n", "LABELS line has value -1"),
+        ("HSBM 3 2 2\nLABELS 0 99999999999999999999 1\n",
+         "LABELS line has value 99999999999999999999 outside"),
+        ("HSBM 3 2 2\nLABELS 0 1 -99999999999999999999\n",
+         "LABELS line has value -99999999999999999999 outside"),
         ("HSBM 6 2 2\n1 3\n", "'1 3'"),
         ("HSBM 6 2 2\n0\n", "'0'"),
     ])

@@ -14,7 +14,6 @@ from hyperblock.model import (
     blue_conditional_probs,
     blue_density_thresholds,
     comb_floor,
-    correction_threshold,
     degree_scale,
     expected_adjacency,
     expected_eigenvalues,
@@ -229,32 +228,6 @@ class TestBlueConditionalProbs:
     def test_precondition(self):
         with pytest.raises(ValueError):
             blue_conditional_probs(ModelParams(4, 2, {2: (9, 0)}), S(2))
-
-
-class TestCorrectionThreshold:
-    def test_hand_value(self):
-        p = ModelParams(40, 2, {2: (40, 8)})
-        assert correction_threshold(p, S(2), 0.9) == pytest.approx(3.0, rel=1e-12)
-
-    def test_pure_noise_midpoint(self):
-        p = ModelParams(40, 2, {2: (6, 6), 3: (4, 4)})
-        got = correction_threshold(p, S(2, 3), 0.75)
-        want = sum((m - 1) * comb_floor(40 / 4, m - 1) * p.orders[m][1]
-                   / (2 * math.comb(40, m - 1)) for m in (2, 3))
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_vanishing_binomial_near_nu_1(self):
-        # (1-nu) n / 2k below m-1 contributes nothing
-        p = ModelParams(40, 2, {3: (10, 0)})
-        got = correction_threshold(p, S(3), 0.99)
-        want = 0.5 * 2 * comb_floor(0.99 * 10, 2) * 10 / (2 * math.comb(40, 2))
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_nu_range(self):
-        p = ModelParams(40, 2, {2: (4, 1)})
-        for nu in (0.5, 1.0, 0.2):
-            with pytest.raises(ValueError):
-                correction_threshold(p, S(2), nu)
 
 
 class TestMergingThreshold:

@@ -1,11 +1,12 @@
 """Sampler distribution checks, determinism, and sub-hypergraph operations."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from hyperblock.model import ModelParams
+from hyperblock.model import ModelParams, block_sizes
 from hyperblock.sampler import (
     RED,
     SIDE_Y1,
@@ -17,6 +18,7 @@ from hyperblock.sampler import (
     restrict,
     _dedupe,
     _row_order,
+    _unrank,
     restrict_orders,
     sample_hsbm,
     split_vertices,
@@ -80,6 +82,75 @@ class TestSampleHsbm:
         mean = n_cross * prob
         sigma = math.sqrt(n_cross * prob * (1 - prob) / 200)
         assert abs(np.mean(counts) - mean) < 4 * sigma
+
+    def test_per_set_inclusion_frequencies(self):
+        # every m-set of a tiny model is its own Bernoulli(p_a) or Bernoulli(p_b)
+        # edge; blocks are [0, 3), [3, 6), [6, 8)
+        p = ModelParams(8, 3, {2: (4, 2), 3: (14, 7)})
+        trials = 2000
+        hits = {m: {} for m in p.orders}
+        for s in range(trials):
+            h, labels = sample_hsbm(p, s)
+            for m in p.orders:
+                for row in map(tuple, h.edges[m].tolist()):
+                    hits[m][row] = hits[m].get(row, 0) + 1
+        for m, (a, b) in p.orders.items():
+            for within in (True, False):
+                sets = [c for c in itertools.combinations(range(8), m)
+                        if (len(set(labels[list(c)])) == 1) == within]
+                assert sets
+                prob = (a if within else b) / math.comb(8, m - 1)
+                sd = math.sqrt(prob * (1 - prob) / trials)
+                for c in sets:
+                    assert abs(hits[m].get(c, 0) / trials - prob) < 4 * sd, (m, c)
+            assert set(hits[m]) <= set(itertools.combinations(range(8), m))
+
+    def test_dense_stratum(self):
+        # p_a = 0.95 inside each block of 1000
+        p = ModelParams(2000, 2, {2: (1900, 10)})
+        h, labels = sample_hsbm(p, 1)
+        h.validate()
+        e = h.edges[2]
+        within = int((labels[e[:, 0]] == labels[e[:, 1]]).sum())
+        mean = 2 * math.comb(1000, 2) * 0.95
+        assert abs(within - mean) < 5 * math.sqrt(mean * 0.05)
+
+    @pytest.mark.parametrize("n, k", [(100_000, 3), (105_000, 2)])
+    def test_order_4_at_large_n(self, n, k):
+        # at n = 105000 comb(n, 4) exceeds 2**62, so the cross ranks come in two parts
+        p = ModelParams(n, k, {4: (10, 2)})
+        h, _ = sample_hsbm(p, 1)
+        h.validate()
+        n_within = sum(math.comb(int(size), 4) for size in block_sizes(n, k))
+        mean = (n_within * 10 + (math.comb(n, 4) - n_within) * 2) / math.comb(n, 3)
+        assert abs(h.num_edges(4) - mean) < 5 * math.sqrt(mean)
+        top = h.edges[4][:, 3]
+        if math.comb(n, 4) > 2**62:
+            first = next(c for c in range(n) if math.comb(c, 4) >= 2**62)
+            assert (top >= first).any()
+
+    def test_stratum_above_int64_refused(self):
+        with pytest.raises(ValueError, match="stratum too large"):
+            sample_hsbm(ModelParams(100_000, 2, {5: (1, 1)}), 0)
+
+
+class TestUnrank:
+    def test_matches_colex_combinations(self):
+        for n in range(0, 11):
+            for m in range(1, n + 1):
+                colex = sorted(itertools.combinations(range(n), m), key=lambda c: c[::-1])
+                got = _unrank(np.arange(len(colex)), n, m)
+                assert got.shape == (len(colex), m)
+                assert got.tolist() == [list(c) for c in colex], (n, m)
+
+    @pytest.mark.parametrize("n, m", [(100_000, 4), (3_000_000_000, 2), (200, 12), (70, 66)])
+    def test_exact_near_int64(self, n, m):
+        total = math.comb(n, m)
+        ranks = [0, 1, total // 3, total // 2, total - 2, total - 1]
+        rows = _unrank(np.array(ranks, dtype=np.int64), n, m).tolist()
+        for rank, row in zip(ranks, rows):
+            assert all(x < y for x, y in zip(row, row[1:])) and 0 <= row[0] and row[-1] < n
+            assert sum(math.comb(c, j + 1) for j, c in enumerate(row)) == rank
 
 
 class TestRowHelpers:
