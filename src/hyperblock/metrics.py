@@ -43,6 +43,8 @@ def _check_pair(truth: np.ndarray, estimate: np.ndarray) -> tuple[np.ndarray, np
         raise ValueError("truth and estimate must be equal-length 1-d arrays")
     if (truth < 0).any():
         raise ValueError("truth labels must be fully assigned")
+    if (estimate < UNASSIGNED).any():
+        raise ValueError(f"estimate labels must be >= {UNASSIGNED}")
     return truth, estimate
 
 

@@ -97,10 +97,6 @@ class ModelParams:
         # normalize to a plain sorted dict so iteration order is stable
         object.__setattr__(self, "orders", dict(sorted(self.orders.items())))
 
-    @property
-    def max_order(self) -> int:
-        return max(self.orders)
-
 
 @dataclass(frozen=True)
 class OrderSubset:
@@ -140,12 +136,10 @@ def _check_subset(params: ModelParams, subset: OrderSubset) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ExpectedRates:
-    """Expected adjacency entries: within (alpha) and cross (beta), per order."""
+    """Expected adjacency entries: within (alpha) and cross (beta)."""
 
     alpha: float
     beta: float
-    alpha_m: dict[int, float]
-    beta_m: dict[int, float]
 
 
 def degree_scale(params: ModelParams, subset: OrderSubset) -> float:
@@ -185,17 +179,9 @@ def preprocess_select(params: ModelParams) -> OrderSubset:
     if all(a == 0 and b == 0 for a, b in params.orders.values()):
         raise ValueError("all rates are zero; no subset carries signal")
     orders = sorted(params.orders)
-    best = None
-    best_key = None
-    for r in range(1, len(orders) + 1):
-        for combo in itertools.combinations(orders, r):
-            subset = OrderSubset(frozenset(combo))
-            snr = snr_subset(params, subset)
-            key = (-snr, len(combo), combo)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = subset
-    return best
+    subsets = [OrderSubset(frozenset(combo)) for r in range(1, len(orders) + 1)
+               for combo in itertools.combinations(orders, r)]
+    return min(subsets, key=lambda s: (-snr_subset(params, s), len(s), s.sorted()))
 
 
 def block_sizes(n: int, k: int) -> np.ndarray:
@@ -210,20 +196,14 @@ def expected_rates(params: ModelParams) -> ExpectedRates:
     """Expected adjacency entries alpha (within-block) and beta (cross-block)."""
     n, k = params.n, params.k
     nk = n // k
-    alpha_m: dict[int, float] = {}
-    beta_m: dict[int, float] = {}
+    alpha = beta = 0
     for m, (a, b) in params.orders.items():
         denom = math.comb(n, m - 1)
         same = comb_floor(nk - 2, m - 2)
         allp = comb_floor(n - 2, m - 2)
-        alpha_m[m] = (same * a + (allp - same) * b) / denom
-        beta_m[m] = allp * b / denom
-    return ExpectedRates(
-        alpha=float(sum(alpha_m.values())),
-        beta=float(sum(beta_m.values())),
-        alpha_m=alpha_m,
-        beta_m=beta_m,
-    )
+        alpha += (same * a + (allp - same) * b) / denom
+        beta += allp * b / denom
+    return ExpectedRates(alpha=float(alpha), beta=float(beta))
 
 
 def expected_adjacency(params: ModelParams, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
@@ -281,35 +261,8 @@ def _check_nu(nu: float) -> None:
         raise ValueError(f"nu must lie in (0.5, 1), got {nu}")
 
 
-def merging_threshold(params: ModelParams, subset: OrderSubset, nu: float) -> float:
-    """Blue-edge merging threshold mu_M.
-
-    Midpoint of the expected weighted blue-neighbor counts of a correctly
-    and an incorrectly assigned vertex, given nu-correct candidate sets of
-    size n/(2k), in terms of the psi_m/phi_m blue rates.
-    """
-    _check_nu(nu)
-    ms = _check_subset(params, subset)
-    n, k = params.n, params.k
-    probs = blue_conditional_probs(params, subset)
-    total = 0.0
-    for m in ms:
-        psi, phi = probs[m]
-        good = comb_floor(nu * n / (2 * k), m - 1)
-        bad = comb_floor((1.0 - nu) * n / (2 * k), m - 1)
-        base = comb_floor(n / (2 * k), m - 1)
-        total += (m - 1) * ((good + bad) * (psi - phi) + 2.0 * base * phi)
-    return 0.5 * total
-
-
-def binary_correction_threshold(params: ModelParams, subset: OrderSubset, nu: float) -> float:
-    """Blue cross-neighbor threshold for the two-block correction stage.
-
-    Midpoint of the expected weighted blue cross-neighbor counts of a
-    correctly and an incorrectly placed vertex when the two estimated
-    sides have size n/2 and are nu-correct; built from psi_m/phi_m like the
-    merging threshold but with half-sized (n/2) blocks.
-    """
+def _blue_midpoint(params: ModelParams, subset: OrderSubset, nu: float, parts: int) -> float:
+    """The blue thresholds' expected-count midpoint, for sets of size n/parts."""
     _check_nu(nu)
     ms = _check_subset(params, subset)
     n = params.n
@@ -317,11 +270,30 @@ def binary_correction_threshold(params: ModelParams, subset: OrderSubset, nu: fl
     total = 0.0
     for m in ms:
         psi, phi = probs[m]
-        good = comb_floor(nu * n / 2, m - 1)
-        bad = comb_floor((1.0 - nu) * n / 2, m - 1)
-        base = comb_floor(n / 2, m - 1)
+        good = comb_floor(nu * n / parts, m - 1)
+        bad = comb_floor((1.0 - nu) * n / parts, m - 1)
+        base = comb_floor(n / parts, m - 1)
         total += (m - 1) * ((good + bad) * (psi - phi) + 2.0 * base * phi)
     return 0.5 * total
+
+
+def merging_threshold(params: ModelParams, subset: OrderSubset, nu: float) -> float:
+    """Blue-edge merging threshold mu_M.
+
+    Midpoint of the expected weighted blue-neighbor counts of a correctly
+    and an incorrectly assigned vertex, given nu-correct candidate sets of
+    size n/(2k), in terms of the psi_m/phi_m blue rates.
+    """
+    return _blue_midpoint(params, subset, nu, 2 * params.k)
+
+
+def binary_correction_threshold(params: ModelParams, subset: OrderSubset, nu: float) -> float:
+    """Blue cross-neighbor threshold for the two-block correction stage.
+
+    The merging threshold's midpoint with half-sized (n/2) sides in place
+    of the n/(2k) candidate sets.
+    """
+    return _blue_midpoint(params, subset, nu, 2)
 
 
 def blue_density_thresholds(

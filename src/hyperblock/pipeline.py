@@ -5,8 +5,9 @@ singular subspace from the regularized red bipartite adjacency between Z
 and Y1, reads candidate sets off projected red columns between Z and Y2,
 filters them by blue-edge density, corrects Z by a weighted red-neighbor
 vote, and finally merges Y into the corrected sets using blue edges.  The
-two-block pipeline works on the full red adjacency and swaps suspicious
-vertices by a blue cross-neighbor test instead of merging.
+projection goes through the k x s subspace coordinates of the s sampled
+columns, never an n x s block.  The two-block pipeline works on the full
+red adjacency and swaps suspicious vertices by a blue cross-neighbor test.
 
 Every stage is deterministic given the pipeline seed; independent seeds
 are embarrassingly parallel.
@@ -56,8 +57,9 @@ log = logging.getLogger("hyperblock")
 
 REGULARIZATION_FACTOR = 20
 
-# blue_weighted_count scores its sets in blocks of at most this many
-# edge x set counts, which bounds its memory whatever the number of sets
+# blue_weighted_count and spectral_partition_k work in blocks of at most
+# this many edge x set counts or Z x column coordinates, which bounds
+# their memory whatever the number of sets
 _COUNT_BLOCK = 1 << 21
 
 
@@ -145,6 +147,19 @@ def blue_weighted_count(h_blue: Hypergraph, sets) -> np.ndarray:
     return out
 
 
+def _top_positions(scores: np.ndarray, size: int) -> np.ndarray:
+    """Mask of each row's first ``size`` entries in a stable descending sort.
+
+    That is every entry above the row's size-th largest value, then the
+    lowest positions equal to it.
+    """
+    cut = np.partition(scores, scores.shape[1] - size, axis=1)[:, -size]
+    keep = scores > cut[:, None]
+    for row, vals, value, room in zip(keep, scores, cut, size - keep.sum(axis=1)):
+        row[np.flatnonzero(vals == value)[:room]] = True
+    return keep
+
+
 def _neighbor_scores(h: Hypergraph, members: np.ndarray) -> np.ndarray:
     """S[v, i] = sum of (m_e - 1) over edges e through v with the rest in set i.
 
@@ -168,9 +183,17 @@ def spectral_partition_k(
 ) -> list[CandidateSet]:
     """Candidate blocks from the red bipartite spectrum, filtered by blue density.
 
-    Returns k candidate sets of size floor(n/2k) drawn from Z with pairwise
-    overlaps below ceil((1-nu) n / k).  Raises PartitionFailure when fewer
-    than k sufficiently distinct sets survive the density filter.
+    The s sampled, centered red columns A[:, S] - c/2 enter only through
+    their k x s coordinates W = V^T A[:, S] - V^T c / 2 in the top-k left
+    singular subspace V: one sparse product and a rank-one term, since the
+    centering c is shared.  Each column of V[Z] W (formed a block at a time)
+    yields its floor(n/2k) largest Z coordinates: every vertex strictly
+    above the cut value, then the lowest ids equal to it.
+
+    Returns k candidate sets of size floor(n/2k) drawn from Z, ids
+    ascending, with pairwise overlaps below ceil((1-nu) n / k).  Raises
+    PartitionFailure when fewer than k sufficiently distinct sets survive
+    the density filter.
     """
     n, k = params.n, params.k
     if n < 4 * k:
@@ -210,46 +233,44 @@ def spectral_partition_k(
     # background expectation is half the nominal centering value; without
     # the 1/2 the uncanceled bias drives every column to the same ranking
     # when the signal is weak
-    centered = a2[:, sampled].toarray() - 0.5 * centering_vector(params, subset, z)[:, None]
-    proj = basis.vectors @ (basis.vectors.T @ centered)
+    coords = ((a2[:, sampled].T @ basis.vectors).T
+              - 0.5 * (basis.vectors.T @ centering_vector(params, subset, z))[:, None])
 
-    # top coordinates inside Z, ties by ascending vertex id
-    proj_z = proj[z, :]
-    sets = []
-    for j in range(s):
-        order = np.argsort(-proj_z[:, j], kind="stable")
-        sets.append(z[order[:set_size]])
-    # scoring allocates too; freeing the n x s float block first keeps it
-    # from raising the peak resident set
-    del centered, proj, proj_z
+    # rank the Z coordinates of the projected columns a block at a time;
+    # row j of top marks the Z positions of candidate set j
+    v_z = basis.vectors[z]
+    step = max(1, _COUNT_BLOCK // len(z))
+    top = np.vstack([_top_positions(coords[:, j:j + step].T @ v_z.T, set_size)
+                     for j in range(0, s, step)])
+    sets = [z[row] for row in top]
 
     densities = blue_weighted_count(h_blue, sets)
     # drop the low-density half, but never a set that clears the aligned-set
     # density threshold: same-block candidates share edges, so one block's
     # whole cluster can fluctuate below the median at moderate n
     mu_t = model.blue_density_thresholds(params, subset, cfg.nu)[2]
-    top_half = np.zeros(s, dtype=bool)
-    top_half[np.lexsort((np.arange(s), densities))[s // 2:]] = True
-    survivors = np.flatnonzero(top_half | (densities >= mu_t))
+    survivors = np.union1d(np.lexsort((np.arange(s), densities))[s // 2:],
+                           np.flatnonzero(densities >= mu_t))
     survivors = survivors[np.lexsort((survivors, -densities[survivors]))]
 
     overlap_cap = math.ceil((1.0 - cfg.nu) * n / k)
     accepted: list[int] = []
-    masks: list[np.ndarray] = []
+    max_overlap = 0
     for j in survivors:
-        mask = subset_mask(n, sets[j])
-        if all(int((mask & other).sum()) < overlap_cap for other in masks):
+        overlap = int(np.count_nonzero(top[accepted] & top[j], axis=1).max(initial=0))
+        if overlap < overlap_cap:
             accepted.append(j)
-            masks.append(mask)
+            max_overlap = max(max_overlap, overlap)
             if len(accepted) == k:
                 break
-    diag = {"z": len(z), "y1": len(y1), "y2": len(y2), "s": s,
-            "discarded": s - len(survivors), "accepted": len(accepted)}
+    diag = {"z": len(z), "y1": len(y1), "y2": len(y2), "kept_fraction": len(kept) / n,
+            "s": s, "discarded": s - len(survivors), "accepted": len(accepted),
+            "max_overlap": max_overlap, "overlap_cap": overlap_cap}
     log.debug("spectral partition: %s", diag)
     if len(accepted) < k:
         raise PartitionFailure(
             f"only {len(accepted)} of {k} sufficiently distinct candidate sets found", diag)
-    return [CandidateSet(np.sort(sets[j]), float(densities[j])) for j in accepted]
+    return [CandidateSet(sets[j], float(densities[j])) for j in accepted]
 
 
 def correction_k(

@@ -92,9 +92,12 @@ def adjacency(h: Hypergraph) -> sp.csr_array:
     return (upper + upper.T).tocsr()
 
 
-def _selector(mask: np.ndarray) -> sp.dia_array:
-    n = len(mask)
-    return sp.dia_array((mask.astype(np.int64)[None, :], [0]), shape=(n, n))
+def _keep_entries(a, in_rows: np.ndarray, in_cols: np.ndarray) -> sp.csr_array:
+    """CSR copy of ``a`` holding the stored entries whose row and column pass the masks."""
+    a = sp.csr_array(a)
+    keep = np.repeat(in_rows, np.diff(a.indptr)) & in_cols[a.indices]
+    indptr = np.concatenate([[0], np.cumsum(keep)])[a.indptr]
+    return sp.csr_array((a.data[keep], a.indices[keep], indptr), shape=a.shape)
 
 
 def bipartite_embed(a, rows, cols) -> sp.csr_array:
@@ -107,7 +110,7 @@ def bipartite_embed(a, rows, cols) -> sp.csr_array:
     in_rows, in_cols = subset_mask(n, rows), subset_mask(n, cols)
     if (in_rows & in_cols).any():
         raise ValueError("row and column vertex sets must be disjoint")
-    return (_selector(in_rows) @ a @ _selector(in_cols)).tocsr()
+    return _keep_entries(a, in_rows, in_cols)
 
 
 def row_sums(a) -> np.ndarray:
@@ -117,8 +120,8 @@ def row_sums(a) -> np.ndarray:
 
 def mask_matrix(a, kept: np.ndarray):
     """Zero out the rows and columns not indexed by ``kept``."""
-    d = _selector(subset_mask(a.shape[0], kept))
-    return (d @ a @ d).tocsr()
+    mask = subset_mask(a.shape[0], kept)
+    return _keep_entries(a, mask, mask)
 
 
 def regularize(a, threshold: float) -> tuple[sp.csr_array, np.ndarray]:

@@ -70,6 +70,13 @@ class TestMatchedAccuracy:
         e = np.array([0, UNASSIGNED, 1, 1])
         assert matched_accuracy(t, e) == 0.75
 
+    def test_label_below_unassigned_rejected(self):
+        t = np.array([0, 0, 1, 1])
+        e = np.array([0, UNASSIGNED - 1, 1, 1])
+        for score in (matched_accuracy, gamma_correctness, accuracy_report, contingency):
+            with pytest.raises(ValueError, match="estimate labels"):
+                score(t, e)
+
 
 class TestAgainstBruteForce:
     def test_both_metrics_small_k(self):

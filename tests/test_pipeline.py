@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hyperblock import model, pipeline
 from hyperblock.metrics import accuracy_report, matched_accuracy
 from hyperblock.model import ModelParams, OrderSubset, merging_threshold
 from hyperblock.pipeline import (
@@ -22,6 +24,7 @@ from hyperblock.pipeline import (
     spectral_partition_2,
     spectral_partition_k,
     _neighbor_scores,
+    _top_positions,
 )
 from hyperblock.sampler import (
     BLUE,
@@ -140,7 +143,115 @@ def planted_k3(n=900, seed=0):
     return params, hcol, split, truth, cfg
 
 
+def dense_candidate_sets(a2, basis, split, params, cfg):
+    """Candidate sets by the n x s formula: centered sampled columns projected
+    onto the basis, each ranked over Z by a stable descending argsort."""
+    n, k = params.n, params.k
+    z, y2 = split.z, split.y2
+    s = min(math.ceil(2 * k * math.log(n) ** 2), len(y2))
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(4,))))
+    sampled = rng.choice(y2, size=s, replace=False)
+    subset = model.preprocess_select(params)
+    centered = a2[:, sampled].toarray() - 0.5 * centering_vector(params, subset, z)[:, None]
+    proj_z = (basis.vectors @ (basis.vectors.T @ centered))[z]
+    size = n // (2 * k)
+    return [np.sort(z[np.argsort(-proj_z[:, j], kind="stable")[:size]]) for j in range(s)]
+
+
+def scored_and_dense_sets(monkeypatch, hcol, split, params, cfg):
+    """The sets spectral_partition_k scores, and dense_candidate_sets on its
+    own subspace and red Z x Y2 adjacency."""
+    seen = {}
+
+    def spy(name):
+        fn = getattr(pipeline, name)
+
+        def wrapped(*args, **kwargs):
+            seen.setdefault(name, []).append((args, fn(*args, **kwargs)))
+            return seen[name][-1][1]
+        monkeypatch.setattr(pipeline, name, wrapped)
+
+    for name in ("top_subspace", "bipartite_embed", "blue_weighted_count"):
+        spy(name)
+    try:
+        spectral_partition_k(hcol, split, params, cfg)
+    except PartitionFailure:
+        pass
+    monkeypatch.undo()
+    got = seen["blue_weighted_count"][0][0][1]
+    a2 = seen["bipartite_embed"][1][1]
+    return got, dense_candidate_sets(a2, seen["top_subspace"][0][1], split, params, cfg)
+
+
+class TestTopPositions:
+    @staticmethod
+    def oracle(scores, size):
+        want = np.zeros(scores.shape, dtype=bool)
+        for row, vals in zip(want, scores):
+            row[np.argsort(-vals, kind="stable")[:size]] = True
+        return want
+
+    def test_all_equal(self):
+        scores = np.full((2, 7), 0.25)
+        got = _top_positions(scores, 3)
+        assert (got == self.oracle(scores, 3)).all()
+        assert got[0].tolist() == [True] * 3 + [False] * 4
+
+    def test_zero_ties_straddle_cut(self):
+        scores = np.array([[0.0, 2.0, -0.0, 0.0, -1.0, 0.0, 3.0],
+                           [-0.0, -1.0, 0.0, 1.0, 0.0, -2.0, 0.0]])
+        for size in range(1, 8):
+            assert (_top_positions(scores, size) == self.oracle(scores, size)).all()
+        assert np.flatnonzero(_top_positions(scores, 4)[0]).tolist() == [0, 1, 2, 6]
+
+    def test_cut_on_last_position(self):
+        scores = np.array([[3.0, 0.0, 2.0, 1.0], [1.0, 0.5, 2.0, 0.5]])
+        for size in range(1, 5):
+            assert (_top_positions(scores, size) == self.oracle(scores, size)).all()
+        got = _top_positions(scores, 3)
+        assert np.flatnonzero(got[0]).tolist() == [0, 2, 3]  # the cut value is last
+        assert np.flatnonzero(got[1]).tolist() == [0, 1, 2]  # ...or tied with the last
+
+    def test_random_tied_rows(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            cols = int(rng.integers(1, 30))
+            scores = rng.integers(-3, 4, size=(3, cols)) / 2.0
+            size = int(rng.integers(1, cols + 1))
+            assert (_top_positions(scores, size) == self.oracle(scores, size)).all()
+
+
 class TestSpectralPartitionK:
+    @pytest.mark.parametrize("orders", [{2: (60, 2), 3: (60, 2)}, {2: (30, 5), 3: (20, 5)},
+                                        {3: (6, 3)}])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sets_match_dense_formula(self, monkeypatch, orders, seed):
+        n = 1500
+        params = ModelParams(n, 3, orders)
+        h, _ = sample_hsbm(params, seed)
+        cfg = PipelineConfig(nu=0.75, seed=seed + 1000)
+        got, want = scored_and_dense_sets(monkeypatch, color_edges(h, seed + 2000),
+                                          split_vertices(n, seed + 3000), params, cfg)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(np.sort(a), b)
+
+    def test_memory_below_two_dense_blocks(self):
+        n, k = 12000, 3
+        params = ModelParams(n, k, {2: (80, 2), 3: (40, 2)})
+        h, _ = sample_hsbm(params, 1)
+        hcol = color_edges(h, 2)
+        split = split_vertices(n, 3)
+        s = min(math.ceil(2 * k * math.log(n) ** 2), len(split.y2))
+        tracemalloc.start()
+        try:
+            spectral_partition_k(hcol, split, params, PipelineConfig(seed=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * s * 8
+
     def test_postconditions_and_alignment(self):
         good_seeds = 0
         for seed in range(5):

@@ -5,12 +5,13 @@ import pytest
 import scipy.sparse as sp
 
 from hyperblock.model import ModelParams
-from hyperblock.sampler import Hypergraph, sample_hsbm
+from hyperblock.sampler import SIDE_Y1, SIDE_Z, Hypergraph, sample_hsbm, split_vertices
 from hyperblock.spectral import (
     ConvergenceError,
     adjacency,
     bipartite_embed,
     incidence,
+    mask_matrix,
     regularize,
     row_sums,
     spectral_norm,
@@ -97,6 +98,33 @@ class TestBipartiteEmbed:
         h = Hypergraph(4, {2: np.array([[0, 1]])})
         with pytest.raises(ValueError):
             bipartite_embed(adjacency(h), [0, 1], [1, 2])
+
+
+def selector_product(a, in_rows, in_cols):
+    """Masking as diagonal 0/1 products, the oracle for the index-array form."""
+    def sel(mask):
+        return sp.dia_array((mask.astype(np.int64)[None, :], [0]), shape=(len(mask),) * 2)
+    return (sel(in_rows) @ a @ sel(in_cols)).tocsr()
+
+
+class TestMaskingMatchesSelectorProduct:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_csr_arrays(self, seed):
+        n = 2000
+        h, _ = sample_hsbm(ModelParams(n, 3, {2: (30, 4), 3: (20, 4)}), seed)
+        split = split_vertices(n, seed)
+        in_z, in_y1 = split.side == SIDE_Z, split.side == SIDE_Y1
+        a = adjacency(h)
+        kept = np.flatnonzero(row_sums(a) <= np.median(row_sums(a)))
+        in_kept = np.zeros(n, dtype=bool)
+        in_kept[kept] = True
+        for b in (a, a.astype(np.float64)):
+            pairs = [(bipartite_embed(b, split.z, split.y1), selector_product(b, in_z, in_y1)),
+                     (mask_matrix(b, kept), selector_product(b, in_kept, in_kept))]
+            for got, want in pairs:
+                assert got.dtype == want.dtype
+                for field in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 class TestRowSums:
