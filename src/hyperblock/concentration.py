@@ -11,18 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, aslinearoperator
+from scipy.sparse.linalg import LinearOperator
 
 from . import model
 from .model import ModelParams
 from .sampler import sample_hsbm
-from .spectral import adjacency, row_sums, spectral_norm
+from .spectral import adjacency, mask_matrix, row_sums, spectral_norm
 
 __all__ = [
     "ConcentrationRecord",
-    "expected_adjacency_operator",
     "centered_operator",
     "concentration_trial",
+    "records_to_csv",
     "CSV_HEADER",
 ]
 
@@ -51,49 +51,37 @@ class ConcentrationRecord:
         ])
 
 
-def expected_adjacency_operator(params: ModelParams) -> LinearOperator:
-    """E[A] as a rank-k plus diagonal operator matching the dense construction."""
+def centered_operator(params: ModelParams, a, kept: np.ndarray | None = None) -> LinearOperator:
+    """(A - E[A]) as an operator, optionally masked to the kept index set.
+
+    E[A] is applied as (alpha - beta) P P^T + beta 1 1^T - alpha I, with P
+    the n x k block indicator matrix, which matches the dense construction.
+    """
     n, k = params.n, params.k
     rates = model.expected_rates(params)
     alpha, beta = rates.alpha, rates.beta
     labels = np.repeat(np.arange(k), model.block_sizes(n, k))
     indicators = np.zeros((n, k))
     indicators[np.arange(n), labels] = 1.0
-
-    def matvec(v):
-        v = np.asarray(v, dtype=np.float64)
-        flat = v.ndim == 1
-        v2 = v[:, None] if flat else v
-        out = (alpha - beta) * (indicators @ (indicators.T @ v2))
-        out += beta * np.sum(v2, axis=0, keepdims=True)
-        out -= alpha * v2
-        return out[:, 0] if flat else out
-
-    return LinearOperator((n, n), matvec=matvec, rmatvec=matvec,
-                          matmat=matvec, rmatmat=matvec, dtype=np.float64)
-
-
-def centered_operator(params: ModelParams, a, kept: np.ndarray | None = None) -> LinearOperator:
-    """(A - E[A]) as an operator, optionally masked to the kept index set."""
-    n = params.n
-    ea = expected_adjacency_operator(params)
-    a_op = aslinearoperator(a)
     mask = None
     if kept is not None:
-        mask = np.zeros(n)
+        a = mask_matrix(a, kept)
+        mask = np.zeros((n, 1))
         mask[kept] = 1.0
 
-    def matvec(v):
+    def matmat(v):
         v = np.asarray(v, dtype=np.float64)
-        w = v if mask is None else (mask[:, None] if v.ndim == 2 else mask) * v
-        out = a_op.matmat(w if w.ndim == 2 else w[:, None]) - ea.matmat(
-            w if w.ndim == 2 else w[:, None])
+        w = v.reshape(n, -1) if mask is None else mask * v.reshape(n, -1)
+        expected = (alpha - beta) * (indicators @ (indicators.T @ w))
+        expected += beta * np.sum(w, axis=0, keepdims=True)
+        expected -= alpha * w
+        out = a @ w - expected
         if mask is not None:
-            out = (mask[:, None]) * out
-        return out[:, 0] if v.ndim == 1 else out
+            out = mask * out
+        return out.reshape(v.shape)
 
-    return LinearOperator((n, n), matvec=matvec, rmatvec=matvec,
-                          matmat=matvec, rmatmat=matvec, dtype=np.float64)
+    return LinearOperator((n, n), matvec=matmat, rmatvec=matmat,
+                          matmat=matmat, rmatmat=matmat, dtype=np.float64)
 
 
 def concentration_trial(
@@ -131,4 +119,5 @@ def concentration_trial(
 
 
 def records_to_csv(records: list[ConcentrationRecord]) -> str:
+    """The CSV text of the records: header, then one row per record."""
     return "\n".join([CSV_HEADER] + [r.csv_row() for r in records]) + "\n"

@@ -2,10 +2,11 @@
 
 Hypergraph format (line oriented, diff-able):
 
-    HSBM <n> <k> <M>
+    HSBM <n> <k> <M>                    (integers, n >= 1, k >= 1, M >= 2)
     LABELS <b_0> ... <b_{n-1}>          (optional)
     <m> <v_1> ... <v_m> [R|B]           (one line per edge, 0-indexed,
-                                         vertices strictly ascending)
+                                         vertices strictly ascending,
+                                         2 <= m <= M)
 
 Edge lines may come in any order; the reader puts each order's rows in
 canonical (lexicographic) order, so a file's line order never changes
@@ -96,12 +97,32 @@ def _tokenize(lines: list[str]) -> tuple[np.ndarray, ...]:
     return (width, color) + _ints(tokens[numeric])
 
 
-def _parse_edges(body: list[str], n: int) -> tuple[dict, dict | None]:
+def _parse_header(line: str) -> tuple[int, int, int]:
+    """n, k and M of the ``HSBM <n> <k> <M>`` header line.
+
+    Requires three integers with n >= 1, k >= 1 and M >= 2; a failing
+    header raises ValueError naming the line.
+    """
+    if not line.startswith("HSBM "):
+        raise ValueError("missing HSBM header line")
+    toks = line.split()[1:]
+    try:
+        n, k, m_max = map(int, toks)
+    except ValueError:
+        raise ValueError(f"header must be 'HSBM <n> <k> <M>' with integer n, k, M: "
+                         f"{line!r}") from None
+    if n < 1 or k < 1 or m_max < 2:
+        raise ValueError(f"header needs n >= 1, k >= 1 and M >= 2: {line!r}")
+    return n, k, m_max
+
+
+def _parse_edges(body: list[str], n: int, m_max: int) -> tuple[dict, dict | None]:
     """Per-order edge arrays (rows sorted) and colors (or None) of the edge lines.
 
     Every line is checked for an integer order, order >= 2, the vertex
-    count, integer ids, ids in [0, n) and strict ascent, in that order.
-    The first failing line in file order raises its first failing check.
+    count, integer ids, ids in [0, n), strict ascent and order <= m_max,
+    in that order.  The first failing line in file order raises its first
+    failing check.
     """
     if not body:
         return {}, None
@@ -132,6 +153,7 @@ def _parse_edges(body: list[str], n: int) -> tuple[dict, dict | None]:
         (per_line(~ok & is_id), None),
         (per_line(outside), "vertex id out of range in {ln!r}"),
         (per_line(descent), "vertices must be strictly ascending in {ln!r}"),
+        (m > m_max, "edge order {m} above the header's M = {top}: {ln!r}"),
     ]
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     if bad.any():
@@ -141,7 +163,8 @@ def _parse_edges(body: list[str], n: int) -> tuple[dict, dict | None]:
         if message is None:
             lo = int(first[i])
             int(toks[int(np.argmin(ok[lo:lo + len(toks)]))])  # raises
-        raise ValueError(message.format(ln=body[i], ids=len(toks) - 1, m=int(toks[0])))
+        raise ValueError(message.format(ln=body[i], ids=len(toks) - 1, m=int(toks[0]),
+                                        top=m_max))
     if colored.any() and not colored.all():
         raise ValueError("edge colors must be given on every line or none")
 
@@ -162,10 +185,7 @@ def read_hypergraph(text: str) -> tuple[Hypergraph, int, np.ndarray | None]:
     Malformed input raises ValueError naming the first bad line.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("HSBM "):
-        raise ValueError("missing HSBM header line")
-    _, n_s, k_s, _m_s = lines[0].split()
-    n, k = int(n_s), int(k_s)
+    n, k, m_max = _parse_header(lines[0] if lines else "")
     labels = None
     body = lines[1:]
     if body and body[0].startswith("LABELS "):
@@ -180,7 +200,7 @@ def read_hypergraph(text: str) -> tuple[Hypergraph, int, np.ndarray | None]:
             value = int(toks[outside[0]])  # as written, even beyond int64
             raise ValueError(f"LABELS line has value {value} outside [0, {k})")
         body = body[1:]
-    h = Hypergraph(n, *_parse_edges(body, n))
+    h = Hypergraph(n, *_parse_edges(body, n, m_max))
     h.validate()
     return h, k, labels
 

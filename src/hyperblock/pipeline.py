@@ -6,8 +6,11 @@ and Y1, reads candidate sets off projected red columns between Z and Y2,
 filters them by blue-edge density, corrects Z by a weighted red-neighbor
 vote, and finally merges Y into the corrected sets using blue edges.  The
 projection goes through the k x s subspace coordinates of the s sampled
-columns, never an n x s block.  The two-block pipeline works on the full
-red adjacency and swaps suspicious vertices by a blue cross-neighbor test.
+columns, never an n x s float block.  Vertex sets travel between these
+stages as one n x (number of sets) boolean membership matrix, column j
+marking set j; only merging turns them into labels.  The two-block
+pipeline works on the full red adjacency and swaps suspicious vertices by
+a blue cross-neighbor test.
 
 Every stage is deterministic given the pipeline seed; independent seeds
 are embarrassingly parallel.
@@ -40,7 +43,6 @@ from .spectral import (adjacency, bipartite_embed, incidence, mask_matrix, regul
 __all__ = [
     "PartitionFailure",
     "PipelineConfig",
-    "CandidateSet",
     "centering_vector",
     "blue_weighted_count",
     "spectral_partition_k",
@@ -84,14 +86,6 @@ class PipelineConfig:
             raise ValueError(f"nu must lie in (0.5, 1), got {self.nu}")
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """A size-floor(n/2k) vertex set with its weighted blue-edge density."""
-
-    vertices: np.ndarray
-    blue_density: float
-
-
 def _derived_seed(seed: int, tag: int) -> int:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(tag),))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -99,14 +93,6 @@ def _derived_seed(seed: int, tag: int) -> int:
 
 def _resolve_subset(params: ModelParams, cfg: PipelineConfig) -> OrderSubset:
     return cfg.subset if cfg.subset is not None else model.preprocess_select(params)
-
-
-def _membership(n: int, sets) -> np.ndarray:
-    """n x len(sets) boolean matrix whose column j indicates sets[j]."""
-    members = np.zeros((n, len(sets)), dtype=bool)
-    for j, ids in enumerate(sets):
-        members[:, j] = subset_mask(n, ids)
-    return members
 
 
 def centering_vector(params: ModelParams, subset: OrderSubset, z_set) -> np.ndarray:
@@ -128,20 +114,20 @@ def centering_vector(params: ModelParams, subset: OrderSubset, z_set) -> np.ndar
     return np.where(subset_mask(n, z_set), 0.5 * (abar + bbar), 0.0)
 
 
-def blue_weighted_count(h_blue: Hypergraph, sets) -> np.ndarray:
+def blue_weighted_count(h_blue: Hypergraph, members: np.ndarray) -> np.ndarray:
     """Weighted count of blue edges fully inside each set: sum of m(m-1) each.
 
-    ``sets`` is a sequence of vertex sets; returns one count per set.
+    ``members`` is the n x s membership matrix of the sets; returns one
+    count per set.
     """
     inc, order = incidence(h_blue)
-    members = _membership(h_blue.n, sets)
     # an edge inside one of the sets lies inside their union; drop the rest
     keep = inc @ members.any(axis=1) == order
     inc, order = inc[keep], order[keep]
     weight = order * (order - 1)
-    out = np.zeros(len(sets))
+    out = np.zeros(members.shape[1])
     step = max(1, _COUNT_BLOCK // max(len(order), 1))
-    for j in range(0, len(sets), step):
+    for j in range(0, len(out), step):
         inside = inc @ members[:, j:j + step]
         out[j:j + step] = weight @ (inside == order[:, None])
     return out
@@ -180,7 +166,7 @@ def spectral_partition_k(
     split: SplitAssignment,
     params: ModelParams,
     cfg: PipelineConfig,
-) -> list[CandidateSet]:
+) -> np.ndarray:
     """Candidate blocks from the red bipartite spectrum, filtered by blue density.
 
     The s sampled, centered red columns A[:, S] - c/2 enter only through
@@ -190,10 +176,10 @@ def spectral_partition_k(
     yields its floor(n/2k) largest Z coordinates: every vertex strictly
     above the cut value, then the lowest ids equal to it.
 
-    Returns k candidate sets of size floor(n/2k) drawn from Z, ids
-    ascending, with pairwise overlaps below ceil((1-nu) n / k).  Raises
-    PartitionFailure when fewer than k sufficiently distinct sets survive
-    the density filter.
+    Returns the n x k membership matrix of k candidate sets of size
+    floor(n/2k) drawn from Z, with pairwise overlaps below
+    ceil((1-nu) n / k).  Raises PartitionFailure when fewer than k
+    sufficiently distinct sets survive the density filter.
     """
     n, k = params.n, params.k
     if n < 4 * k:
@@ -242,9 +228,10 @@ def spectral_partition_k(
     step = max(1, _COUNT_BLOCK // len(z))
     top = np.vstack([_top_positions(coords[:, j:j + step].T @ v_z.T, set_size)
                      for j in range(0, s, step)])
-    sets = [z[row] for row in top]
+    members = np.zeros((n, s), dtype=bool)
+    members[z] = top.T
 
-    densities = blue_weighted_count(h_blue, sets)
+    densities = blue_weighted_count(h_blue, members)
     # drop the low-density half, but never a set that clears the aligned-set
     # density threshold: same-block candidates share edges, so one block's
     # whole cluster can fluctuate below the median at moderate n
@@ -270,44 +257,33 @@ def spectral_partition_k(
     if len(accepted) < k:
         raise PartitionFailure(
             f"only {len(accepted)} of {k} sufficiently distinct candidate sets found", diag)
-    return [CandidateSet(sets[j], float(densities[j])) for j in accepted]
+    return members[:, accepted]
 
 
-def correction_k(
-    h_red: Hypergraph,
-    z_set,
-    candidate_sets: list[CandidateSet],
-) -> list[np.ndarray]:
+def correction_k(h_red: Hypergraph, z_set, candidates: np.ndarray) -> np.ndarray:
     """Reassign every Z vertex to the candidate set holding most red neighbors.
 
+    ``candidates`` is the n x k membership matrix of the candidate sets.
     Neighbor counts are weighted by (m-1); ties go to the lowest set index.
-    Returns a partition of Z.
+    Returns the n x k membership matrix of the resulting partition of Z.
     """
     in_z = subset_mask(h_red.n, z_set)
-    scores = _neighbor_scores(h_red, _membership(h_red.n, [cs.vertices for cs in candidate_sets]))
-    choice = np.argmax(scores[in_z], axis=1)
-    z_ids = np.flatnonzero(in_z)
-    return [z_ids[choice == i] for i in range(len(candidate_sets))]
+    choice = np.argmax(_neighbor_scores(h_red, candidates), axis=1)
+    return in_z[:, None] & (choice[:, None] == np.arange(candidates.shape[1]))
 
 
-def merging(
-    h_blue: Hypergraph,
-    y_set,
-    corrected_sets: list[np.ndarray],
-    mu_m: float,
-) -> np.ndarray:
+def merging(h_blue: Hypergraph, y_set, corrected: np.ndarray, mu_m: float) -> np.ndarray:
     """Attach every Y vertex to corrected sets by the blue-neighbor test.
 
-    A vertex joins each set whose weighted blue-neighbor count reaches
-    mu_m; conflicts and vertices qualifying nowhere fall back to the
-    argmax count with lowest-index ties.  Returns a full labeling.
+    ``corrected`` is the n x k membership matrix of disjoint sets, which
+    keep their vertices.  A vertex of Y joins each set whose weighted
+    blue-neighbor count reaches mu_m; conflicts and vertices qualifying
+    nowhere fall back to the argmax count with lowest-index ties.  Returns
+    a full labeling.
     """
-    n = h_blue.n
-    in_y = subset_mask(n, y_set)
-    labels = np.full(n, -1, dtype=np.int64)
-    for i, ids in enumerate(corrected_sets):
-        labels[ids] = i
-    scores = _neighbor_scores(h_blue, _membership(n, corrected_sets))[in_y]
+    in_y = subset_mask(h_blue.n, y_set)
+    labels = np.where(corrected.any(axis=1), np.argmax(corrected, axis=1), -1)
+    scores = _neighbor_scores(h_blue, corrected)[in_y]
     qualify = scores >= mu_m
     unique = qualify.sum(axis=1) == 1
     labels[in_y] = np.where(unique, np.argmax(qualify, axis=1), np.argmax(scores, axis=1))

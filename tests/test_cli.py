@@ -88,6 +88,32 @@ class TestSampleCommand:
 
 
 class TestDetectCommand:
+    # sha256 of the labels file and the accuracy row of detect on an inline
+    # sample; a change to any pipeline stage that moves a label changes these
+    PINNED = {
+        ("n = 600\nk = 3\norders = 2:40,4;3:30,3\n", 1): (
+            "ae759ca50083c6b9f28118d6cb23cd39b8a87fe9757e13bbda71025cabd28405",
+            "0.545,0.7333333333333333,0.26666666666666666"),
+        ("n = 600\nk = 3\norders = 2:40,4;3:30,3\n", 2): (
+            "f26795d2d594451c549697757a66f27c0eeb439c8137ba44f410227762646e5b",
+            "0.355,0.72,0.28"),
+        ("n = 600\nk = 3\norders = 2:40,4;3:30,3\n", 3): (
+            "1475d2c223d93bdbc8b6dfb2d771684f850fb08e828703f020481ff8271a6756",
+            "0.72,0.8066666666666666,0.19333333333333333"),
+        (BASE, 5): (
+            "e431448523c5740a66446ed8e5fb08b5a7f8f9261c593f9a6626ae68b6102cf9",
+            "1.0,1.0,0.0"),
+    }
+
+    @pytest.mark.parametrize("model, seed", list(PINNED))
+    def test_pinned_detect_labels(self, tmp_path, capsys, model, seed):
+        cfg = write(tmp_path / "c.cfg", model)
+        out = tmp_path / "labels.tsv"
+        assert main(["detect", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
+        digest, row = self.PINNED[model, seed]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert capsys.readouterr().out.splitlines()[1] == row
+
     def test_detect_from_file_with_report(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.cfg", BASE)
         hfile = tmp_path / "h.txt"

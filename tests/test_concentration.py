@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hyperblock.concentration import (
     concentration_trial,
     centered_operator,
-    expected_adjacency_operator,
     records_to_csv,
 )
 from hyperblock.config import parse_config
@@ -18,15 +18,18 @@ from hyperblock.sampler import sample_hsbm
 from hyperblock.spectral import adjacency, spectral_norm
 
 
-class TestExpectedAdjacencyOperator:
+class TestCenteredOperator:
     def test_matches_dense_product(self):
+        # on an all-zero adjacency the operator is -E[A]
         rng = np.random.default_rng(0)
         for n, k in ((50, 2), (120, 3), (500, 4)):
             p = ModelParams(n, k, {2: (6, 2), 3: (5, 1)})
-            op = expected_adjacency_operator(p)
+            op = centered_operator(p, sp.csr_array((n, n)))
             ea = expected_adjacency(p)
             v = rng.standard_normal(n)
-            assert np.abs(op.matvec(v) - ea @ v).max() < 1e-10
+            assert np.abs(op.matvec(v) + ea @ v).max() < 1e-10
+            block = rng.standard_normal((n, 3))
+            assert np.abs(op.matmat(block) + ea @ block).max() < 1e-10
 
     def test_centered_norm_matches_dense(self):
         p = ModelParams(200, 2, {2: (10, 5), 3: (10, 5)})

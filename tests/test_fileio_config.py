@@ -1,6 +1,7 @@
 """Serialization round-trips and config schema validation."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from hyperblock.config import parse_config
 from hyperblock.fileio import (
     _BLOCK,
+    _parse_header,
     read_hypergraph,
     read_labels,
     write_hypergraph,
@@ -20,10 +22,7 @@ from hyperblock.sampler import BLUE, RED, Hypergraph, color_edges, sample_hsbm
 def read_hypergraph_per_line(text):
     """Line-by-line reader kept as an oracle: same checks and messages, file order kept."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("HSBM "):
-        raise ValueError("missing HSBM header line")
-    _, n_s, k_s, _m_s = lines[0].split()
-    n, k = int(n_s), int(k_s)
+    n, k, m_max = _parse_header(lines[0] if lines else "")
     labels = None
     body = lines[1:]
     if body and body[0].startswith("LABELS "):
@@ -56,6 +55,8 @@ def read_hypergraph_per_line(text):
             raise ValueError(f"vertex id out of range in {ln!r}")
         if any(verts[i] >= verts[i + 1] for i in range(m - 1)):
             raise ValueError(f"vertices must be strictly ascending in {ln!r}")
+        if m > m_max:
+            raise ValueError(f"edge order {m} above the header's M = {m_max}: {ln!r}")
         edges.setdefault(m, []).append(verts)
         colors.setdefault(m, []).append(RED if color is None else color)
     if any_color and any_plain:
@@ -139,6 +140,30 @@ class TestHypergraphFormat:
     def test_rejects_labels_outside_k_and_orders_below_2(self, text, named):
         with pytest.raises(ValueError, match=named):
             read_hypergraph(text)
+
+    @pytest.mark.parametrize("text, named", [
+        ("HSBM -4 0 2\n", "n >= 1, k >= 1 and M >= 2: 'HSBM -4 0 2'"),
+        ("HSBM 0 2 2\n", "n >= 1, k >= 1 and M >= 2: 'HSBM 0 2 2'"),
+        ("HSBM 10 0 2\n", "n >= 1, k >= 1 and M >= 2: 'HSBM 10 0 2'"),
+        ("HSBM 10 3 1\n", "n >= 1, k >= 1 and M >= 2: 'HSBM 10 3 1'"),
+        ("HSBM 10 3 x\n", "integer n, k, M: 'HSBM 10 3 x'"),
+        ("HSBM 10 3 2.0\n", "integer n, k, M: 'HSBM 10 3 2.0'"),
+        ("HSBM 10 3\n", "integer n, k, M: 'HSBM 10 3'"),
+        ("HSBM 10 3 2 2\n", "integer n, k, M: 'HSBM 10 3 2 2'"),
+        ("HSBM\n", "missing HSBM header line"),
+        ("HSBM 6 2 2\n2 0 1\n4 0 1 2 3\n3 0 1 2\n",
+         "edge order 4 above the header's M = 2: '4 0 1 2 3'"),
+        ("HSBM 6 2 3\n4 0 1 2 3 R\n", "edge order 4 above the header's M = 3: '4 0 1 2 3 R'"),
+        # order above M is the last check on a line
+        ("HSBM 6 2 2\n3 0 1 9\n", "vertex id out of range in '3 0 1 9'"),
+    ])
+    def test_rejects_bad_headers_and_orders_above_m(self, text, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            read_hypergraph(text)
+
+    def test_m_above_every_order_accepted(self):
+        h, k, _ = read_hypergraph("HSBM 6 1 4\n2 0 1\n")
+        assert h.n == 6 and k == 1 and h.edges[2].tolist() == [[0, 1]]
 
     def test_shuffled_lines_give_the_same_hypergraph(self):
         h, labels = sample_hsbm(ModelParams(600, 3, {2: (40, 4), 3: (30, 3)}), 3)
@@ -235,6 +260,12 @@ class TestReaderMatchesPerLineOracle:
         " HSBM 4 2 2\n",
         "HSBM 4 2\n",
         "HSBM x 2 2\n",
+        "HSBM -4 0 2\n",
+        "HSBM 10 3 x\n",
+        "HSBM 10 3 1\n",
+        "HSBM 6 2 2\n2 0 1\n4 0 1 2 3\n",
+        "HSBM 6 2 2\n3 0 1 2\n2 0 9\n",
+        "HSBM 6 2 2\n3 0 1 9\n",
         "HSBM 6 2 2\nLABELS 0 1\n",
         "HSBM 3 2 2\nLABELS 0 x 1\n",
         "HSBM 3 2 2\nLABELS 0 2 1\n2 0 1\n",

@@ -11,7 +11,6 @@ from hyperblock import model, pipeline
 from hyperblock.metrics import accuracy_report, matched_accuracy
 from hyperblock.model import ModelParams, OrderSubset, merging_threshold
 from hyperblock.pipeline import (
-    CandidateSet,
     PartitionFailure,
     PipelineConfig,
     blue_weighted_count,
@@ -47,6 +46,16 @@ def colored(n, edges, colors):
     return Hypergraph(n, earr, carr)
 
 
+def membership(n, sets):
+    """n x len(sets) boolean matrix whose column j marks the ids in sets[j]."""
+    return np.stack([np.isin(np.arange(n), x) for x in sets], axis=1)
+
+
+def columns(members):
+    """The ids each column of a membership matrix marks, ascending."""
+    return [np.flatnonzero(col) for col in members.T]
+
+
 class TestCenteringVector:
     def test_hand_value(self):
         p = ModelParams(80, 2, {2: (40, 8)})
@@ -71,11 +80,12 @@ class TestCenteringVector:
 class TestBlueWeightedCount:
     def test_single_inside_edge(self):
         h = colored(6, {3: [[0, 1, 2]]}, {3: [BLUE]})
-        assert blue_weighted_count(h.blue(), [[0, 1, 2, 3], [0, 1]]).tolist() == [6.0, 0.0]
+        sets = membership(6, [[0, 1, 2, 3], [0, 1]])
+        assert blue_weighted_count(h.blue(), sets).tolist() == [6.0, 0.0]
 
     def test_no_blue_edges(self):
         h = colored(6, {3: [[0, 1, 2]]}, {3: [RED]})
-        assert blue_weighted_count(h.blue(), [[0, 1, 2]]).tolist() == [0.0]
+        assert blue_weighted_count(h.blue(), membership(6, [[0, 1, 2]])).tolist() == [0.0]
 
     def test_brute_force_agreement(self):
         h, _ = sample_hsbm(ModelParams(40, 2, {2: (10, 4), 3: (8, 3), 4: (6, 2)}), 5)
@@ -86,15 +96,16 @@ class TestBlueWeightedCount:
                     for m, arr in blue.edges.items()
                     for row in arr if set(row.tolist()) <= set(x.tolist()))
                 for x in sets]
-        assert blue_weighted_count(blue, sets).tolist() == want
+        assert blue_weighted_count(blue, membership(40, sets)).tolist() == want
 
     def test_edgeless(self):
         h = colored(5, {2: [], 3: []}, {2: [], 3: []})
-        assert blue_weighted_count(h.blue(), [[0, 1], [2, 3, 4]]).tolist() == [0.0, 0.0]
+        sets = membership(5, [[0, 1], [2, 3, 4]])
+        assert blue_weighted_count(h.blue(), sets).tolist() == [0.0, 0.0]
 
 
 def neighbor_scores(h, sets):
-    return _neighbor_scores(h, np.stack([np.isin(np.arange(h.n), x) for x in sets], axis=1))
+    return _neighbor_scores(h, membership(h.n, sets))
 
 
 class TestWeightedRedNeighbors:
@@ -179,7 +190,7 @@ def scored_and_dense_sets(monkeypatch, hcol, split, params, cfg):
     except PartitionFailure:
         pass
     monkeypatch.undo()
-    got = seen["blue_weighted_count"][0][0][1]
+    got = columns(seen["blue_weighted_count"][0][0][1])
     a2 = seen["bipartite_embed"][1][1]
     return got, dense_candidate_sets(a2, seen["top_subspace"][0][1], split, params, cfg)
 
@@ -256,20 +267,21 @@ class TestSpectralPartitionK:
         good_seeds = 0
         for seed in range(5):
             params, hcol, split, truth, cfg = planted_k3(seed=seed)
-            sets = spectral_partition_k(hcol, split, params, cfg)
+            candidates = spectral_partition_k(hcol, split, params, cfg)
+            sets = columns(candidates)
             n, k = params.n, params.k
             size = n // (2 * k)
             cap = math.ceil((1 - cfg.nu) * n / k)
             z = set(split.z.tolist())
-            assert len(sets) == k
-            for cs in sets:
-                assert len(cs.vertices) == size
-                assert set(cs.vertices.tolist()) <= z
+            assert candidates.shape == (n, k) and candidates.dtype == bool
+            for ids in sets:
+                assert len(ids) == size
+                assert set(ids.tolist()) <= z
             for a, b in itertools.combinations(sets, 2):
-                assert len(np.intersect1d(a.vertices, b.vertices)) < cap
+                assert len(np.intersect1d(a, b)) < cap
             aligned = all(
-                max(np.mean(truth[cs.vertices] == blk) for blk in range(k)) >= cfg.nu
-                for cs in sets
+                max(np.mean(truth[ids] == blk) for blk in range(k)) >= cfg.nu
+                for ids in sets
             )
             good_seeds += aligned
         assert good_seeds >= 4
@@ -281,7 +293,15 @@ class TestSpectralPartitionK:
         with pytest.raises(PartitionFailure):
             spectral_partition_k(h, split, params, PipelineConfig(seed=0))
 
-    def test_information_isolation(self):
+    def test_information_isolation(self, monkeypatch):
+        densities = []
+
+        def spy(h_blue, members):
+            densities.append(count(h_blue, members))
+            return densities[-1]
+        count = pipeline.blue_weighted_count
+        monkeypatch.setattr(pipeline, "blue_weighted_count", spy)
+
         params, hcol, split, _, cfg = planted_k3(seed=3)
         sets_full = spectral_partition_k(hcol, split, params, cfg)
 
@@ -303,24 +323,23 @@ class TestSpectralPartitionK:
             colors[m] = hcol.colors[m][keep]
         pruned = Hypergraph(hcol.n, edges, colors)
         sets_pruned = spectral_partition_k(pruned, split, params, cfg)
-        for a, b in zip(sets_full, sets_pruned):
-            assert (a.vertices == b.vertices).all()
-            assert a.blue_density == b.blue_density
+        assert np.array_equal(sets_full, sets_pruned)
+        assert np.array_equal(densities[0], densities[1])
 
 
 class TestCorrectionK:
     def test_unanimous_vertex(self):
         h = colored(8, {2: [[0, 4], [0, 5]]}, {2: [RED, RED]})
-        sets = [CandidateSet(np.array([2, 3]), 0.0), CandidateSet(np.array([4, 5]), 0.0)]
-        out = correction_k(h.red(), [0, 1], sets)
-        assert 0 in out[1] and 1 in out[0]  # 1 has no edges: lowest index
+        out = correction_k(h.red(), [0, 1], membership(8, [[2, 3], [4, 5]]))
+        assert [ids.tolist() for ids in columns(out)] == [[1], [0]]  # 1: no edges, lowest index
 
     def test_partition_of_z(self):
         params, hcol, split, _, cfg = planted_k3(seed=1)
         sets = spectral_partition_k(hcol, split, params, cfg)
         out = correction_k(hcol.red(), split.z, sets)
-        stacked = np.concatenate(out)
-        assert np.array_equal(np.sort(stacked), np.sort(split.z))
+        assert out.shape == (params.n, params.k)
+        assert np.array_equal(np.flatnonzero(out.sum(axis=1)), np.sort(split.z))
+        assert out.sum(axis=1).max() == 1
 
     def test_improves_candidate_labeling(self):
         improved = 0
@@ -329,12 +348,12 @@ class TestCorrectionK:
             sets = spectral_partition_k(hcol, split, params, cfg)
             n = params.n
             pre = np.full(n, -1, dtype=np.int64)
-            for i, cs in enumerate(sets):
-                free = cs.vertices[pre[cs.vertices] == -1]
+            for i, ids in enumerate(columns(sets)):
+                free = ids[pre[ids] == -1]
                 pre[free] = i
             out = correction_k(hcol.red(), split.z, sets)
             post = np.full(n, -1, dtype=np.int64)
-            for i, ids in enumerate(out):
+            for i, ids in enumerate(columns(out)):
                 post[ids] = i
             z = split.z
             improved += (matched_accuracy(truth[z], post[z])
@@ -345,14 +364,14 @@ class TestCorrectionK:
 class TestMerging:
     def test_unique_qualifier(self):
         h = colored(6, {3: [[0, 1, 4]]}, {3: [BLUE]})
-        labels = merging(h.blue(), [4, 5], [np.array([0, 1]), np.array([2, 3])], 1.0)
+        labels = merging(h.blue(), [4, 5], membership(6, [[0, 1], [2, 3]]), 1.0)
         assert labels[4] == 0
         assert labels[5] == 0  # no counts anywhere: lowest index
         assert labels[0] == 0 and labels[2] == 1
 
     def test_fallback_argmax(self):
         h = colored(8, {2: [[2, 6], [3, 6], [0, 6]]}, {2: [BLUE] * 3})
-        labels = merging(h.blue(), [6, 7], [np.array([0, 1]), np.array([2, 3])], 100.0)
+        labels = merging(h.blue(), [6, 7], membership(8, [[0, 1], [2, 3]]), 100.0)
         assert labels[6] == 1  # two blue neighbors in set 1, one in set 0
 
     def test_full_labeling(self):
