@@ -3,7 +3,21 @@
 Sampling, regularized spectral partitioning with correction and merging
 refinements, accuracy metrics, and spectral-norm concentration
 experiments, plus a CLI (``hyperblock``) wrapping all of it.
+
+Importing the package before numpy makes OpenBLAS start one thread: the
+pipeline is sparse, and its only BLAS calls are level-1/2 calls on
+n-vectors, where extra OpenBLAS threads spin without shortening a run.
+OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when it loads, and pool
+workers inherit the loaded library (fork) or the environment (spawn,
+forkserver).  A ``*_NUM_THREADS`` variable the user set, or a numpy that
+is already loaded, leaves the environment as it is.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules and not any(k.endswith("_NUM_THREADS") for k in os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .model import (
     ModelParams,

@@ -3,7 +3,7 @@
 Commands: ``snr | sample | detect | experiment | conclab``, each driven by
 a flat key=value config file (see ``hyperblock.config``).  Shared flags:
 ``--config <path>``, ``--seed <u64>`` (overrides the config seed),
-``--jobs <int>``, ``--out <path>``.  Set ``HYPERBLOCK_LOG`` to a level
+``--jobs <int >= 1>``, ``--out <path>``.  Set ``HYPERBLOCK_LOG`` to a level
 name (debug, info, ...) for diagnostics on stderr.
 
 Exit codes: 0 success, 2 invalid argument, 3 I/O failure, 4 partition
@@ -134,6 +134,17 @@ _COMMANDS = {
 }
 
 
+def _jobs(text: str) -> int:
+    """``--jobs`` value: an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperblock",
@@ -144,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for trials")
+        p.add_argument("--jobs", type=_jobs, default=1, help="worker processes for trials")
         p.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 

@@ -12,15 +12,16 @@ Edge lines may come in any order; the reader puts each order's rows in
 canonical (lexicographic) order, so a file's line order never changes
 the hypergraph it describes.  The writer emits that order.
 
-Label files are ``vertex_id<TAB>block`` lines.  Floats in CSV output are
-serialized with repr so reruns are byte-identical.
+Label files are ``vertex_id<TAB>block`` lines, one per vertex id from 0
+to n-1 in any order, with blocks >= -1 (unassigned).  Floats in CSV
+output are serialized with repr so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .sampler import BLUE, RED, Hypergraph, _row_order
+from .sampler import BLUE, RED, UNASSIGNED, Hypergraph, _row_order
 
 __all__ = [
     "write_hypergraph",
@@ -210,15 +211,31 @@ def write_labels(labels: np.ndarray) -> str:
 
 
 def read_labels(text: str) -> np.ndarray:
-    pairs = []
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
-        v, b = ln.split("\t")
-        pairs.append((int(v), int(b)))
-    if not pairs:
-        return np.empty(0, dtype=np.int64)
-    out = np.full(max(v for v, _ in pairs) + 1, -1, dtype=np.int64)
-    for v, b in pairs:
+    """Blocks indexed by vertex id, from ``vertex_id<TAB>block`` lines.
+
+    Blank lines are skipped; the others may come in any order.  Their ids
+    must be 0 .. N-1, each once, for N such lines, and every block must
+    lie in [-1, 2**63), -1 meaning unassigned.  A failing line raises
+    ValueError naming its line number.
+    """
+    rows = [(num, ln) for num, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    out = np.empty(len(rows), dtype=np.int64)
+    first_line = {}
+    for num, ln in rows:
+        try:
+            v, b = map(int, ln.split("\t"))
+        except ValueError:
+            raise ValueError(f"line {num}: expected 'vertex_id<TAB>block' integers, "
+                             f"got {ln!r}") from None
+        if v < 0:
+            raise ValueError(f"line {num}: negative vertex id {v}")
+        if v >= len(rows):
+            raise ValueError(f"line {num}: vertex id {v} leaves a gap; {len(rows)} "
+                             f"lines must give ids 0..{len(rows) - 1}")
+        if v in first_line:
+            raise ValueError(f"line {num}: vertex id {v} repeats line {first_line[v]}")
+        if not UNASSIGNED <= b < 2**63:
+            raise ValueError(f"line {num}: block {b} outside [{UNASSIGNED}, 2**63)")
+        first_line[v] = num
         out[v] = b
     return out

@@ -37,11 +37,15 @@ def trial_seed(base: int, *indices: int) -> int:
 
 
 def pmap(fn, items, jobs: int = 1) -> list:
-    """Map preserving order, optionally across processes."""
+    """Map preserving order, optionally across processes.
+
+    The pool gets at most one worker per item: under the fork start
+    method it starts every worker at the first submit.
+    """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
 

@@ -1,13 +1,21 @@
 """CLI behavior: outputs, reproducibility, exit codes."""
 
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hyperblock import runner
 from hyperblock.cli import main
 from hyperblock.fileio import read_hypergraph, read_labels
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write(path, text):
@@ -221,3 +229,73 @@ class TestConclabCommand:
         assert rows[0].startswith("n,k,d,tau,seed,")
         assert len(rows) == 1 + 4
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        cfg = write(tmp_path / "c.cfg", TestExperimentCommand.CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--config", cfg, "--jobs", jobs, "--out", "-"])
+        assert exc.value.code == 2
+        assert "argument --jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs, workers", [(500, 3), (2, 2)])
+    def test_pool_never_larger_than_items(self, monkeypatch, jobs, workers):
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor; runs in process, starts nothing."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        assert runner.pmap(abs, [-1, -2, 3], jobs=jobs) == [1, 2, 3]
+        assert sizes == [workers]
+
+
+def _run_clean(args, cwd, **extra):
+    """Run Python with ``src`` on the path, no ``*_NUM_THREADS`` but ``extra``."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env.update(extra, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, check=True,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestThreadDefault:
+    def thread_env_after(self, tmp_path, imports, **extra):
+        code = (f"import json, os\n{imports}\n"
+                "print(json.dumps({k: v for k, v in os.environ.items() "
+                "if k.endswith('_NUM_THREADS')}))")
+        return json.loads(_run_clean(["-c", code], tmp_path, **extra).stdout)
+
+    def test_import_sets_one_openblas_thread(self, tmp_path):
+        env = self.thread_env_after(tmp_path, "import hyperblock")
+        assert env == {"OPENBLAS_NUM_THREADS": "1"}
+
+    def test_user_thread_variable_kept(self, tmp_path):
+        env = self.thread_env_after(tmp_path, "import hyperblock", OMP_NUM_THREADS="2")
+        assert env == {"OMP_NUM_THREADS": "2"}
+
+    def test_numpy_loaded_first_leaves_environment(self, tmp_path):
+        assert self.thread_env_after(tmp_path, "import numpy, hyperblock") == {}
+
+    def test_experiment_bytes_independent_of_blas_threads(self, tmp_path):
+        cfg = write(tmp_path / "c.cfg", TestExperimentCommand.CFG)
+        outputs = []
+        for name, extra in (("default", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})):
+            out = tmp_path / f"{name}.csv"
+            _run_clean(["-m", "hyperblock.cli", "experiment", "--config", cfg,
+                        "--out", str(out)], tmp_path, **extra)
+            outputs.append((out.read_bytes(), Path(f"{out}.summary").read_bytes()))
+        assert outputs[0] == outputs[1]

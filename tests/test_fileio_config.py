@@ -178,6 +178,24 @@ class TestHypergraphFormat:
         labels = np.array([0, 2, 1, 1, 0])
         assert (read_labels(write_labels(labels)) == labels).all()
 
+    def test_labels_any_line_order_and_unassigned(self):
+        assert read_labels("2\t1\n\n0\t-1\n1\t0\n").tolist() == [-1, 0, 1]
+        assert read_labels("").tolist() == []
+
+    @pytest.mark.parametrize("text, named", [
+        ("0\t1\n5\t-7\n", "line 2: vertex id 5 leaves a gap"),
+        ("-1\t0\n", "line 1: negative vertex id -1"),
+        ("0 1\n", "line 1: expected 'vertex_id<TAB>block' integers, got '0 1'"),
+        ("0\t1\t2\n", "line 1: expected"),
+        ("0\tx\n", "line 1: expected"),
+        ("0\t1\n\n0\t1\n", "line 3: vertex id 0 repeats line 1"),
+        ("1\t0\n0\t-2\n", "line 2: block -2 outside [-1, 2**63)"),
+        ("0\t99999999999999999999\n", "line 1: block 99999999999999999999 outside"),
+    ])
+    def test_labels_rejects_malformed_lines(self, text, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            read_labels(text)
+
 
 def _sampled_texts():
     h, labels = sample_hsbm(ModelParams(300, 3, {2: (12, 3), 3: (8, 2), 4: (4, 1)}), 4)
