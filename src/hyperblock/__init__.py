@@ -44,7 +44,7 @@ from .sampler import (
     split_vertices,
 )
 from .spectral import ConvergenceError, adjacency, regularize, spectral_norm, top_subspace
-from .pipeline import PartitionFailure, PipelineConfig, partition, partition_2, partition_k
+from .pipeline import PartitionFailure, PipelineConfig, partition
 from .metrics import AccuracyReport, accuracy_report, gamma_correctness, matched_accuracy
 from .concentration import ConcentrationRecord, concentration_trial
 

@@ -77,7 +77,7 @@ def cmd_sample(cfg: ExperimentConfig, args) -> int:
     params = cfg.model_params()
     h, labels = sampler.sample_hsbm(params, cfg.seed)
     if cfg.colors:
-        h = sampler.color_edges(h, runner.trial_seed(cfg.seed, 1))
+        h = sampler.color_edges(h, sampler.trial_seed(cfg.seed, 1))
     text = fileio.write_hypergraph(h, params.k, labels if cfg.labels else None)
     _emit(text, args.out)
     return 0
@@ -94,8 +94,8 @@ def cmd_detect(cfg: ExperimentConfig, args) -> int:
             raise ValueError(
                 f"config says n={params.n} k={params.k}, file says n={h.n} k={file_k}")
     else:
-        h, truth = sampler.sample_hsbm(params, runner.trial_seed(cfg.seed, 0))
-    pcfg = pipeline.PipelineConfig(nu=cfg.nu, seed=runner.trial_seed(cfg.seed, 1))
+        h, truth = sampler.sample_hsbm(params, sampler.trial_seed(cfg.seed, 0))
+    pcfg = pipeline.PipelineConfig(nu=cfg.nu, seed=sampler.trial_seed(cfg.seed, 1))
     labels = pipeline.partition(params, h, pcfg)
     _emit(fileio.write_labels(labels), args.out)
     if truth is not None:
@@ -134,15 +134,28 @@ _COMMANDS = {
 }
 
 
-def _jobs(text: str) -> int:
-    """``--jobs`` value: an integer of at least 1."""
+def _int(text: str) -> int:
     try:
-        jobs = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+
+
+def _jobs(text: str) -> int:
+    """``--jobs`` value: an integer of at least 1."""
+    jobs = _int(text)
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
     return jobs
+
+
+def _seed(text: str) -> int:
+    """``--seed`` value: an integer in [0, 2**64), as the config's seed key."""
+    seed = _int(text)
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(
+            f"must fit in an unsigned 64-bit integer, got {seed}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in _COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", required=True, help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
         p.add_argument("--jobs", type=_jobs, default=1, help="worker processes for trials")
         p.add_argument("--out", default=None, help="output path (default stdout)")
     return parser

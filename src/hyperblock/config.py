@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ModelParams
+from .model import ModelParams, _check_nu
 
 __all__ = ["ExperimentConfig", "parse_config", "CONFIG_KEYS"]
 
@@ -158,24 +158,22 @@ def parse_config(text: str, command: str) -> ExperimentConfig:
             raise ValueError(f"{key} = {values[key]!r}: {exc}") from None
 
     cfg = ExperimentConfig(command=command, **{key: get(key) for key in values})
-    if not 0.5 < cfg.nu < 1.0:
-        raise ValueError(f"nu must lie in (0.5, 1), got {cfg.nu}")
+    _check_nu(cfg.nu)
     if cfg.seed < 0 or cfg.seed >= 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     if cfg.trials < 1:
         raise ValueError("trials must be at least 1")
-    if cfg.tau is not None and cfg.tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if cfg.tau is not None and not cfg.tau >= 0:  # also rejects nan
+        raise ValueError(f"tau must be a nonnegative number, got {cfg.tau}")
+    if command == "experiment" and not cfg.ladder:
+        raise ValueError("experiment needs a ladder of rate gaps")
+    # validate model preconditions up front
+    cfg.model_params()
     for n in cfg.sizes:
         try:
             cfg.model_params(n)
         except ValueError as exc:
             raise ValueError(f"sizes entry {n}: {exc}") from None
-
-    if command == "experiment" and not cfg.ladder:
-        raise ValueError("experiment needs a ladder of rate gaps")
-    # validate model preconditions up front
-    cfg.model_params()
     for gap in cfg.ladder:
         try:
             cfg.ladder_params(gap)

@@ -11,9 +11,10 @@ Conventions used throughout:
 * ``comb(x, j)`` is 0 whenever ``floor(x) < j`` (empty-set convention).
 * Fractional block-size expressions (``n/k``, ``nu*n/(2k)``, ...) are
   floored before entering a binomial coefficient.
-* Rates are per-order pairs ``(a_m, b_m)`` with ``a_m >= b_m >= 0``; the
-  within-block connection probability of an order-``m`` edge is
-  ``a_m / comb(n, m-1)`` and the cross-block one is ``b_m / comb(n, m-1)``.
+* Rates are per-order pairs ``(a_m, b_m)`` of finite numbers with
+  ``a_m >= b_m >= 0``; the within-block connection probability of an
+  order-``m`` edge is ``a_m / comb(n, m-1)`` and the cross-block one is
+  ``b_m / comb(n, m-1)``.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ class ModelParams:
                 raise ValueError(f"edge order {m} exceeds n = {self.n}")
             if not (a >= b >= 0):
                 raise ValueError(f"order {m}: need a_m >= b_m >= 0, got ({a}, {b})")
+            if not math.isfinite(a):
+                raise ValueError(f"order {m}: rates must be finite, got ({a}, {b})")
         # normalize to a plain sorted dict so iteration order is stable
         object.__setattr__(self, "orders", dict(sorted(self.orders.items())))
 

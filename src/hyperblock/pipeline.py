@@ -1,6 +1,11 @@
-"""Detection pipelines over colored hypergraph instances.
+"""The detection pipeline over hypergraph instances.
 
-The multi-block pipeline splits the vertices into Z / Y1 / Y2, extracts a
+``partition`` is its one entry point.  It picks the order subset of
+largest signal-to-noise ratio, keeps only the edges of those orders and
+colors an uncolored hypergraph red or blue at random, then runs the
+two-block (k = 2) or the multi-block (k >= 3) pipeline.
+
+For k >= 3 the pipeline splits the vertices into Z / Y1 / Y2, extracts a
 singular subspace from the regularized red bipartite adjacency between Z
 and Y1, reads candidate sets off projected red columns between Z and Y2,
 filters them by blue-edge density, corrects Z by a weighted red-neighbor
@@ -9,18 +14,19 @@ projection goes through the k x s subspace coordinates of the s sampled
 columns, never an n x s float block.  Vertex sets travel between these
 stages as one n x (number of sets) boolean membership matrix, column j
 marking set j; only merging turns them into labels.  The two-block
-pipeline works on the full red adjacency and swaps suspicious vertices by
-a blue cross-neighbor test.
+pipeline (k = 2) works on the full red adjacency and swaps suspicious
+vertices by a blue cross-neighbor test.
 
-Every stage is deterministic given the pipeline seed; independent seeds
-are embarrassingly parallel.
+Every stage is deterministic given the pipeline seed, from which each
+draw takes its own stream through ``sampler.trial_seed``; independent
+seeds are embarrassingly parallel.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,14 +37,15 @@ from .sampler import (
     SIDE_Y2,
     Hypergraph,
     SplitAssignment,
+    _stream,
     color_edges,
     restrict,
     restrict_orders,
     split_vertices,
     subset_mask,
+    trial_seed,
 )
-from .spectral import (adjacency, bipartite_embed, incidence, mask_matrix, regularize,
-                       row_sums, top_subspace)
+from .spectral import adjacency, bipartite_embed, incidence, regularize, top_subspace
 
 __all__ = [
     "PartitionFailure",
@@ -48,10 +55,8 @@ __all__ = [
     "spectral_partition_k",
     "correction_k",
     "merging",
-    "partition_k",
     "spectral_partition_2",
     "correction_2",
-    "partition_2",
     "partition",
 ]
 
@@ -75,24 +80,13 @@ class PartitionFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs for one pipeline run: target correctness nu, subset, seed."""
+    """Knobs for one pipeline run: target correctness nu and seed."""
 
     nu: float = 0.75
-    subset: OrderSubset | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.5 < self.nu < 1.0:
-            raise ValueError(f"nu must lie in (0.5, 1), got {self.nu}")
-
-
-def _derived_seed(seed: int, tag: int) -> int:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(tag),))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def _resolve_subset(params: ModelParams, cfg: PipelineConfig) -> OrderSubset:
-    return cfg.subset if cfg.subset is not None else model.preprocess_select(params)
+        model._check_nu(self.nu)
 
 
 def centering_vector(params: ModelParams, subset: OrderSubset, z_set) -> np.ndarray:
@@ -186,7 +180,7 @@ def spectral_partition_k(
         raise ValueError("n must be at least 4k")
     if not h.is_colored:
         raise ValueError("spectral partition needs a colored hypergraph")
-    subset = _resolve_subset(params, cfg)
+    subset = model.preprocess_select(params)
     h = restrict_orders(h, subset)
     h_red, h_blue = h.red(), h.blue()
 
@@ -200,10 +194,9 @@ def spectral_partition_k(
     threshold = REGULARIZATION_FACTOR * subset.m_max * d
 
     # subspace from the red hypergraph induced on Z u Y1
-    a_zy1 = adjacency(restrict(h_red, np.concatenate([z, y1])))
-    kept = np.flatnonzero(row_sums(a_zy1) <= threshold)
-    a1 = mask_matrix(bipartite_embed(a_zy1, z, y1), kept)
-    basis = top_subspace(a1, k, "left-singular", seed=_derived_seed(cfg.seed, 3))
+    a_zy1, kept = regularize(adjacency(restrict(h_red, np.concatenate([z, y1]))), threshold)
+    a1 = bipartite_embed(a_zy1, z, y1)
+    basis = top_subspace(a1, k, "left-singular", seed=trial_seed(cfg.seed, 3))
     if basis.singular_values[0] == 0.0:
         raise PartitionFailure("red bipartite adjacency carries no signal")
 
@@ -211,9 +204,7 @@ def spectral_partition_k(
     s = min(int(math.ceil(2 * k * math.log(n) ** 2)), len(y2))
     if s == 0:
         raise PartitionFailure("side Y2 is empty")
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=int(cfg.seed), spawn_key=(4,))))
-    sampled = rng.choice(y2, size=s, replace=False)
+    sampled = _stream(cfg.seed, 4).choice(y2, size=s, replace=False)
     a2 = bipartite_embed(adjacency(restrict(h_red, np.concatenate([z, y2]))), z, y2)
     # the sampled columns live on the red half of the coloring, so their
     # background expectation is half the nominal centering value; without
@@ -290,24 +281,6 @@ def merging(h_blue: Hypergraph, y_set, corrected: np.ndarray, mu_m: float) -> np
     return labels
 
 
-def partition_k(params: ModelParams, h: Hypergraph, cfg: PipelineConfig) -> np.ndarray:
-    """Full multi-block pipeline; deterministic given cfg.seed."""
-    if params.k < 3:
-        raise ValueError("partition_k requires k >= 3")
-    subset = _resolve_subset(params, cfg)
-    cfg = replace(cfg, subset=subset)
-    h = restrict_orders(h, subset)
-    if not h.is_colored:
-        h = color_edges(h, _derived_seed(cfg.seed, 1))
-    split = split_vertices(params.n, _derived_seed(cfg.seed, 2))
-    candidates = spectral_partition_k(h, split, params, cfg)
-    corrected = correction_k(h.red(), split.z, candidates)
-    mu_m = model.merging_threshold(params, subset, cfg.nu)
-    labels = merging(h.blue(), split.members(SIDE_Y1, SIDE_Y2), corrected, mu_m)
-    log.debug("partition_k: subset=%s mu_m=%.4f", subset.sorted(), mu_m)
-    return labels
-
-
 def spectral_partition_2(
     h_red: Hypergraph,
     params: ModelParams,
@@ -320,12 +293,12 @@ def spectral_partition_2(
     median coordinate of the remaining unit vector.
     """
     n = params.n
-    subset = _resolve_subset(params, cfg)
+    subset = model.preprocess_select(params)
     h_red = restrict_orders(h_red, subset)
     d = model.degree_scale(params, subset)
     threshold = REGULARIZATION_FACTOR * subset.m_max * d
     a_reg, _ = regularize(adjacency(h_red), threshold)
-    basis = top_subspace(a_reg, 2, "symmetric-eigen", seed=_derived_seed(cfg.seed, 3))
+    basis = top_subspace(a_reg, 2, "symmetric-eigen", seed=trial_seed(cfg.seed, 3))
     if basis.singular_values[0] == 0.0:
         raise PartitionFailure("regularized red adjacency is zero")
 
@@ -365,26 +338,27 @@ def correction_2(
     return np.flatnonzero(to_1), np.flatnonzero(~to_1)
 
 
-def partition_2(params: ModelParams, h: Hypergraph, cfg: PipelineConfig) -> np.ndarray:
-    """Full two-block pipeline; deterministic given cfg.seed."""
-    if params.k != 2:
-        raise ValueError("partition_2 requires k == 2")
-    subset = _resolve_subset(params, cfg)
-    cfg = replace(cfg, subset=subset)
+def partition(params: ModelParams, h: Hypergraph, cfg: PipelineConfig) -> np.ndarray:
+    """Labels from the two-block (k == 2) or multi-block pipeline.
+
+    Deterministic given cfg.seed.
+    """
+    subset = model.preprocess_select(params)
     h = restrict_orders(h, subset)
     if not h.is_colored:
-        h = color_edges(h, _derived_seed(cfg.seed, 1))
-    side_1, side_2 = spectral_partition_2(h.red(), params, cfg)
-    threshold = model.binary_correction_threshold(params, subset, cfg.nu)
-    hat_1, hat_2 = correction_2(h.blue(), side_1, side_2, threshold)
-    labels = np.zeros(params.n, dtype=np.int64)
-    labels[hat_2] = 1
-    log.debug("partition_2: subset=%s threshold=%.4f", subset.sorted(), threshold)
-    return labels
-
-
-def partition(params: ModelParams, h: Hypergraph, cfg: PipelineConfig) -> np.ndarray:
-    """Dispatch to the two-block or multi-block pipeline on k."""
+        h = color_edges(h, trial_seed(cfg.seed, 1))
     if params.k == 2:
-        return partition_2(params, h, cfg)
-    return partition_k(params, h, cfg)
+        side_1, side_2 = spectral_partition_2(h.red(), params, cfg)
+        threshold = model.binary_correction_threshold(params, subset, cfg.nu)
+        hat_1, hat_2 = correction_2(h.blue(), side_1, side_2, threshold)
+        labels = np.zeros(params.n, dtype=np.int64)
+        labels[hat_2] = 1
+        log.debug("partition: subset=%s threshold=%.4f", subset.sorted(), threshold)
+        return labels
+    split = split_vertices(params.n, trial_seed(cfg.seed, 2))
+    candidates = spectral_partition_k(h, split, params, cfg)
+    corrected = correction_k(h.red(), split.z, candidates)
+    mu_m = model.merging_threshold(params, subset, cfg.nu)
+    labels = merging(h.blue(), split.members(SIDE_Y1, SIDE_Y2), corrected, mu_m)
+    log.debug("partition: subset=%s mu_m=%.4f", subset.sorted(), mu_m)
+    return labels

@@ -1,8 +1,8 @@
-"""Trial orchestration: deterministic seeding and optional process pools.
+"""Trial orchestration: per-trial seeds and optional process pools.
 
-Each trial derives its own seed from (base seed, structured indices), so
-results are identical however many workers execute them; rows are always
-collected in submission order.
+Each trial derives its own seed from (base seed, structured indices)
+through ``sampler.trial_seed``, so results are identical however many
+workers execute them; rows are always collected in submission order.
 """
 
 from __future__ import annotations
@@ -11,13 +11,10 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import concentration, metrics, model, pipeline, sampler
 from .config import ExperimentConfig
 
 __all__ = [
-    "trial_seed",
     "pmap",
     "DetectTrial",
     "run_detect_trial",
@@ -27,13 +24,6 @@ __all__ = [
 ]
 
 EXPERIMENT_HEADER = "rung,gap,snr,trial,seed,gamma,matched_accuracy,misclassified_fraction"
-
-
-def trial_seed(base: int, *indices: int) -> int:
-    """Stable 64-bit seed derived from a base seed and trial coordinates."""
-    ss = np.random.SeedSequence(entropy=int(base),
-                                spawn_key=tuple(int(i) for i in indices))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def pmap(fn, items, jobs: int = 1) -> list:
@@ -81,8 +71,8 @@ def experiment_rows(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[str], li
         snr = model.snr_subset(params, subset)
         for t in range(cfg.trials):
             specs.append(DetectTrial(params, cfg.nu,
-                                     trial_seed(cfg.seed, rung, t, 0),
-                                     trial_seed(cfg.seed, rung, t, 1)))
+                                     sampler.trial_seed(cfg.seed, rung, t, 0),
+                                     sampler.trial_seed(cfg.seed, rung, t, 1)))
             meta.append((rung, gap, snr, t))
     reports = pmap(run_detect_trial, specs, jobs)
 
@@ -113,5 +103,5 @@ def conclab_records(cfg: ExperimentConfig, jobs: int = 1) -> list[concentration.
     for gi, n in enumerate(sizes):
         params = cfg.model_params(n=n)
         for t in range(cfg.trials):
-            tasks.append((params, trial_seed(cfg.seed, gi, t), tau))
+            tasks.append((params, sampler.trial_seed(cfg.seed, gi, t), tau))
     return pmap(_conclab_trial, tasks, jobs)

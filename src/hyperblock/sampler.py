@@ -33,6 +33,7 @@ __all__ = [
     "SIDE_Y1",
     "SIDE_Y2",
     "UNASSIGNED",
+    "trial_seed",
     "Hypergraph",
     "SplitAssignment",
     "ground_truth_labels",
@@ -64,6 +65,13 @@ def _stream(seed: int, *tags: int) -> np.random.Generator:
     """Philox stream keyed by (seed, tags...)."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(t) for t in tags))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def trial_seed(base: int, *indices: int) -> int:
+    """Stable 64-bit seed derived from a base seed and trial coordinates."""
+    ss = np.random.SeedSequence(entropy=int(base),
+                                spawn_key=tuple(int(i) for i in indices))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, aslinearoperator, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, aslinearoperator, eigsh
 
 from .sampler import Hypergraph, subset_mask
 
@@ -136,16 +136,12 @@ def regularize(a, threshold: float) -> tuple[sp.csr_array, np.ndarray]:
     return mask_matrix(a, kept), kept
 
 
-def _nnz(a) -> int:
-    if sp.issparse(a):
-        return a.nnz
-    if isinstance(a, np.ndarray):
-        return int(np.count_nonzero(a))
-    return -1  # operator form: assume nonzero
-
-
 def _eigsh(op, k: int, tol: float, max_iter: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """k eigenpairs of the symmetric operator op, by descending |eigenvalue|."""
+    """k eigenpairs of the symmetric operator op, by descending |eigenvalue|.
+
+    The zero operator, which maps ARPACK's start vector to zero, has the
+    eigenpairs (0, e_1), ..., (0, e_k).
+    """
     n = op.shape[0]
     if k == n:  # ARPACK needs k < n
         theta, u = np.linalg.eigh(op.matmat(np.eye(n)))
@@ -160,6 +156,11 @@ def _eigsh(op, k: int, tol: float, max_iter: int, seed: int) -> tuple[np.ndarray
                              maxiter=max_iter, rng=rng)
         except ArpackNoConvergence as exc:
             raise ConvergenceError(str(exc)) from exc
+        except ArpackError as exc:
+            # scipy keeps ARPACK's info code only in the message
+            if not str(exc).startswith("ARPACK error -9:"):
+                raise
+            return np.zeros(k), np.eye(n, k)
     order = np.argsort(-np.abs(theta), kind="stable")[:k]
     return theta[order], u[:, order]
 
@@ -196,8 +197,6 @@ def top_subspace(
         raise ValueError(f"k must be in [1, {n}]")
     if mode not in ("left-singular", "symmetric-eigen"):
         raise ValueError(f"unknown mode {mode!r}")
-    if _nnz(a) == 0:
-        return SubspaceBasis(np.eye(n, k), np.zeros(k))
     op = aslinearoperator(a)
     if mode == "symmetric-eigen":
         theta, u = _eigsh(op, k, tol, max_iter, seed)
@@ -214,6 +213,4 @@ def spectral_norm(a, tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER,
     ``top_subspace``, with the same ``tol``, ``max_iter`` and
     ConvergenceError.
     """
-    if _nnz(a) == 0:
-        return 0.0
     return float(_left_singular(aslinearoperator(a), 1, tol, max_iter, seed).singular_values[0])

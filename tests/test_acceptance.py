@@ -23,8 +23,8 @@ from hyperblock.model import (
     expected_eigenvalues,
     preprocess_select,
 )
-from hyperblock.runner import DetectTrial, pmap, run_detect_trial, trial_seed
-from hyperblock.sampler import sample_hsbm
+from hyperblock.runner import DetectTrial, pmap, run_detect_trial
+from hyperblock.sampler import sample_hsbm, trial_seed
 from hyperblock.spectral import adjacency, row_sums, top_subspace
 
 JOBS = min(2, os.cpu_count() or 1)

@@ -59,6 +59,12 @@ class TestConcentrationTrial:
         assert rec.raw_ratio == 0.0 and rec.reg_ratio == 0.0
         assert rec.kept_fraction == 1.0
 
+    def test_zero_regularized_operator(self):
+        # tau * d = 0.1 keeps one isolated vertex, where A - E[A] is zero
+        rec = concentration_trial(ModelParams(500, 2, {2: (10, 5)}), 3, tau=0.01)
+        assert rec.reg_ratio == 0.0 and rec.raw_ratio > 0
+        assert rec.kept_fraction == 0.002
+
     def test_ratios_finite_and_fields(self):
         p = ModelParams(300, 2, {2: (10, 5), 3: (10, 5)})
         rec = concentration_trial(p, 7, tau=60.0)

@@ -402,6 +402,23 @@ class TestConfig:
             parse_config(f"n = 80\nk = 2\norders = 2:6,3\nladder = {ladder}\n"
                          "base_b = 10\nladder_order = 3\n", "experiment")
 
+    @pytest.mark.parametrize("command, text, named", [
+        ("snr", "orders = 2:inf,5\n", "order 2: rates must be finite"),
+        ("experiment", "orders = 2:6,3\nladder = 10,inf\nbase_b = 10\nladder_order = 3\n",
+         "ladder entry inf: order 3: rates must be finite"),
+        ("experiment", "orders = 2:6,3\nladder = 10\nbase_b = inf\nladder_order = 3\n",
+         "ladder entry 10.0: order 3: rates must be finite"),
+        ("conclab", "orders = 2:6,3\ntau = nan\n", "tau must be a nonnegative number, got nan"),
+        ("conclab", "orders = 2:6,3\ntau = -1\n", "tau must be a nonnegative number, got -1.0"),
+    ])
+    def test_non_numbers_rejected_at_parse_time(self, command, text, named):
+        with pytest.raises(ValueError, match=named):
+            parse_config("n = 80\nk = 2\n" + text, command)
+
+    def test_infinite_tau_keeps_every_vertex(self):
+        cfg = parse_config("n = 80\nk = 2\norders = 2:6,3\ntau = inf\n", "conclab")
+        assert cfg.resolved_tau() == float("inf")
+
     @pytest.mark.parametrize("sizes, named", [
         ("0,-5", "sizes entry 0: n must be positive"),
         ("60,1", "sizes entry 1: n must be at least k"),

@@ -58,6 +58,13 @@ def pair_expectation_oracle(n, k, orders, i, j, labels):
     return total
 
 
+class TestModelParams:
+    @pytest.mark.parametrize("rates", [(math.inf, 5), (math.inf, math.inf), (math.nan, 5)])
+    def test_non_finite_rates_rejected(self, rates):
+        with pytest.raises(ValueError, match="order 2: "):
+            ModelParams(500, 2, {2: rates})
+
+
 class TestCombFloor:
     def test_empty_set_convention(self):
         rng = np.random.default_rng(0)

@@ -18,8 +18,7 @@ from hyperblock.pipeline import (
     correction_2,
     correction_k,
     merging,
-    partition_2,
-    partition_k,
+    partition,
     spectral_partition_2,
     spectral_partition_k,
     _neighbor_scores,
@@ -387,27 +386,21 @@ class TestPartitionK:
     def test_recovers_planted_blocks(self):
         params = ModelParams(1200, 3, {2: (80, 2), 3: (40, 2)})
         h, truth = sample_hsbm(params, 4)
-        labels = partition_k(params, h, PipelineConfig(nu=0.75, seed=8))
+        labels = partition(params, h, PipelineConfig(nu=0.75, seed=8))
         assert accuracy_report(truth, labels).gamma >= 0.9
 
     def test_determinism(self):
         params = ModelParams(600, 3, {2: (60, 2), 3: (30, 2)})
         h, _ = sample_hsbm(params, 6)
         cfg = PipelineConfig(nu=0.75, seed=123)
-        a = partition_k(params, h, cfg)
-        b = partition_k(params, h, cfg)
+        a = partition(params, h, cfg)
+        b = partition(params, h, cfg)
         assert (a == b).all()
-
-    def test_k2_rejected(self):
-        params = ModelParams(100, 2, {2: (10, 2)})
-        h, _ = sample_hsbm(params, 0)
-        with pytest.raises(ValueError):
-            partition_k(params, h, PipelineConfig())
 
     def test_truth_permutation_equivariance(self):
         params = ModelParams(600, 3, {2: (60, 2), 3: (30, 2)})
         h, truth = sample_hsbm(params, 9)
-        labels = partition_k(params, h, PipelineConfig(nu=0.75, seed=77))
+        labels = partition(params, h, PipelineConfig(nu=0.75, seed=77))
         rep = accuracy_report(truth, labels)
         perm = np.array([2, 0, 1])
         rep2 = accuracy_report(perm[truth], labels)
@@ -440,13 +433,13 @@ class TestBinaryPipeline:
     def test_recovers_planted_blocks(self):
         params = ModelParams(1500, 2, {2: (50, 4)})
         h, truth = sample_hsbm(params, 1)
-        labels = partition_2(params, h, PipelineConfig(nu=0.75, seed=2))
+        labels = partition(params, h, PipelineConfig(nu=0.75, seed=2))
         assert accuracy_report(truth, labels).gamma >= 0.9
 
     def test_null_model_near_coin_flip(self):
         params = ModelParams(1500, 2, {2: (40, 40)})
         h, truth = sample_hsbm(params, 8)
-        labels = partition_2(params, h, PipelineConfig(nu=0.75, seed=9))
+        labels = partition(params, h, PipelineConfig(nu=0.75, seed=9))
         acc = accuracy_report(truth, labels).matched_accuracy
         assert acc < 0.62
 
@@ -454,16 +447,10 @@ class TestBinaryPipeline:
         params = ModelParams(100, 2, {2: (1, 0)})
         h = colored(100, {2: []}, {2: []})
         with pytest.raises(PartitionFailure):
-            partition_2(params, h, PipelineConfig(seed=0))
+            partition(params, h, PipelineConfig(seed=0))
 
     def test_determinism(self):
         params = ModelParams(400, 2, {2: (30, 3)})
         h, _ = sample_hsbm(params, 2)
         cfg = PipelineConfig(seed=5)
-        assert (partition_2(params, h, cfg) == partition_2(params, h, cfg)).all()
-
-    def test_k3_rejected(self):
-        params = ModelParams(120, 3, {2: (10, 2)})
-        h, _ = sample_hsbm(params, 0)
-        with pytest.raises(ValueError):
-            partition_2(params, h, PipelineConfig())
+        assert (partition(params, h, cfg) == partition(params, h, cfg)).all()

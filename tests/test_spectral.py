@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator
 
 from hyperblock.model import ModelParams
 from hyperblock.sampler import SIDE_Y1, SIDE_Z, Hypergraph, sample_hsbm, split_vertices
@@ -248,6 +249,15 @@ class TestSpectralNorm:
 
     def test_zero(self):
         assert spectral_norm(sp.csr_array((5, 5)), 1e-8) == 0.0
+
+    def test_zero_operator(self):
+        # ARPACK rejects the zero start vector that op v0 gives
+        zero = LinearOperator((5, 5), matvec=np.zeros_like, rmatvec=np.zeros_like,
+                              dtype=np.float64)
+        assert spectral_norm(zero) == 0.0
+        basis = top_subspace(zero, 2, "symmetric-eigen")
+        assert np.array_equal(basis.vectors, np.eye(5, 2))
+        assert (basis.singular_values == 0).all()
 
     def test_matches_dense(self):
         for seed in range(3):
