@@ -88,7 +88,7 @@ def cmd_detect(cfg: ExperimentConfig, args) -> int:
     params = cfg.model_params()
     truth = None
     if cfg.input is not None:
-        with open(cfg.input, "r", encoding="utf-8") as fh:
+        with open(cfg.input, "rb") as fh:
             h, file_k, truth = fileio.read_hypergraph(fh.read())
         if h.n != params.n or file_k != params.k:
             raise ValueError(

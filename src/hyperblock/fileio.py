@@ -12,6 +12,13 @@ Edge lines may come in any order; the reader puts each order's rows in
 canonical (lexicographic) order, so a file's line order never changes
 the hypergraph it describes.  The writer emits that order.
 
+The reader takes str or UTF-8 bytes.  Every file the writer emits is
+tokenized from its bytes with array operations: the header first, the
+LABELS line right after it, and edge lines of ASCII digits, spaces, R and
+B, each number at most 18 digits.  Any other file is decoded and split as
+str.  Both paths accept the same files, read them the same and name the
+same first bad line.
+
 Label files are ``vertex_id<TAB>block`` lines, one per vertex id from 0
 to n-1 in any order, with blocks >= -1 (unassigned).  Floats in CSV
 output are serialized with repr so reruns are byte-identical.
@@ -32,6 +39,16 @@ __all__ = [
 
 _COLOR_CHAR = {RED: "R", BLUE: "B"}
 _BLOCK = 1 << 14  # edge lines tokenized at a time
+_SCAN_BYTES = 1 << 20  # edge-line bytes scanned at a time
+_MAX_DIGITS = 18  # every run of up to 18 digits fits int64
+
+# byte classes of _scan_block; numeric and letter bytes make up tokens
+_OTHER, _SPACE, _NEWLINE, _DIGIT, _LETTER = range(5)
+_BYTE_KIND = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_KIND[ord(" ")] = _SPACE
+_BYTE_KIND[ord("\n")] = _NEWLINE
+_BYTE_KIND[ord("0"):ord("9") + 1] = _DIGIT
+_BYTE_KIND[[ord(c) for c in _COLOR_CHAR.values()]] = _LETTER
 
 
 def write_hypergraph(h: Hypergraph, k: int, labels: np.ndarray | None = None) -> str:
@@ -98,6 +115,109 @@ def _tokenize(lines: list[str]) -> tuple[np.ndarray, ...]:
     return (width, color) + _ints(tokens[numeric])
 
 
+def _tokenize_lines(body: list[str]) -> tuple[np.ndarray, ...]:
+    """``_tokenize`` of every line, a block of _BLOCK lines at a time.
+
+    Blocks bound the str objects alive at once, and with them the heap the
+    process keeps after parsing.
+    """
+    blocks = [_tokenize(body[lo:lo + _BLOCK]) for lo in range(0, len(body), _BLOCK)]
+    return tuple(np.concatenate(part) for part in zip(*(blocks or [_tokenize([])])))
+
+
+def _scan_block(buf: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """Token counts, colors and token values of the edge lines in a uint8 buffer.
+
+    The buffer holds whole lines.  Tokens are runs of bytes other than
+    space and newline, and lines without tokens are skipped.  Returns None
+    unless every byte is an ASCII digit, space, newline, R or B, every R
+    or B is a token of its own ending a line of two or more tokens, and no
+    token has more than _MAX_DIGITS digits: only then does ``_tokenize``
+    read the same tokens and ``int`` accept every numeric one.  Colors
+    come back as int8, and values as int32 when every token has at most 9
+    digits.
+    """
+    kind = np.take(_BYTE_KIND, buf)
+    if (kind == _OTHER).any():
+        return None
+    is_token = np.zeros(len(buf) + 2, dtype=bool)
+    is_token[1:-1] = kind >= _DIGIT
+    start = np.flatnonzero(is_token[1:-1] > is_token[:-2])
+    length = np.flatnonzero(is_token[1:-1] > is_token[2:]) + 1 - start
+    if length.max(initial=0) > _MAX_DIGITS:
+        return None
+    # a line's first token is the first one after a newline, or the first of all
+    head = np.zeros(len(start) + 1, dtype=bool)
+    head[np.searchsorted(start, np.flatnonzero(kind == _NEWLINE))] = True
+    head[0] = True
+    head = np.flatnonzero(head[:-1])
+    width = np.diff(head, append=len(start))
+    tail = head + width - 1
+    letter = (kind[start] == _LETTER) & (length == 1)
+    colored = letter[tail] & (width >= 2)
+    if np.count_nonzero(kind == _LETTER) != np.count_nonzero(colored):
+        return None
+    color = np.where(colored, np.where(buf[start[tail]] == ord("R"), RED, BLUE), -1)
+    start, length = start[~letter], length[~letter]
+    digit = buf - np.uint8(ord("0"))
+    values = np.empty(len(start), dtype=np.int32 if length.max(initial=0) <= 9 else np.int64)
+    for size in np.flatnonzero(np.bincount(length)).tolist():
+        at = np.flatnonzero(length == size)
+        first = start[at]
+        value = digit[first].astype(values.dtype)
+        for offset in range(1, size):
+            value *= 10
+            value += digit[first + offset]
+        values[at] = value
+    return width, color.astype(np.int8), values
+
+
+def _scan(data: bytes, lo: int) -> tuple[np.ndarray, ...] | None:
+    """``_tokenize`` of the edge lines in ``data[lo:]``, or None where ``_scan_block`` is.
+
+    Works in blocks of whole lines of about _SCAN_BYTES, which bound the
+    temporaries.
+    """
+    cuts = [lo]
+    while len(data) - cuts[-1] > _SCAN_BYTES:
+        lo = cuts[-1]
+        # after the block's last newline, or after the long line it is in
+        cuts.append(data.rfind(b"\n", lo, lo + _SCAN_BYTES) + 1
+                    or data.find(b"\n", lo + _SCAN_BYTES) + 1 or len(data))
+    cuts.append(len(data))
+    parts = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        part = _scan_block(np.frombuffer(data, np.uint8, hi - lo, lo))
+        if part is None:
+            return None
+        parts.append(part)
+    width, color, values = (np.concatenate(arrays) for arrays in zip(*parts))
+    return width, color, values, np.ones(len(values), dtype=bool)
+
+
+def _nonblank_lines(text: str) -> list[str]:
+    return [ln for ln in text.splitlines() if ln.strip()]
+
+
+def _written_layout(data: bytes) -> tuple[str, str | None, int] | None:
+    """Header line, LABELS line or None, and edge body offset of a file laid out as written.
+
+    That is a header opening the file and an optional LABELS line right
+    after it, both printable ASCII, so that they are the lines the str
+    path takes them to be.  None for any other layout.
+    """
+    if not data.startswith(b"HSBM "):
+        return None
+    cuts = [0, data.find(b"\n") + 1 or len(data)]
+    if data.startswith(b"LABELS ", cuts[-1]):
+        cuts.append(data.find(b"\n", cuts[-1]) + 1 or len(data))
+    lines = [data[lo:hi].removesuffix(b"\n").decode("latin-1")
+             for lo, hi in zip(cuts, cuts[1:])]
+    if not all(line.isascii() and line.isprintable() for line in lines):
+        return None
+    return lines[0], lines[1] if len(lines) > 1 else None, cuts[-1]
+
+
 def _parse_header(line: str) -> tuple[int, int, int]:
     """n, k and M of the ``HSBM <n> <k> <M>`` header line.
 
@@ -117,24 +237,32 @@ def _parse_header(line: str) -> tuple[int, int, int]:
     return n, k, m_max
 
 
-def _parse_edges(body: list[str], n: int, m_max: int) -> tuple[dict, dict | None]:
-    """Per-order edge arrays (rows sorted) and colors (or None) of the edge lines.
+def _parse_labels(line: str, n: int, k: int) -> np.ndarray:
+    """The n blocks of a ``LABELS`` line, each in [0, k)."""
+    toks = line.split()[1:]
+    labels, ok = _ints(np.array(toks, dtype=object))
+    if not ok.all():
+        int(toks[int(np.argmin(ok))])  # raises int()'s own error
+    if len(labels) != n:
+        raise ValueError(f"LABELS line has {len(labels)} entries, expected {n}")
+    outside = np.flatnonzero((labels < 0) | (labels >= k))
+    if len(outside):
+        value = int(toks[outside[0]])  # as written, even beyond int64
+        raise ValueError(f"LABELS line has value {value} outside [0, {k})")
+    return labels
 
-    Every line is checked for an integer order, order >= 2, the vertex
-    count, integer ids, ids in [0, n), strict ascent and order <= m_max,
-    in that order.  The first failing line in file order raises its first
-    failing check.
+
+def _check_lines(values: np.ndarray, ok: np.ndarray, count: np.ndarray, first: np.ndarray,
+                 body: list[str] | memoryview, n: int, m_max: int) -> None:
+    """Raise ValueError for the first edge line that fails a check.
+
+    Each line's ``count`` numeric tokens start at ``values[first]``: its
+    order, then its ids.  Every line is checked for an integer order,
+    order >= 2, the vertex count, integer ids, ids in [0, n), strict
+    ascent and order <= m_max, in that order.  The first failing line in
+    file order raises its first failing check, quoting the line from
+    ``body``: the non-blank lines, or the bytes ``_scan`` read them from.
     """
-    if not body:
-        return {}, None
-    # blocks of lines bound the str objects alive at once, and with them the
-    # heap the process keeps after parsing
-    width, color, values, ok = (np.concatenate(part) for part in zip(*(
-        _tokenize(body[lo:lo + _BLOCK]) for lo in range(0, len(body), _BLOCK))))
-    colored = color >= 0
-
-    count = width - colored  # numeric tokens per line: the order, then the ids
-    first = np.cumsum(count) - count
     m = values[first]
     is_id = np.ones(len(values), dtype=bool)
     is_id[first] = False
@@ -160,48 +288,69 @@ def _parse_edges(body: list[str], n: int, m_max: int) -> tuple[dict, dict | None
     if bad.any():
         i = int(np.argmax(bad))
         message = next(msg for mask, msg in checks if mask[i])
-        toks = body[i].split()[:count[i]]  # the numeric ones: order, then ids
+        ln = (body if isinstance(body, list) else _nonblank_lines(str(body, "ascii")))[i]
+        toks = ln.split()[:count[i]]  # the numeric ones: order, then ids
         if message is None:
             lo = int(first[i])
             int(toks[int(np.argmin(ok[lo:lo + len(toks)]))])  # raises
-        raise ValueError(message.format(ln=body[i], ids=len(toks) - 1, m=int(toks[0]),
+        raise ValueError(message.format(ln=ln, ids=len(toks) - 1, m=int(toks[0]),
                                         top=m_max))
+
+
+def _parse_edges(tokens: tuple[np.ndarray, ...], body: list[str] | memoryview, n: int,
+                 m_max: int) -> tuple[dict, dict | None]:
+    """Per-order edge arrays (rows sorted) and colors (or None) of the edge lines.
+
+    ``tokens`` is what ``_tokenize`` gives for the edge lines of ``body``;
+    ``_check_lines`` names the first malformed one.
+    """
+    width, color, values, ok = tokens
+    if not len(width):
+        return {}, None
+    colored = color >= 0
+    count = width - colored  # numeric tokens per line: the order, then the ids
+    first = np.cumsum(count) - count
+    _check_lines(values, ok, count, first, body, n, m_max)
     if colored.any() and not colored.all():
         raise ValueError("edge colors must be given on every line or none")
 
+    m = values[first]
     orders, first_line = np.unique(m, return_index=True)
     edges, colors = {}, {}
     for order in orders[np.argsort(first_line)].tolist():
         lines = np.flatnonzero(m == order)
-        rows = values[first[lines, None] + np.arange(1, order + 1)]
+        rows = np.empty((len(lines), order), dtype=np.int64)
+        for col in range(order):  # a column at a time bounds the index temporaries
+            rows[:, col] = values[first[lines] + 1 + col]
         perm = _row_order(rows)
         edges[order] = rows[perm]
         colors[order] = color[lines[perm]].astype(np.uint8)
     return edges, (colors if colored.any() else None)
 
 
-def read_hypergraph(text: str) -> tuple[Hypergraph, int, np.ndarray | None]:
-    """Parse the text format; returns (hypergraph, k, labels-or-None).
+def read_hypergraph(text: str | bytes) -> tuple[Hypergraph, int, np.ndarray | None]:
+    """Parse the text format from str or UTF-8 bytes; returns (hypergraph, k, labels-or-None).
 
-    Malformed input raises ValueError naming the first bad line.
+    The bytes of a file laid out as the writer does are tokenized as
+    numbers; any file they do not fit is decoded and split as str.  Both
+    paths read every file alike.  Malformed input raises ValueError naming
+    the first bad line.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n, k, m_max = _parse_header(lines[0] if lines else "")
-    labels = None
-    body = lines[1:]
-    if body and body[0].startswith("LABELS "):
-        toks = body[0].split()[1:]
-        labels, ok = _ints(np.array(toks, dtype=object))
-        if not ok.all():
-            int(toks[int(np.argmin(ok))])  # raises int()'s own error
-        if len(labels) != n:
-            raise ValueError(f"LABELS line has {len(labels)} entries, expected {n}")
-        outside = np.flatnonzero((labels < 0) | (labels >= k))
-        if len(outside):
-            value = int(toks[outside[0]])  # as written, even beyond int64
-            raise ValueError(f"LABELS line has value {value} outside [0, {k})")
-        body = body[1:]
-    h = Hypergraph(n, *_parse_edges(body, n, m_max))
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    layout = _written_layout(data)
+    tokens = None if layout is None else _scan(data, layout[2])
+    if tokens is not None:
+        header, labels_line, lo = layout
+        body = memoryview(data)[lo:]
+    else:
+        lines = _nonblank_lines(text if isinstance(text, str) else data.decode("utf-8"))
+        header = lines[0] if lines else ""
+        labels_line = lines[1] if lines[1:] and lines[1].startswith("LABELS ") else None
+        body = lines[1 + (labels_line is not None):]
+        tokens = _tokenize_lines(body)
+    n, k, m_max = _parse_header(header)
+    labels = None if labels_line is None else _parse_labels(labels_line, n, k)
+    h = Hypergraph(n, *_parse_edges(tokens, body, n, m_max))
     h.validate()
     return h, k, labels
 

@@ -65,9 +65,9 @@ log = logging.getLogger("hyperblock")
 REGULARIZATION_FACTOR = 20
 
 # blue_weighted_count and spectral_partition_k work in blocks of at most
-# this many edge x set counts or Z x column coordinates, which bounds
-# their memory whatever the number of sets
-_COUNT_BLOCK = 1 << 21
+# this many bytes of edge x set bits and edge ids, or Z x column
+# coordinates, which bounds their memory whatever the number of sets
+_COUNT_BLOCK = 1 << 19
 
 
 class PartitionFailure(RuntimeError):
@@ -112,19 +112,28 @@ def blue_weighted_count(h_blue: Hypergraph, members: np.ndarray) -> np.ndarray:
     """Weighted count of blue edges fully inside each set: sum of m(m-1) each.
 
     ``members`` is the n x s membership matrix of the sets; returns one
-    count per set.
+    count per set.  The membership rows are packed 8 sets to a byte, and
+    an edge lies inside exactly the sets whose bits survive the AND of its
+    endpoints' rows.
     """
-    inc, order = incidence(h_blue)
-    # an edge inside one of the sets lies inside their union; drop the rest
-    keep = inc @ members.any(axis=1) == order
-    inc, order = inc[keep], order[keep]
-    weight = order * (order - 1)
-    out = np.zeros(members.shape[1])
-    step = max(1, _COUNT_BLOCK // max(len(order), 1))
-    for j in range(0, len(out), step):
-        inside = inc @ members[:, j:j + step]
-        out[j:j + step] = weight @ (inside == order[:, None])
-    return out
+    s = members.shape[1]
+    packed = np.packbits(members, axis=1)
+    in_union = members.any(axis=1)
+    total = np.zeros(s, dtype=np.int64)
+    for m, rows in h_blue.edges.items():
+        count = np.zeros(s, dtype=np.int64)
+        step = max(1, _COUNT_BLOCK // (s + 8 * m))  # bytes of set bits and ids per edge
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            # an edge inside one of the sets lies inside their union; drop the rest
+            ends = block[in_union[block].all(axis=1)].T
+            inside = packed[ends[0]]
+            for other in ends[1:]:
+                inside &= packed[other]
+            # a block has at most _COUNT_BLOCK edges, so int32 sums are exact
+            count += np.unpackbits(inside, axis=1, count=s).sum(axis=0, dtype=np.int32)
+        total += m * (m - 1) * count
+    return total.astype(np.float64)
 
 
 def _top_positions(scores: np.ndarray, size: int) -> np.ndarray:
@@ -217,8 +226,9 @@ def spectral_partition_k(
     # row j of top marks the Z positions of candidate set j
     v_z = basis.vectors[z]
     step = max(1, _COUNT_BLOCK // len(z))
-    top = np.vstack([_top_positions(coords[:, j:j + step].T @ v_z.T, set_size)
-                     for j in range(0, s, step)])
+    top = np.empty((s, len(z)), dtype=bool)
+    for j in range(0, s, step):
+        top[j:j + step] = _top_positions(coords[:, j:j + step].T @ v_z.T, set_size)
     members = np.zeros((n, s), dtype=bool)
     members[z] = top.T
 

@@ -162,7 +162,16 @@ def ground_truth_labels(n: int, k: int) -> np.ndarray:
 
 
 def _row_order(rows: np.ndarray) -> np.ndarray:
-    """Stable permutation that sorts the rows of an (E, m) array lexicographically."""
+    """Stable permutation that sorts the rows of an (E, m) array lexicographically.
+
+    Rows already in order (as the writer emits them) keep their positions
+    without a sort.
+    """
+    ordered = np.ones(max(len(rows) - 1, 0), dtype=bool)
+    for above, below in zip(rows[:-1].T[::-1], rows[1:].T[::-1]):
+        ordered = (above < below) | ((above == below) & ordered)
+    if ordered.all():
+        return np.arange(len(rows))
     return np.lexsort(rows.T[::-1])
 
 

@@ -258,30 +258,51 @@ def test_criterion_09_weak_consistency_trend():
 
 
 def test_criterion_10_metric_oracle():
-    """Assignment-based metrics equal k! brute force on 1000 random labelings."""
+    """Assignment-based metrics equal brute force over every injective relabeling.
 
-    def brute(truth, estimate, k):
+    1000 random square labelings, then 250 each of three harder kinds:
+    more estimated than true blocks, contingency tables with zero cells,
+    and estimates with unassigned (-1) labels.
+    """
+
+    def brute(truth, estimate, k_true, k_est):
         best_min, best_sum = 0.0, 0
-        sizes = np.bincount(truth, minlength=k)
-        for perm in itertools.permutations(range(k)):
-            hits = [np.sum((truth == i) & (estimate == perm[i])) for i in range(k)]
+        sizes = np.bincount(truth, minlength=k_true)
+        for perm in itertools.permutations(range(k_est), k_true):
+            hits = [np.sum((truth == i) & (estimate == perm[i])) for i in range(k_true)]
             best_min = max(best_min, min(h / s for h, s in zip(hits, sizes)))
             best_sum = max(best_sum, sum(hits))
         return best_min, best_sum / len(truth)
 
-    rng = np.random.default_rng(BASE_SEED + 10)
+    def labelings(rng, kind, count):
+        for _ in range(count):
+            k = int(rng.integers(2, 5))
+            n = int(rng.integers(k, 60))
+            truth = rng.integers(0, k, size=n)
+            truth[:k] = np.arange(k)
+            k_est = k + int(rng.integers(1, 3)) if kind == "rectangular" else k
+            if kind == "zero cells":
+                # a few labels, few vertices: most of the table stays empty
+                truth = truth[:k + int(rng.integers(0, 4))]
+                estimate = rng.choice(rng.permutation(k)[:int(rng.integers(1, k + 1))],
+                                      size=len(truth))
+            else:
+                estimate = rng.integers(-1 if kind == "unassigned" else 0, k_est, size=n)
+            if kind == "rectangular":
+                estimate[:1] = k_est - 1  # the table spans all k_est columns
+            yield truth, estimate, k, k_est
+
+    kinds = {"square": 1000, "rectangular": 250, "zero cells": 250, "unassigned": 250}
     mismatches = 0
-    for _ in range(1000):
-        k = int(rng.integers(2, 5))
-        n = int(rng.integers(k, 60))
-        truth = rng.integers(0, k, size=n)
-        truth[:k] = np.arange(k)
-        estimate = rng.integers(0, k, size=n)
-        want_gamma, want_acc = brute(truth, estimate, k)
-        if (gamma_correctness(truth, estimate) != pytest.approx(want_gamma)
-                or matched_accuracy(truth, estimate) != pytest.approx(want_acc)):
-            mismatches += 1
-    gate(10, mismatches == 0, f"1000 labelings, {mismatches} mismatches vs brute force")
+    for i, (kind, count) in enumerate(kinds.items()):
+        rng = np.random.default_rng([BASE_SEED + 10, i] if i else BASE_SEED + 10)
+        for truth, estimate, k, k_est in labelings(rng, kind, count):
+            want_gamma, want_acc = brute(truth, estimate, k, k_est)
+            if (gamma_correctness(truth, estimate) != pytest.approx(want_gamma)
+                    or matched_accuracy(truth, estimate) != pytest.approx(want_acc)):
+                mismatches += 1
+    gate(10, mismatches == 0,
+         f"{sum(kinds.values())} labelings, {mismatches} mismatches vs brute force")
 
 
 def test_criterion_11_cli_reproducibility(tmp_path):

@@ -192,6 +192,31 @@ class TestDetectCommand:
         cfg = write(tmp_path / "c.cfg", BASE + "input = /nonexistent/h.txt\n")
         assert main(["detect", "--config", cfg, "--out", "-"]) == 3
 
+    @pytest.mark.parametrize("raw", [
+        b"HSBM 6 2 2\n2 0 1\n2 3 \xff\n",  # in an edge line
+        b"HSBM 6 2 2\xe9\n2 0 1\n",  # in the header
+        b"HSBM 6 2 2\nLABELS 0 0 0 1 1 \xc3\n",  # a truncated sequence
+    ])
+    def test_input_not_utf8_exit_2(self, tmp_path, capsys, raw):
+        hfile = tmp_path / "h.txt"
+        hfile.write_bytes(raw)
+        cfg = write(tmp_path / "c.cfg", f"n = 6\nk = 2\norders = 2:3,1\ninput = {hfile}\n")
+        assert main(["detect", "--config", cfg, "--out", "-"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: 'utf-8' codec can't decode byte")
+
+    def test_detect_never_imports_scipy_optimize(self, tmp_path):
+        cfg = write(tmp_path / "c.cfg", "n = 600\nk = 3\norders = 2:40,4;3:30,3\nseed = 3\n")
+        hfile = tmp_path / "h.txt"
+        assert main(["sample", "--config", cfg, "--out", str(hfile)]) == 0
+        dcfg = write(tmp_path / "d.cfg", f"n = 600\nk = 3\norders = 2:40,4;3:30,3\n"
+                                         f"input = {hfile}\n")
+        code = ("import sys\nfrom hyperblock.cli import main\n"
+                f"assert main(['detect', '--config', {dcfg!r}, '--out', 'l.tsv']) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+        lines = _run_clean(["-c", code], tmp_path).stdout.splitlines()
+        assert lines[0].startswith("gamma,") and lines[-1] == "[]"  # scored, nothing loaded
+
 
 class TestExperimentCommand:
     CFG = ("n = 300\nk = 2\norders = 2:0,0\nladder = 20,40\nbase_b = 3\n"

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from hyperblock import fileio
 from hyperblock.config import parse_config
 from hyperblock.fileio import (
     _BLOCK,
@@ -226,18 +227,31 @@ _LAYOUTS = {
 }
 
 
-class TestReaderMatchesPerLineOracle:
-    @pytest.mark.parametrize("layout", list(_LAYOUTS))
-    @pytest.mark.parametrize("kind", list(_sampled_texts()))
-    def test_valid_files(self, kind, layout):
-        text = _LAYOUTS[layout](_sampled_texts()[kind])
-        h, k, labels = read_hypergraph(text)
+def assert_reads_like_oracle(text):
+    """The reader, given text as str and as UTF-8 bytes, returns what the
+    per-line oracle returns, or raises its message."""
+    try:
         h_ref, k_ref, labels_ref = read_hypergraph_per_line(text)
+    except ValueError as exc:
+        for given in (text, text.encode()):
+            with pytest.raises(ValueError) as got:
+                read_hypergraph(given)
+            assert str(got.value) == str(exc)
+        return
+    for given in (text, text.encode()):
+        h, k, labels = read_hypergraph(given)
         assert k == k_ref
         assert (labels is None) == (labels_ref is None)
         if labels is not None:
             assert labels.dtype == np.int64 and (labels == labels_ref).all()
         assert_same_hypergraph(h, h_ref)
+
+
+class TestReaderMatchesPerLineOracle:
+    @pytest.mark.parametrize("layout", list(_LAYOUTS))
+    @pytest.mark.parametrize("kind", list(_sampled_texts()))
+    def test_valid_files(self, kind, layout):
+        assert_reads_like_oracle(_LAYOUTS[layout](_sampled_texts()[kind]))
 
     def test_files_longer_than_one_parse_block(self):
         n = 400
@@ -325,11 +339,100 @@ class TestReaderMatchesPerLineOracle:
         "HSBM 6 2 3\n2 4 5 B\n3 0 1 2 R\n2 4 5 R\n",
     ])
     def test_malformed_files_raise_the_same_message(self, text):
-        with pytest.raises(ValueError) as ref:
+        with pytest.raises(ValueError):
             read_hypergraph_per_line(text)
-        with pytest.raises(ValueError) as got:
-            read_hypergraph(text)
-        assert str(got.value) == str(ref.value)
+        assert_reads_like_oracle(text)
+
+
+def _writer_texts():
+    h, labels = sample_hsbm(ModelParams(300, 3, {2: (12, 3), 3: (8, 2), 4: (4, 1)}), 4)
+    hc = color_edges(h, 9)
+    empty, _ = sample_hsbm(ModelParams(30, 3, {2: (0, 0)}), 0)
+    return {
+        "uncolored with labels": write_hypergraph(h, 3, labels),
+        "uncolored without labels": write_hypergraph(h, 3, None),
+        "colored with labels": write_hypergraph(hc, 3, labels),
+        "colored without labels": write_hypergraph(hc, 3, None),
+        "edgeless": write_hypergraph(empty, 3, None),
+        "edgeless with labels": write_hypergraph(empty, 3, np.arange(30) % 3),
+    }
+
+
+def _spy_tokenize(monkeypatch):
+    """Count the calls of the str tokenizer."""
+    calls = []
+    tokenize = fileio._tokenize
+
+    def spy(lines):
+        calls.append(len(lines))
+        return tokenize(lines)
+    monkeypatch.setattr(fileio, "_tokenize", spy)
+    return calls
+
+
+class TestByteScan:
+    @pytest.mark.parametrize("kind", list(_writer_texts()))
+    def test_writer_output_is_read_from_bytes(self, monkeypatch, kind):
+        def refuse(lines):
+            raise AssertionError("str tokenizer called")
+        text = _writer_texts()[kind]
+        monkeypatch.setattr(fileio, "_tokenize", refuse)
+        assert_reads_like_oracle(text)
+        assert_reads_like_oracle(shuffle_edge_lines(text, 3))
+        h, _, _ = read_hypergraph(text.encode())
+        assert write_hypergraph(h, 3, read_hypergraph(text)[2]) == text
+
+    @pytest.mark.parametrize("text", [
+        "HSBM 6 2 2\n2\t0 1\n2 1 3\n",
+        "HSBM 6 2 2\n2 0 1\r\n2 1 3\n",
+        "HSBM 6 2 2\n2 0 1\n2 1 3\r",
+        "HSBM 6 2 2\n2 +0 1\n",
+        "HSBM 12 2 2\n2 0 1_1\n",
+        "HSBM 6 2 2\n2 \u0660 \u0663\n",
+        "HSBM 6 2 2\n2 0 0000000000000000001\n",  # 19 digits, value 1
+        "HSBM 6 2 2\n2 0 9999999999999999999\n",
+        "HSBM 6 2 2\n2 0 1 G\n",
+        "HSBM 6 2 2\n2 0 1\n2 x 3\n",
+        "HSBM 6 2 2\n2 0 R 1\n",
+        "HSBM 6 2 2\n2 0 1 R\n2 1 R 3 B\n",
+        "HSBM 6 2 2\n2 0 1 RB\n",
+        "HSBM 6 2 2\n2 0 1 R5\n",
+        "HSBM 6 2 2\n2 0 1R\n",
+        "HSBM 6 2 2\nR\n",
+        "HSBM 6 2 2\n\nLABELS 0 0 0 1 1 1\n2 0 1\n",
+        " HSBM 6 2 2\n2 0 1\n",
+        "HSBM\t6 2 2\n2 0 1\n",
+        "HSBM 6 2 2\nLABELS 0 0 0\t1 1 1\n2 0 1\n",
+    ])
+    def test_other_shapes_are_split_as_str(self, monkeypatch, text):
+        calls = _spy_tokenize(monkeypatch)
+        assert_reads_like_oracle(text)
+        assert calls
+
+    @pytest.mark.parametrize("text", [
+        "HSBM 6 2 2\n2 0 000000000000000001\n",  # 18 digits, value 1
+        "HSBM 6 2 2\n2 0 999999999999999999\n",
+        "HSBM 6 2 2\n2 0 1 R\n2 1 3 R\n2 1 3 B\n",
+        "HSBM 6 2 2\n2 0 1 R\n2 1 3\n",
+        "HSBM 6 2 2\n2 R\n",
+        "HSBM 6 2 2\n  \n2  0   1 \n\n\n 2 1 3",
+        "HSBM 6 2 2\n",
+        "HSBM 6 2 2",
+    ])
+    def test_digit_files_are_read_from_bytes(self, monkeypatch, text):
+        calls = _spy_tokenize(monkeypatch)
+        assert_reads_like_oracle(text)
+        assert not calls
+
+    @pytest.mark.parametrize("scan_bytes", [4, 64, 1000])
+    def test_bad_line_after_several_scan_blocks(self, monkeypatch, scan_bytes):
+        monkeypatch.setattr(fileio, "_SCAN_BYTES", scan_bytes)
+        text = _writer_texts()["colored with labels"]
+        assert_reads_like_oracle(text)
+        lines = text.splitlines(keepends=True)
+        at = len(lines) - 5  # past several blocks
+        for bad in ["2 7 3 R\n", "2 0 400 B\n", "2 0 x R\n", "2\t0 1 R\n", "2 0 1\n"]:
+            assert_reads_like_oracle("".join(lines[:at] + [bad] + lines[at:]))
 
 
 class TestConfig:

@@ -24,6 +24,7 @@ from hyperblock.pipeline import (
     _neighbor_scores,
     _top_positions,
 )
+from hyperblock.spectral import incidence
 from hyperblock.sampler import (
     BLUE,
     RED,
@@ -101,6 +102,63 @@ class TestBlueWeightedCount:
         h = colored(5, {2: [], 3: []}, {2: [], 3: []})
         sets = membership(5, [[0, 1], [2, 3, 4]])
         assert blue_weighted_count(h.blue(), sets).tolist() == [0.0, 0.0]
+
+    @staticmethod
+    def incidence_oracle(h_blue, members):
+        """The count as an int64 edge x set product: an edge lies in a set
+        when all m of its endpoints do."""
+        inc, order = incidence(h_blue)
+        inside = inc @ members.astype(np.int64)
+        return (order * (order - 1)) @ (inside == order[:, None]).astype(np.float64)
+
+    @staticmethod
+    def random_case(rng, n, s, empty=0):
+        h, _ = sample_hsbm(ModelParams(n, 2, {2: (30, 10), 3: (20, 6), 4: (12, 4)}),
+                           int(rng.integers(1 << 30)))
+        blue = color_edges(h, int(rng.integers(1 << 30))).blue()
+        members = rng.random((n, s)) < rng.uniform(0.3, 0.9, size=s)
+        members[:, rng.permutation(s)[:empty]] = False
+        return blue, members
+
+    @pytest.mark.parametrize("s", [1, 7, 8, 9, 589])
+    def test_equals_incidence_oracle(self, s):
+        rng = np.random.default_rng(s)
+        for trial in range(3):
+            blue, members = self.random_case(rng, 60, s, empty=min(trial, s))
+            assert sorted(blue.edges) == [2, 3, 4]
+            got = blue_weighted_count(blue, members)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, self.incidence_oracle(blue, members))
+
+    def test_empty_sets_and_edgeless_hypergraph(self):
+        rng = np.random.default_rng(1)
+        blue, members = self.random_case(rng, 60, 9)
+        none = np.zeros_like(members)
+        assert np.array_equal(blue_weighted_count(blue, none), np.zeros(9))
+        edgeless = Hypergraph(60, {2: np.empty((0, 2), dtype=np.int64)})
+        assert np.array_equal(blue_weighted_count(edgeless, members), np.zeros(9))
+        assert blue_weighted_count(blue, members[:, :0]).shape == (0,)
+
+    @pytest.mark.parametrize("block", [1, 9, 100])
+    def test_many_edge_blocks(self, monkeypatch, block):
+        blue, members = self.random_case(np.random.default_rng(block), 60, 9)
+        want = self.incidence_oracle(blue, members)
+        monkeypatch.setattr(pipeline, "_COUNT_BLOCK", block)
+        assert np.array_equal(blue_weighted_count(blue, members), want)
+
+    def test_peak_memory_bounded_by_packed_rows_and_one_block(self):
+        n, s = 6000, 400
+        h, _ = sample_hsbm(ModelParams(n, 3, {2: (60, 4), 3: (40, 4)}), 8)
+        blue = color_edges(h, 9).blue()
+        members = np.random.default_rng(3).random((n, s)) < 0.5
+        tracemalloc.start()
+        try:
+            blue_weighted_count(blue, members)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        packed = n * math.ceil(s / 8)
+        assert peak < 2 * packed + pipeline._COUNT_BLOCK
 
 
 def neighbor_scores(h, sets):

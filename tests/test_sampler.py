@@ -175,6 +175,27 @@ class TestRowHelpers:
         swapped[[10, 400]] = swapped[[400, 10]]
         assert np.array_equal(swapped[_row_order(swapped)], ordered)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_row_order_equals_lexsort_on_every_shape(self, m):
+        rng = np.random.default_rng(m)
+        rows = rng.integers(0, 5, size=(300, m))
+        ordered = rows[np.lexsort(rows.T[::-1])]
+        cases = {
+            "random": rows,
+            "sorted": ordered,
+            "reversed": ordered[::-1],
+            "sorted with ties and duplicates": np.repeat(ordered, 2, axis=0),
+            "one out of place": np.concatenate([ordered[1:], ordered[:1]]),
+            "first column sorted only": rows[np.argsort(rows[:, 0], kind="stable")],
+            "all equal": np.zeros((7, m), dtype=np.int64),
+            "empty": np.empty((0, m), dtype=np.int64),
+            "one row": rows[:1],
+        }
+        for name, case in cases.items():
+            got = _row_order(case)
+            assert got.dtype == np.intp, name
+            assert np.array_equal(got, np.lexsort(case.T[::-1])), name
+
     def test_validate_rejects_duplicates(self):
         h = Hypergraph(5, {2: np.array([[0, 1], [2, 3], [0, 1]], dtype=np.int64)})
         with pytest.raises(ValueError, match="order 2: duplicate edge tuples"):
