@@ -26,6 +26,8 @@ output are serialized with repr so reruns are byte-identical.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .sampler import BLUE, RED, UNASSIGNED, Hypergraph, _row_order
@@ -253,15 +255,15 @@ def _parse_labels(line: str, n: int, k: int) -> np.ndarray:
 
 
 def _check_lines(values: np.ndarray, ok: np.ndarray, count: np.ndarray, first: np.ndarray,
-                 body: list[str] | memoryview, n: int, m_max: int) -> None:
+                 line: Callable[[int], str], n: int, m_max: int) -> None:
     """Raise ValueError for the first edge line that fails a check.
 
     Each line's ``count`` numeric tokens start at ``values[first]``: its
     order, then its ids.  Every line is checked for an integer order,
     order >= 2, the vertex count, integer ids, ids in [0, n), strict
     ascent and order <= m_max, in that order.  The first failing line in
-    file order raises its first failing check, quoting the line from
-    ``body``: the non-blank lines, or the bytes ``_scan`` read them from.
+    file order raises its first failing check, quoting ``line(i)``, the
+    i-th non-blank edge line.
     """
     m = values[first]
     is_id = np.ones(len(values), dtype=bool)
@@ -288,7 +290,7 @@ def _check_lines(values: np.ndarray, ok: np.ndarray, count: np.ndarray, first: n
     if bad.any():
         i = int(np.argmax(bad))
         message = next(msg for mask, msg in checks if mask[i])
-        ln = (body if isinstance(body, list) else _nonblank_lines(str(body, "ascii")))[i]
+        ln = line(i)
         toks = ln.split()[:count[i]]  # the numeric ones: order, then ids
         if message is None:
             lo = int(first[i])
@@ -297,12 +299,13 @@ def _check_lines(values: np.ndarray, ok: np.ndarray, count: np.ndarray, first: n
                                         top=m_max))
 
 
-def _parse_edges(tokens: tuple[np.ndarray, ...], body: list[str] | memoryview, n: int,
+def _parse_edges(tokens: tuple[np.ndarray, ...], line: Callable[[int], str], n: int,
                  m_max: int) -> tuple[dict, dict | None]:
     """Per-order edge arrays (rows sorted) and colors (or None) of the edge lines.
 
-    ``tokens`` is what ``_tokenize`` gives for the edge lines of ``body``;
-    ``_check_lines`` names the first malformed one.
+    ``tokens`` is what ``_tokenize`` gives for the edge lines, and
+    ``line(i)`` the i-th of them; ``_check_lines`` names the first
+    malformed one.
     """
     width, color, values, ok = tokens
     if not len(width):
@@ -310,7 +313,7 @@ def _parse_edges(tokens: tuple[np.ndarray, ...], body: list[str] | memoryview, n
     colored = color >= 0
     count = width - colored  # numeric tokens per line: the order, then the ids
     first = np.cumsum(count) - count
-    _check_lines(values, ok, count, first, body, n, m_max)
+    _check_lines(values, ok, count, first, line, n, m_max)
     if colored.any() and not colored.all():
         raise ValueError("edge colors must be given on every line or none")
 
@@ -341,16 +344,19 @@ def read_hypergraph(text: str | bytes) -> tuple[Hypergraph, int, np.ndarray | No
     tokens = None if layout is None else _scan(data, layout[2])
     if tokens is not None:
         header, labels_line, lo = layout
-        body = memoryview(data)[lo:]
+
+        def line(i):  # split only once a check fails
+            return _nonblank_lines(data[lo:].decode("ascii"))[i]
     else:
         lines = _nonblank_lines(text if isinstance(text, str) else data.decode("utf-8"))
         header = lines[0] if lines else ""
         labels_line = lines[1] if lines[1:] and lines[1].startswith("LABELS ") else None
         body = lines[1 + (labels_line is not None):]
         tokens = _tokenize_lines(body)
+        line = body.__getitem__
     n, k, m_max = _parse_header(header)
     labels = None if labels_line is None else _parse_labels(labels_line, n, k)
-    h = Hypergraph(n, *_parse_edges(tokens, body, n, m_max))
+    h = Hypergraph(n, *_parse_edges(tokens, line, n, m_max))
     h.validate()
     return h, k, labels
 

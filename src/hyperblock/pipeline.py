@@ -65,8 +65,8 @@ log = logging.getLogger("hyperblock")
 REGULARIZATION_FACTOR = 20
 
 # blue_weighted_count and spectral_partition_k work in blocks of at most
-# this many bytes of edge x set bits and edge ids, or Z x column
-# coordinates, which bounds their memory whatever the number of sets
+# this many bytes (edge x set bits and edge ids, or float64 Z x column
+# coordinates), which bounds their memory whatever the number of sets
 _COUNT_BLOCK = 1 << 19
 
 
@@ -225,7 +225,7 @@ def spectral_partition_k(
     # rank the Z coordinates of the projected columns a block at a time;
     # row j of top marks the Z positions of candidate set j
     v_z = basis.vectors[z]
-    step = max(1, _COUNT_BLOCK // len(z))
+    step = max(1, _COUNT_BLOCK // (8 * len(z)))  # 8 bytes per float64 coordinate
     top = np.empty((s, len(z)), dtype=bool)
     for j in range(0, s, step):
         top[j:j + step] = _top_positions(coords[:, j:j + step].T @ v_z.T, set_size)

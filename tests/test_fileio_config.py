@@ -251,7 +251,9 @@ class TestReaderMatchesPerLineOracle:
     @pytest.mark.parametrize("layout", list(_LAYOUTS))
     @pytest.mark.parametrize("kind", list(_sampled_texts()))
     def test_valid_files(self, kind, layout):
-        assert_reads_like_oracle(_LAYOUTS[layout](_sampled_texts()[kind]))
+        text = _LAYOUTS[layout](_sampled_texts()[kind])
+        read_hypergraph_per_line(text)  # every layout of a valid file parses
+        assert_reads_like_oracle(text)
 
     def test_files_longer_than_one_parse_block(self):
         n = 400
