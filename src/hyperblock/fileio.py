@@ -12,12 +12,17 @@ Edge lines may come in any order; the reader puts each order's rows in
 canonical (lexicographic) order, so a file's line order never changes
 the hypergraph it describes.  The writer emits that order.
 
-The reader takes str or UTF-8 bytes.  Every file the writer emits is
-tokenized from its bytes with array operations: the header first, the
-LABELS line right after it, and edge lines of ASCII digits, spaces, R and
-B, each number at most 18 digits.  Any other file is decoded and split as
-str.  Both paths accept the same files, read them the same and name the
-same first bad line.
+The reader takes str or UTF-8 bytes and tokenizes the bytes.  Lines end
+at the ASCII line breaks of str.splitlines (LF, CR, VT, FF and \x1c-\x1e,
+so a CRLF pair leaves a blank line), tokens are separated by the rest of
+the ASCII whitespace of str.split (space, tab and \x1f), and blank lines
+are skipped.  The header is the first line, and the LABELS line the next
+one when it starts with "LABELS ".  An edge line's last token is its
+color when the line has two or more tokens and that token is R or B;
+every other token is a number, as int() reads it.  A run of at most 18
+ASCII digits is read with array operations, and only other tokens are
+decoded.  Non-ASCII whitespace separates nothing: it is part of the
+token it touches, so a line that splits tokens with it is malformed.
 
 Label files are ``vertex_id<TAB>block`` lines, one per vertex id from 0
 to n-1 in any order, with blocks >= -1 (unassigned).  Floats in CSV
@@ -26,6 +31,7 @@ output are serialized with repr so reruns are byte-identical.
 
 from __future__ import annotations
 
+import re
 from typing import Callable
 
 import numpy as np
@@ -40,15 +46,18 @@ __all__ = [
 ]
 
 _COLOR_CHAR = {RED: "R", BLUE: "B"}
-_BLOCK = 1 << 14  # edge lines tokenized at a time
 _SCAN_BYTES = 1 << 20  # edge-line bytes scanned at a time
 _MAX_DIGITS = 18  # every run of up to 18 digits fits int64
+_LINE_BREAKS = b"\n\r\v\f\x1c\x1d\x1e"  # the ASCII line breaks of str.splitlines
+_SEPARATORS = b" \t\x1f"  # the rest of the ASCII whitespace of str.split
+_LINE_BREAK = re.compile(b"[%s]" % re.escape(_LINE_BREAKS))
+_TOKEN = re.compile("[^%s]+" % re.escape(_SEPARATORS.decode()))  # of a decoded line
 
-# byte classes of _scan_block; numeric and letter bytes make up tokens
-_OTHER, _SPACE, _NEWLINE, _DIGIT, _LETTER = range(5)
+# byte classes of _scan_block; digit, letter and other bytes make up tokens
+_SEPARATOR, _BREAK, _DIGIT, _LETTER, _OTHER = range(5)
 _BYTE_KIND = np.full(256, _OTHER, dtype=np.uint8)
-_BYTE_KIND[ord(" ")] = _SPACE
-_BYTE_KIND[ord("\n")] = _NEWLINE
+_BYTE_KIND[list(_SEPARATORS)] = _SEPARATOR
+_BYTE_KIND[list(_LINE_BREAKS)] = _BREAK
 _BYTE_KIND[ord("0"):ord("9") + 1] = _DIGIT
 _BYTE_KIND[[ord(c) for c in _COLOR_CHAR.values()]] = _LETTER
 
@@ -100,67 +109,11 @@ def _ints(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, ok
 
 
-def _tokenize(lines: list[str]) -> tuple[np.ndarray, ...]:
-    """Token counts, colors and numeric tokens of a block of edge lines.
+def _digit_values(buf: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Values of the tokens of ``buf`` at ``start``, each a run of at most _MAX_DIGITS digits.
 
-    Per line: its token count, and its color (-1 unless the last of two or
-    more tokens is R or B).  Per remaining token: its value and whether
-    ``int`` accepts it, as ``_ints`` gives them.
+    int32 when every token has at most 9 digits, else int64.
     """
-    width = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
-    tokens = np.array(" ".join(lines).split(), dtype=object)
-    last = np.cumsum(width) - 1
-    color = np.select([tokens[last] == _COLOR_CHAR[c] for c in (RED, BLUE)], [RED, BLUE], -1)
-    color[width < 2] = -1
-    numeric = np.ones(len(tokens), dtype=bool)
-    numeric[last[color >= 0]] = False
-    return (width, color) + _ints(tokens[numeric])
-
-
-def _tokenize_lines(body: list[str]) -> tuple[np.ndarray, ...]:
-    """``_tokenize`` of every line, a block of _BLOCK lines at a time.
-
-    Blocks bound the str objects alive at once, and with them the heap the
-    process keeps after parsing.
-    """
-    blocks = [_tokenize(body[lo:lo + _BLOCK]) for lo in range(0, len(body), _BLOCK)]
-    return tuple(np.concatenate(part) for part in zip(*(blocks or [_tokenize([])])))
-
-
-def _scan_block(buf: np.ndarray) -> tuple[np.ndarray, ...] | None:
-    """Token counts, colors and token values of the edge lines in a uint8 buffer.
-
-    The buffer holds whole lines.  Tokens are runs of bytes other than
-    space and newline, and lines without tokens are skipped.  Returns None
-    unless every byte is an ASCII digit, space, newline, R or B, every R
-    or B is a token of its own ending a line of two or more tokens, and no
-    token has more than _MAX_DIGITS digits: only then does ``_tokenize``
-    read the same tokens and ``int`` accept every numeric one.  Colors
-    come back as int8, and values as int32 when every token has at most 9
-    digits.
-    """
-    kind = np.take(_BYTE_KIND, buf)
-    if (kind == _OTHER).any():
-        return None
-    is_token = np.zeros(len(buf) + 2, dtype=bool)
-    is_token[1:-1] = kind >= _DIGIT
-    start = np.flatnonzero(is_token[1:-1] > is_token[:-2])
-    length = np.flatnonzero(is_token[1:-1] > is_token[2:]) + 1 - start
-    if length.max(initial=0) > _MAX_DIGITS:
-        return None
-    # a line's first token is the first one after a newline, or the first of all
-    head = np.zeros(len(start) + 1, dtype=bool)
-    head[np.searchsorted(start, np.flatnonzero(kind == _NEWLINE))] = True
-    head[0] = True
-    head = np.flatnonzero(head[:-1])
-    width = np.diff(head, append=len(start))
-    tail = head + width - 1
-    letter = (kind[start] == _LETTER) & (length == 1)
-    colored = letter[tail] & (width >= 2)
-    if np.count_nonzero(kind == _LETTER) != np.count_nonzero(colored):
-        return None
-    color = np.where(colored, np.where(buf[start[tail]] == ord("R"), RED, BLUE), -1)
-    start, length = start[~letter], length[~letter]
     digit = buf - np.uint8(ord("0"))
     values = np.empty(len(start), dtype=np.int32 if length.max(initial=0) <= 9 else np.int64)
     for size in np.flatnonzero(np.bincount(length)).tolist():
@@ -171,11 +124,56 @@ def _scan_block(buf: np.ndarray) -> tuple[np.ndarray, ...] | None:
             value *= 10
             value += digit[first + offset]
         values[at] = value
-    return width, color.astype(np.int8), values
+    return values
 
 
-def _scan(data: bytes, lo: int) -> tuple[np.ndarray, ...] | None:
-    """``_tokenize`` of the edge lines in ``data[lo:]``, or None where ``_scan_block`` is.
+def _scan_block(buf: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Token counts, colors, numeric token values and their ``ok`` of the lines in a uint8 buffer.
+
+    The buffer holds whole lines.  Per line with tokens: its token count,
+    and its color as int8 (-1 unless the last of two or more tokens is R
+    or B).  Per remaining token: its value and whether ``int`` accepts it,
+    as ``_ints`` gives them.  A run of at most _MAX_DIGITS ASCII digits is
+    read with array operations; only the other, odd, tokens are decoded.
+    """
+    kind = np.take(_BYTE_KIND, buf)
+    is_token = np.zeros(len(buf) + 2, dtype=bool)
+    is_token[1:-1] = kind >= _DIGIT
+    start = np.flatnonzero(is_token[1:-1] > is_token[:-2])
+    length = np.flatnonzero(is_token[1:-1] > is_token[2:]) + 1 - start
+    # a line's first token is the first one after a line break, or the first of all
+    head = np.zeros(len(start) + 1, dtype=bool)
+    head[np.searchsorted(start, np.flatnonzero(kind == _BREAK))] = True
+    head[0] = True
+    head = np.flatnonzero(head[:-1])
+    width = np.diff(head, append=len(start))
+    tail = head + width - 1
+    letter = (kind[start] == _LETTER) & (length == 1)
+    colored = letter[tail] & (width >= 2)
+    color = np.where(colored, np.where(buf[start[tail]] == ord("R"), RED, BLUE), -1)
+    numeric = np.ones(len(start), dtype=bool)
+    numeric[tail[colored]] = False
+    start, length = start[numeric], length[numeric]
+    odd = length > _MAX_DIGITS
+    if np.count_nonzero(kind >= _LETTER) > np.count_nonzero(colored):
+        # some token other than a color holds a byte other than a digit
+        inside = np.concatenate(([0], np.cumsum(kind >= _LETTER)))
+        odd |= inside[start + length] > inside[start]
+    ok = np.ones(len(start), dtype=bool)
+    if not odd.any():
+        return width, color.astype(np.int8), _digit_values(buf, start, length), ok
+    values = np.zeros(len(start), dtype=np.int64)
+    values[~odd] = _digit_values(buf, start[~odd], length[~odd])
+    raw = buf.tobytes()
+    # odd tokens hold no space, so one decode and split gives them back
+    text = _text(b" ".join(raw[lo:lo + size] for lo, size in
+                           zip(start[odd].tolist(), length[odd].tolist())))
+    values[odd], ok[odd] = _ints(np.array(text.split(" "), dtype=object))
+    return width, color.astype(np.int8), values, ok
+
+
+def _scan(data: bytes, lo: int) -> tuple[np.ndarray, ...]:
+    """``_scan_block`` of the edge lines in ``data[lo:]``.
 
     Works in blocks of whole lines of about _SCAN_BYTES, which bound the
     temporaries.
@@ -183,41 +181,33 @@ def _scan(data: bytes, lo: int) -> tuple[np.ndarray, ...] | None:
     cuts = [lo]
     while len(data) - cuts[-1] > _SCAN_BYTES:
         lo = cuts[-1]
-        # after the block's last newline, or after the long line it is in
+        # after the block's last \n (or \r, in a file of CR line ends), or
+        # after the long line it is in
         cuts.append(data.rfind(b"\n", lo, lo + _SCAN_BYTES) + 1
+                    or data.rfind(b"\r", lo, lo + _SCAN_BYTES) + 1
                     or data.find(b"\n", lo + _SCAN_BYTES) + 1 or len(data))
     cuts.append(len(data))
-    parts = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        part = _scan_block(np.frombuffer(data, np.uint8, hi - lo, lo))
-        if part is None:
-            return None
-        parts.append(part)
-    width, color, values = (np.concatenate(arrays) for arrays in zip(*parts))
-    return width, color, values, np.ones(len(values), dtype=bool)
-
-
-def _nonblank_lines(text: str) -> list[str]:
-    return [ln for ln in text.splitlines() if ln.strip()]
-
-
-def _written_layout(data: bytes) -> tuple[str, str | None, int] | None:
-    """Header line, LABELS line or None, and edge body offset of a file laid out as written.
-
-    That is a header opening the file and an optional LABELS line right
-    after it, both printable ASCII, so that they are the lines the str
-    path takes them to be.  None for any other layout.
-    """
-    if not data.startswith(b"HSBM "):
-        return None
-    cuts = [0, data.find(b"\n") + 1 or len(data)]
-    if data.startswith(b"LABELS ", cuts[-1]):
-        cuts.append(data.find(b"\n", cuts[-1]) + 1 or len(data))
-    lines = [data[lo:hi].removesuffix(b"\n").decode("latin-1")
+    parts = [_scan_block(np.frombuffer(data, np.uint8, hi - lo, lo))
              for lo, hi in zip(cuts, cuts[1:])]
-    if not all(line.isascii() and line.isprintable() for line in lines):
-        return None
-    return lines[0], lines[1] if len(lines) > 1 else None, cuts[-1]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _text(raw: bytes) -> str:
+    return raw.decode("utf-8", "surrogatepass")
+
+
+def _next_line(data: bytes, lo: int) -> tuple[str, int]:
+    """The first non-blank line at or after offset lo, and the offset after it.
+
+    ("", len(data)) when there is none.
+    """
+    while lo < len(data):
+        brk = _LINE_BREAK.search(data, lo)
+        hi = brk.start() if brk else len(data)
+        if data[lo:hi].strip(_SEPARATORS):
+            return _text(data[lo:hi]), min(hi + 1, len(data))
+        lo = hi + 1
+    return "", len(data)
 
 
 def _parse_header(line: str) -> tuple[int, int, int]:
@@ -228,7 +218,7 @@ def _parse_header(line: str) -> tuple[int, int, int]:
     """
     if not line.startswith("HSBM "):
         raise ValueError("missing HSBM header line")
-    toks = line.split()[1:]
+    toks = _TOKEN.findall(line)[1:]
     try:
         n, k, m_max = map(int, toks)
     except ValueError:
@@ -241,7 +231,7 @@ def _parse_header(line: str) -> tuple[int, int, int]:
 
 def _parse_labels(line: str, n: int, k: int) -> np.ndarray:
     """The n blocks of a ``LABELS`` line, each in [0, k)."""
-    toks = line.split()[1:]
+    toks = _TOKEN.findall(line)[1:]
     labels, ok = _ints(np.array(toks, dtype=object))
     if not ok.all():
         int(toks[int(np.argmin(ok))])  # raises int()'s own error
@@ -291,7 +281,7 @@ def _check_lines(values: np.ndarray, ok: np.ndarray, count: np.ndarray, first: n
         i = int(np.argmax(bad))
         message = next(msg for mask, msg in checks if mask[i])
         ln = line(i)
-        toks = ln.split()[:count[i]]  # the numeric ones: order, then ids
+        toks = _TOKEN.findall(ln)[:count[i]]  # the numeric ones: order, then ids
         if message is None:
             lo = int(first[i])
             int(toks[int(np.argmin(ok[lo:lo + len(toks)]))])  # raises
@@ -303,7 +293,7 @@ def _parse_edges(tokens: tuple[np.ndarray, ...], line: Callable[[int], str], n: 
                  m_max: int) -> tuple[dict, dict | None]:
     """Per-order edge arrays (rows sorted) and colors (or None) of the edge lines.
 
-    ``tokens`` is what ``_tokenize`` gives for the edge lines, and
+    ``tokens`` is what ``_scan`` gives for the edge lines, and
     ``line(i)`` the i-th of them; ``_check_lines`` names the first
     malformed one.
     """
@@ -334,26 +324,30 @@ def _parse_edges(tokens: tuple[np.ndarray, ...], line: Callable[[int], str], n: 
 def read_hypergraph(text: str | bytes) -> tuple[Hypergraph, int, np.ndarray | None]:
     """Parse the text format from str or UTF-8 bytes; returns (hypergraph, k, labels-or-None).
 
-    The bytes of a file laid out as the writer does are tokenized as
-    numbers; any file they do not fit is decoded and split as str.  Both
-    paths read every file alike.  Malformed input raises ValueError naming
-    the first bad line.
+    Lines end at the ASCII line breaks of ``str.splitlines``, and tokens
+    are separated by the rest of the ASCII whitespace of ``str.split``;
+    blank lines are skipped.  The header is the first line, and the LABELS
+    line the next one when it starts with ``LABELS``.  Numbers are what
+    ``int`` accepts; non-ASCII whitespace separates nothing.  Malformed
+    input raises ValueError naming the first bad line, and bytes that are
+    not UTF-8 raise UnicodeDecodeError.
     """
-    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
-    layout = _written_layout(data)
-    tokens = None if layout is None else _scan(data, layout[2])
-    if tokens is not None:
-        header, labels_line, lo = layout
-
-        def line(i):  # split only once a check fails
-            return _nonblank_lines(data[lo:].decode("ascii"))[i]
+    if isinstance(text, str):
+        data = text.encode("utf-8", "surrogatepass")
     else:
-        lines = _nonblank_lines(text if isinstance(text, str) else data.decode("utf-8"))
-        header = lines[0] if lines else ""
-        labels_line = lines[1] if lines[1:] and lines[1].startswith("LABELS ") else None
-        body = lines[1 + (labels_line is not None):]
-        tokens = _tokenize_lines(body)
-        line = body.__getitem__
+        data = text
+        if not data.isascii():
+            data.decode("utf-8")  # raises for a file that is not UTF-8
+    header, lo = _next_line(data, 0)
+    labels_line, after = _next_line(data, lo)
+    if labels_line.startswith("LABELS "):
+        lo = after
+    else:
+        labels_line = None
+    tokens = _scan(data, lo)
+
+    def line(i):  # split only once a check fails
+        return _text([ln for ln in _LINE_BREAK.split(data[lo:]) if ln.strip(_SEPARATORS)][i])
     n, k, m_max = _parse_header(header)
     labels = None if labels_line is None else _parse_labels(labels_line, n, k)
     h = Hypergraph(n, *_parse_edges(tokens, line, n, m_max))

@@ -122,9 +122,6 @@ class OrderSubset:
     def __iter__(self):
         return iter(self.sorted())
 
-    def __contains__(self, m) -> bool:
-        return m in self.members
-
     def __len__(self) -> int:
         return len(self.members)
 

@@ -91,10 +91,6 @@ class Hypergraph:
     def is_colored(self) -> bool:
         return self.colors is not None
 
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(sorted(self.edges))
-
     def num_edges(self, m: int | None = None) -> int:
         if m is not None:
             return len(self.edges.get(m, ()))

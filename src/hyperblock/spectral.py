@@ -52,10 +52,6 @@ class SubspaceBasis:
     vectors: np.ndarray
     singular_values: np.ndarray
 
-    @property
-    def k(self) -> int:
-        return self.vectors.shape[1]
-
 
 def incidence(h: Hypergraph) -> tuple[sp.csr_array, np.ndarray]:
     """Edge x vertex 0/1 incidence matrix and the order of each row.

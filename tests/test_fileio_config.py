@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from hyperblock import fileio
 from hyperblock.config import parse_config
 from hyperblock.fileio import (
-    _BLOCK,
     _parse_header,
     read_hypergraph,
     read_labels,
@@ -256,8 +256,8 @@ class TestReaderMatchesPerLineOracle:
         assert_reads_like_oracle(text)
 
     def test_files_longer_than_one_parse_block(self):
-        n = 400
-        lines = [f"2 {i} {j}" for i in range(n) for j in range(i + 1, n)][:2 * _BLOCK + 100]
+        n, block = 400, 1 << 14
+        lines = [f"2 {i} {j}" for i in range(n) for j in range(i + 1, n)][:2 * block + 100]
         random.Random(2).shuffle(lines)
         text = f"HSBM {n} 2 2\n" + "\n".join(lines) + "\n"
         h, _, _ = read_hypergraph(text)
@@ -267,7 +267,7 @@ class TestReaderMatchesPerLineOracle:
             f"HSBM {n} 2 2\n" + "\n".join(colored) + "\n",
             f"HSBM {n} 2 2\n" + "\n".join(colored[:-1] + lines[-1:]) + "\n",
         ]
-        for at, bad in [(_BLOCK + 5, "2 7 3"), (2 * _BLOCK + 50, "2 0 x"), (_BLOCK - 1, "3 0 1")]:
+        for at, bad in [(block + 5, "2 7 3"), (2 * block + 50, "2 0 x"), (block - 1, "3 0 1")]:
             edited = lines.copy()
             edited[at] = bad
             edited[-1] = "2 0 999"
@@ -360,25 +360,10 @@ def _writer_texts():
     }
 
 
-def _spy_tokenize(monkeypatch):
-    """Count the calls of the str tokenizer."""
-    calls = []
-    tokenize = fileio._tokenize
-
-    def spy(lines):
-        calls.append(len(lines))
-        return tokenize(lines)
-    monkeypatch.setattr(fileio, "_tokenize", spy)
-    return calls
-
-
 class TestByteScan:
     @pytest.mark.parametrize("kind", list(_writer_texts()))
-    def test_writer_output_is_read_from_bytes(self, monkeypatch, kind):
-        def refuse(lines):
-            raise AssertionError("str tokenizer called")
+    def test_writer_output_is_read_from_bytes(self, kind):
         text = _writer_texts()[kind]
-        monkeypatch.setattr(fileio, "_tokenize", refuse)
         assert_reads_like_oracle(text)
         assert_reads_like_oracle(shuffle_edge_lines(text, 3))
         h, _, _ = read_hypergraph(text.encode())
@@ -388,11 +373,21 @@ class TestByteScan:
         "HSBM 6 2 2\n2\t0 1\n2 1 3\n",
         "HSBM 6 2 2\n2 0 1\r\n2 1 3\n",
         "HSBM 6 2 2\n2 0 1\n2 1 3\r",
+        "HSBM 6 2 2\r2 0 1\r2 1 3\r",
+        "HSBM 6 2 2\v2 0 1\v\v2 1 3\n",
+        "HSBM 6 2 2\f2 0 1\f2 1 3",
+        "HSBM 6 2 2\x1c2 0 1\x1d2 1 3\x1e",
+        "HSBM 6 2 2\nLABELS 0 0 0 1 1 1\x1c2 0 1\n",
+        "HSBM 6 2 2\n2\x1f0\x1f1\n2 1\x1f\t3 \x1fR\n",
+        "HSBM 6 2 2\n2 0 1\x1f\n\x1f\n",
         "HSBM 6 2 2\n2 +0 1\n",
         "HSBM 12 2 2\n2 0 1_1\n",
         "HSBM 6 2 2\n2 \u0660 \u0663\n",
         "HSBM 6 2 2\n2 0 0000000000000000001\n",  # 19 digits, value 1
+        "HSBM 6 2 2\n2 0000000000000000000 0000000000000000005\n",
         "HSBM 6 2 2\n2 0 9999999999999999999\n",
+        "HSBM 6 2 2\n2 0 000000000000000001\n",  # 18 digits, value 1
+        "HSBM 6 2 2\n2 0 999999999999999999\n",
         "HSBM 6 2 2\n2 0 1 G\n",
         "HSBM 6 2 2\n2 0 1\n2 x 3\n",
         "HSBM 6 2 2\n2 0 R 1\n",
@@ -401,40 +396,71 @@ class TestByteScan:
         "HSBM 6 2 2\n2 0 1 R5\n",
         "HSBM 6 2 2\n2 0 1R\n",
         "HSBM 6 2 2\nR\n",
-        "HSBM 6 2 2\n\nLABELS 0 0 0 1 1 1\n2 0 1\n",
-        " HSBM 6 2 2\n2 0 1\n",
-        "HSBM\t6 2 2\n2 0 1\n",
-        "HSBM 6 2 2\nLABELS 0 0 0\t1 1 1\n2 0 1\n",
-    ])
-    def test_other_shapes_are_split_as_str(self, monkeypatch, text):
-        calls = _spy_tokenize(monkeypatch)
-        assert_reads_like_oracle(text)
-        assert calls
-
-    @pytest.mark.parametrize("text", [
-        "HSBM 6 2 2\n2 0 000000000000000001\n",  # 18 digits, value 1
-        "HSBM 6 2 2\n2 0 999999999999999999\n",
         "HSBM 6 2 2\n2 0 1 R\n2 1 3 R\n2 1 3 B\n",
         "HSBM 6 2 2\n2 0 1 R\n2 1 3\n",
         "HSBM 6 2 2\n2 R\n",
+        "HSBM 6 2 2\n\nLABELS 0 0 0 1 1 1\n2 0 1\n",
+        "HSBM 6 2 2\r\n\r\nLABELS 0 0 0 1 1 1\r\n2 0 1\r\n",
+        " HSBM 6 2 2\n2 0 1\n",
+        "HSBM\t6 2 2\n2 0 1\n",
+        "HSBM 6 2 2\nLABELS 0 0 0\t1 1 1\n2 0 1\n",
         "HSBM 6 2 2\n  \n2  0   1 \n\n\n 2 1 3",
         "HSBM 6 2 2\n",
         "HSBM 6 2 2",
     ])
-    def test_digit_files_are_read_from_bytes(self, monkeypatch, text):
-        calls = _spy_tokenize(monkeypatch)
+    def test_other_layouts_read_like_oracle(self, text):
         assert_reads_like_oracle(text)
-        assert not calls
 
     @pytest.mark.parametrize("scan_bytes", [4, 64, 1000])
-    def test_bad_line_after_several_scan_blocks(self, monkeypatch, scan_bytes):
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_bad_line_after_several_scan_blocks(self, monkeypatch, scan_bytes, newline):
         monkeypatch.setattr(fileio, "_SCAN_BYTES", scan_bytes)
-        text = _writer_texts()["colored with labels"]
+        text = _writer_texts()["colored with labels"].replace("\n", newline)
         assert_reads_like_oracle(text)
         lines = text.splitlines(keepends=True)
         at = len(lines) - 5  # past several blocks
-        for bad in ["2 7 3 R\n", "2 0 400 B\n", "2 0 x R\n", "2\t0 1 R\n", "2 0 1\n"]:
-            assert_reads_like_oracle("".join(lines[:at] + [bad] + lines[at:]))
+        for bad in ["2 7 3 R", "2 0 400 B", "2 0 x R", "2\t0 1 R", "2 0 1"]:
+            assert_reads_like_oracle("".join(lines[:at] + [bad + newline] + lines[at:]))
+
+    @pytest.mark.parametrize("text, line", [
+        *((f"HSBM 6 2 2\n2 1 2\n{line}\n2 3 4\n", line) for line in [
+            "2 0\xa01", "2\u30000 1", "2 0\u20281", "2 0 1\x852 1 3", "2 0\xa0x 1", "2 0 x\xa01",
+            "\xa0"]),
+        ("HSBM 6\xa02 2\n2 0 1\n", "HSBM 6\xa02 2"),
+        ("HSBM 6 2\u20282\n2 0 1\n", "HSBM 6 2\u20282"),
+        ("HSBM 6 2 2\nLABELS 0 0 0\u30001 1 1\n", "LABELS 0 0 0\u30001 1 1"),
+    ])
+    def test_non_ascii_whitespace_splits_nothing(self, text, line):
+        for given in (text, text.encode()):
+            with pytest.raises(ValueError) as got:
+                read_hypergraph(given)
+            assert type(got.value) is ValueError
+            # the line itself, or int()'s error on its token holding the character
+            assert any(repr(part) in str(got.value) for part in [line, *line.split(" ")]
+                       if not part.isascii())
+
+    def test_crlf_and_tab_files_cost_what_lf_files_do(self, monkeypatch):
+        """Other layouts of a writer file of several scan blocks read like it, in
+        about its memory: a str tokenizer would double the peak."""
+        h, labels = sample_hsbm(ModelParams(3000, 3, {2: (40, 4), 3: (30, 3)}), 1)
+        lf = write_hypergraph(h, 3, labels).encode()
+        monkeypatch.setattr(fileio, "_SCAN_BYTES", len(lf) // 4)
+        tab = lf.rstrip().rfind(b" ")  # the last separator of the last line
+        copies = [lf.replace(b"\n", b"\r\n"), lf[:tab] + b"\t" + lf[tab + 1:]]
+
+        def peak(data):
+            tracemalloc.start()
+            try:
+                got = read_hypergraph(data)
+                return got, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        (h_lf, k, labels_lf), lf_peak = peak(lf)
+        for data in copies:
+            (h_read, k_read, labels_read), read_peak = peak(data)
+            assert k_read == k and (labels_read == labels_lf).all()
+            assert_same_hypergraph(h_read, h_lf)
+            assert read_peak <= 1.5 * lf_peak
 
 
 class TestConfig:
