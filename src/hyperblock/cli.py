@@ -8,6 +8,10 @@ name (debug, info, ...) for diagnostics on stderr.
 
 Exit codes: 0 success, 2 invalid argument, 3 I/O failure, 4 partition
 failure.
+
+Each command imports what it runs: ``snr`` and ``sample`` load only
+numpy, and the scipy-backed modules load inside the commands that use
+them.
 """
 
 from __future__ import annotations
@@ -18,11 +22,9 @@ import logging
 import os
 import sys
 
-
-from . import concentration, fileio, metrics, model, pipeline, runner, sampler
+from . import fileio, model, sampler
 from .config import ExperimentConfig, parse_config
-from .pipeline import PartitionFailure
-from .spectral import ConvergenceError
+from .model import ConvergenceError, PartitionFailure
 
 EXIT_INVALID = 2
 EXIT_IO = 3
@@ -85,6 +87,8 @@ def cmd_sample(cfg: ExperimentConfig, args) -> int:
 
 def cmd_detect(cfg: ExperimentConfig, args) -> int:
     """Partition an instance (from file or sampled inline) and write labels."""
+    from . import metrics, pipeline
+
     params = cfg.model_params()
     truth = None
     if cfg.input is not None:
@@ -110,6 +114,9 @@ def cmd_detect(cfg: ExperimentConfig, args) -> int:
 
 def cmd_experiment(cfg: ExperimentConfig, args) -> int:
     """Run the rate-gap ladder and write trial and summary tables."""
+    # imported before pmap starts the pool, so forked workers inherit scipy
+    from . import runner
+
     rows, summary = runner.experiment_rows(cfg, jobs=args.jobs)
     out = args.out or "experiment.csv"
     _emit("\n".join([runner.EXPERIMENT_HEADER] + rows) + "\n", out)
@@ -120,6 +127,8 @@ def cmd_experiment(cfg: ExperimentConfig, args) -> int:
 
 def cmd_conclab(cfg: ExperimentConfig, args) -> int:
     """Run concentration trials and write one CSV row per trial."""
+    from . import concentration, runner
+
     records = runner.conclab_records(cfg, jobs=args.jobs)
     _emit(concentration.records_to_csv(records), args.out)
     return 0

@@ -43,13 +43,32 @@ __all__ = [
     "error_rate_constant",
     "block_sizes",
     "ResourceLimitError",
+    "PartitionFailure",
+    "ConvergenceError",
 ]
 
 DENSE_CAP_DEFAULT = 2000
 
 
+# The package's exceptions live in this numpy-only module, so that the CLI
+# catches them without importing scipy; ``pipeline`` and ``spectral``
+# re-export the two they raise.
+
+
 class ResourceLimitError(RuntimeError):
     """Requested object exceeds a configured dense-size cap."""
+
+
+class PartitionFailure(RuntimeError):
+    """The pipeline could not produce the required candidate structure."""
+
+    def __init__(self, message: str, diagnostics: dict | None = None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
+
+
+class ConvergenceError(RuntimeError):
+    """Restart budget exhausted before every wanted eigenpair converged."""
 
 
 def comb_floor(x: float, j: int) -> int:

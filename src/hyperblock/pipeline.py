@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .model import ModelParams, OrderSubset
+from .model import ModelParams, OrderSubset, PartitionFailure
 from .sampler import (
     SIDE_Y1,
     SIDE_Y2,
@@ -68,14 +68,6 @@ REGULARIZATION_FACTOR = 20
 # this many bytes (edge x set bits and edge ids, or float64 Z x column
 # coordinates), which bounds their memory whatever the number of sets
 _COUNT_BLOCK = 1 << 19
-
-
-class PartitionFailure(RuntimeError):
-    """The pipeline could not produce the required candidate structure."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 @dataclass(frozen=True)

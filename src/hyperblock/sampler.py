@@ -21,6 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,16 +97,26 @@ class Hypergraph:
             return len(self.edges.get(m, ()))
         return sum(len(e) for e in self.edges.values())
 
+    @cached_property
+    def _by_color(self) -> dict[int, "Hypergraph"]:
+        return {}
+
     def only_color(self, color: int) -> "Hypergraph":
-        """Uncolored sub-hypergraph holding just the edges of one color."""
+        """Uncolored sub-hypergraph holding just the edges of one color.
+
+        Split off on the first call and kept, so the stages that read one
+        color share a single copy of its edges.
+        """
         if self.colors is None:
             raise ValueError("hypergraph is not colored")
-        kept = {}
-        for m, arr in self.edges.items():
-            mask = self.colors[m] == color
-            if mask.any():
-                kept[m] = arr[mask]
-        return Hypergraph(self.n, kept, None)
+        if color not in self._by_color:
+            kept = {}
+            for m, arr in self.edges.items():
+                mask = self.colors[m] == color
+                if mask.any():
+                    kept[m] = arr[mask]
+            self._by_color[color] = Hypergraph(self.n, kept, None)
+        return self._by_color[color]
 
     def red(self) -> "Hypergraph":
         return self.only_color(RED)
@@ -339,8 +350,13 @@ def restrict(h: Hypergraph, vertex_set) -> Hypergraph:
 
 
 def restrict_orders(h: Hypergraph, subset) -> Hypergraph:
-    """Keep only the edges whose order lies in ``subset``."""
+    """Keep only the edges whose order lies in ``subset``.
+
+    A hypergraph with no edge array of another order is returned as it is.
+    """
     wanted = set(int(m) for m in subset)
+    if wanted.issuperset(h.edges):
+        return h
     edges = {m: arr for m, arr in h.edges.items() if m in wanted}
     colors = None
     if h.is_colored:

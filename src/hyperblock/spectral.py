@@ -21,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, aslinearoperator, eigsh
 
+from .model import ConvergenceError
 from .sampler import Hypergraph, subset_mask
 
 __all__ = [
@@ -39,10 +40,6 @@ __all__ = [
 SOLVER_TOL = 1e-8
 SOLVER_MAX_ITER = 500
 OVERSAMPLE = 4
-
-
-class ConvergenceError(RuntimeError):
-    """Restart budget exhausted before every wanted eigenpair converged."""
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperblock import runner
+from hyperblock import pipeline, runner
 from hyperblock.cli import main
 from hyperblock.fileio import read_hypergraph, read_labels
+from hyperblock.spectral import ConvergenceError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -167,6 +168,15 @@ class TestDetectCommand:
         cfg = write(tmp_path / "c.cfg", "n = 100\nk = 2\norders = 2:0.001,0\nseed = 1\n")
         assert main(["detect", "--config", cfg, "--out", str(tmp_path / "l.tsv")]) == 4
         assert "partition failure" in capsys.readouterr().err
+
+    def test_convergence_error_exit_4(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ConvergenceError("ARPACK error -1: No convergence")
+        monkeypatch.setattr(pipeline, "top_subspace", no_convergence)
+        cfg = write(tmp_path / "c.cfg", BASE)
+        assert main(["detect", "--config", cfg, "--out", str(tmp_path / "l.tsv")]) == 4
+        assert capsys.readouterr().err == (
+            "solver did not converge: ARPACK error -1: No convergence\n")
 
     def test_file_mismatch_exit_2(self, tmp_path):
         cfg = write(tmp_path / "c.cfg", BASE)
@@ -356,6 +366,34 @@ def _run_clean(args, cwd, **extra):
     env.update(extra, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, *args], env=env, cwd=cwd, check=True,
                           capture_output=True, text=True, timeout=300)
+
+
+def _scipy_modules_after(code, cwd):
+    """The scipy modules loaded once ``code`` has run in a clean process."""
+    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    return _run_clean(["-c", code], cwd).stdout.splitlines()[-1]
+
+
+class TestImportSurface:
+    """A command loads only what it runs; scipy only where a stage needs it."""
+
+    @pytest.mark.parametrize("command", ["sample", "snr"])
+    def test_numpy_only_commands_never_import_scipy(self, tmp_path, command):
+        cfg = write(tmp_path / "c.cfg", BASE)
+        code = ("from hyperblock.cli import main\n"
+                f"assert main([{command!r}, '--config', {cfg!r}, '--out', 'o.txt']) == 0")
+        assert _scipy_modules_after(code, tmp_path) == "[]"
+        assert (tmp_path / "o.txt").stat().st_size > 0
+
+    def test_bare_import_loads_no_scipy_and_sets_one_thread(self, tmp_path):
+        code = ("import os, sys, hyperblock\n"
+                "print(os.environ['OPENBLAS_NUM_THREADS'], 'scipy' in sys.modules)")
+        assert _run_clean(["-c", code], tmp_path).stdout == "1 False\n"
+
+    def test_first_use_of_a_name_loads_its_module(self, tmp_path):
+        # the check above can see scipy: a name from pipeline loads it
+        assert _scipy_modules_after("import hyperblock\nhyperblock.partition",
+                                    tmp_path) != "[]"
 
 
 class TestThreadDefault:

@@ -1,4 +1,4 @@
-"""Every module's ``__all__`` matches the public functions and classes it defines."""
+"""The package's lazy re-exports, and every module's ``__all__``."""
 
 import importlib
 import inspect
@@ -7,6 +7,7 @@ import pkgutil
 import pytest
 
 import hyperblock
+from hyperblock import model, pipeline, spectral
 
 # the command-line entry point is run, not imported from
 MODULES = sorted(name for _, name, _ in pkgutil.iter_modules(hyperblock.__path__)
@@ -23,3 +24,31 @@ def test_all_lists_public_definitions(name):
                if not x.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
                and obj.__module__ == mod.__name__}
     assert sorted(defined - set(exported)) == []
+
+
+class TestPackageExports:
+    def test_all_has_no_duplicates_and_dir_lists_it(self):
+        exported = hyperblock.__all__
+        assert len(exported) == len(set(exported))
+        assert set(exported) <= set(dir(hyperblock))
+
+    def test_each_name_is_its_submodule_attribute(self):
+        for name in hyperblock.__all__:
+            mod = importlib.import_module(f"hyperblock.{hyperblock._SOURCE[name]}")
+            assert getattr(hyperblock, name) is getattr(mod, name), name
+
+    def test_star_and_from_imports(self):
+        namespace = {}
+        exec("from hyperblock import *", namespace)
+        assert set(hyperblock.__all__) <= set(namespace)
+        from hyperblock import partition
+        assert partition is pipeline.partition
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            hyperblock.nope
+        assert not hasattr(hyperblock, "nope")
+
+    def test_exceptions_are_one_class_wherever_imported(self):
+        assert pipeline.PartitionFailure is model.PartitionFailure is hyperblock.PartitionFailure
+        assert spectral.ConvergenceError is model.ConvergenceError is hyperblock.ConvergenceError

@@ -455,6 +455,26 @@ class TestPartitionK:
         b = partition(params, h, cfg)
         assert (a == b).all()
 
+    def test_every_stage_reads_one_split_of_the_colors(self, monkeypatch):
+        params = ModelParams(600, 3, {2: (60, 2), 3: (30, 2)})
+        h, _ = sample_hsbm(params, 6)
+        seen = {"red": [], "blue": []}  # the halves themselves, so no id is reused
+
+        def spy(name, color):
+            fn = getattr(pipeline, name)
+
+            def wrapped(half, *args, **kwargs):
+                seen[color].append(half)
+                return fn(half, *args, **kwargs)
+            monkeypatch.setattr(pipeline, name, wrapped)
+
+        for name, color in (("restrict", "red"), ("correction_k", "red"),
+                            ("blue_weighted_count", "blue"), ("merging", "blue")):
+            spy(name, color)
+        partition(params, h, PipelineConfig(nu=0.75, seed=123))
+        for halves in seen.values():
+            assert len(halves) >= 2 and all(half is halves[0] for half in halves)
+
     def test_truth_permutation_equivariance(self):
         params = ModelParams(600, 3, {2: (60, 2), 3: (30, 2)})
         h, truth = sample_hsbm(params, 9)

@@ -288,6 +288,7 @@ class TestRestrict:
         h, _ = sample_hsbm(ModelParams(40, 2, {2: (8, 2), 3: (6, 2)}), 1)
         only3 = restrict_orders(h, [3])
         assert set(only3.edges) == {3}
+        assert restrict_orders(h, [2, 3, 4]) is h  # nothing to drop
 
 
 class TestColorSplitViews:
@@ -298,6 +299,12 @@ class TestColorSplitViews:
         for m in h.edges:
             assert edge_set(red, m) | edge_set(blue, m) == edge_set(h, m)
             assert not (edge_set(red, m) & edge_set(blue, m))
+
+    def test_each_color_split_off_once(self):
+        h, _ = sample_hsbm(ModelParams(60, 2, {2: (10, 5), 3: (8, 2)}), 6)
+        hc = color_edges(h, 2)
+        assert hc.red() is hc.red() and hc.blue() is hc.blue()
+        assert hc.red() is not hc.blue()
 
     def test_ground_truth_remainder(self):
         labels = ground_truth_labels(11, 3)
