@@ -30,7 +30,6 @@ _EXPORTS = {
     "model": (
         "ConvergenceError",
         "ModelParams",
-        "OrderSubset",
         "PartitionFailure",
         "ResourceLimitError",
         "blue_density_thresholds",

@@ -64,10 +64,9 @@ def cmd_snr(cfg: ExperimentConfig, args) -> int:
     lines = ["subset\tsnr\tselected"]
     for r in range(1, len(orders) + 1):
         for combo in itertools.combinations(orders, r):
-            subset = model.OrderSubset(frozenset(combo))
-            mark = "*" if subset.members == best.members else ""
+            mark = "*" if combo == best else ""
             lines.append("{%s}\t%s\t%s" % (",".join(map(str, combo)),
-                                           repr(model.snr_subset(params, subset)), mark))
+                                           repr(model.snr_subset(params, combo)), mark))
     const = model.error_rate_constant(best, cfg.nu, params.k)
     lines.append(f"# error-rate constant at nu={repr(cfg.nu)}: {repr(const)}")
     _emit("\n".join(lines) + "\n", args.out)

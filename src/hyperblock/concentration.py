@@ -96,7 +96,7 @@ def concentration_trial(
     """
     h, _ = sample_hsbm(params, seed)
     a = adjacency(h).astype(np.float64)
-    d = float(sum((m - 1) * ab[0] for m, ab in params.orders.items()))
+    d = model.degree_scale(params, tuple(params.orders))
     rows = row_sums(a)
     kept = np.flatnonzero(rows <= tau * d)
     if d == 0.0:

@@ -70,16 +70,13 @@ def _feasible(ratio: np.ndarray, t: float) -> bool:
     return bool((match >= 0).all())
 
 
-def gamma_correctness(truth: np.ndarray, estimate: np.ndarray) -> float:
-    """Best-over-relabelings minimum per-block overlap ratio.
+def _gamma(counts: np.ndarray, sizes: np.ndarray) -> float:
+    """Bottleneck assignment on the contingency table, given the true block sizes.
 
-    max over bijections pi of min_i |V_i intersect Vhat_pi(i)| / |V_i|.
-    Solved exactly as a bottleneck assignment: binary search on the
-    candidate ratio values with a perfect-matching feasibility test.
+    Binary search on the candidate ratio values with a perfect-matching
+    feasibility test.
     """
-    truth, estimate = _check_pair(truth, estimate)
-    counts = contingency(truth, estimate)
-    sizes = np.bincount(truth, minlength=counts.shape[0]).astype(np.float64)
+    sizes = sizes.astype(np.float64)
     sizes[sizes == 0] = 1.0
     ratio = counts / sizes[:, None]
     values = np.unique(ratio)
@@ -94,6 +91,17 @@ def gamma_correctness(truth: np.ndarray, estimate: np.ndarray) -> float:
         else:
             hi = mid
     return float(values[lo])
+
+
+def gamma_correctness(truth: np.ndarray, estimate: np.ndarray) -> float:
+    """Best-over-relabelings minimum per-block overlap ratio.
+
+    max over bijections pi of min_i |V_i intersect Vhat_pi(i)| / |V_i|,
+    solved exactly as a bottleneck assignment.
+    """
+    truth, estimate = _check_pair(truth, estimate)
+    counts = contingency(truth, estimate)
+    return _gamma(counts, np.bincount(truth))
 
 
 def _matched(counts: np.ndarray) -> int:
@@ -119,7 +127,7 @@ def accuracy_report(truth: np.ndarray, estimate: np.ndarray) -> AccuracyReport:
     counts = contingency(truth, estimate)
     matched = _matched(counts)
     return AccuracyReport(
-        gamma=gamma_correctness(truth, estimate),
+        gamma=_gamma(counts, np.bincount(truth)),
         matched_accuracy=matched / len(truth),
         per_block_overlap=counts,
         misclassified=len(truth) - matched,

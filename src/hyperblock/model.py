@@ -11,6 +11,8 @@ Conventions used throughout:
 * ``comb(x, j)`` is 0 whenever ``floor(x) < j`` (empty-set convention).
 * Fractional block-size expressions (``n/k``, ``nu*n/(2k)``, ...) are
   floored before entering a binomial coefficient.
+* An order subset is a nonempty sorted tuple of orders of the model,
+  such as ``(2, 3)``.
 * Rates are per-order pairs ``(a_m, b_m)`` of finite numbers with
   ``a_m >= b_m >= 0``; the within-block connection probability of an
   order-``m`` edge is ``a_m / comb(n, m-1)`` and the cross-block one is
@@ -27,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "OrderSubset",
     "ExpectedRates",
     "comb_floor",
     "degree_scale",
@@ -120,33 +121,11 @@ class ModelParams:
         object.__setattr__(self, "orders", dict(sorted(self.orders.items())))
 
 
-@dataclass(frozen=True)
-class OrderSubset:
-    """A nonempty subset of edge orders together with its maximum element."""
-
-    members: frozenset[int]
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("order subset must be nonempty")
-        object.__setattr__(self, "members", frozenset(int(m) for m in self.members))
-
-    @property
-    def m_max(self) -> int:
-        return max(self.members)
-
-    def sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-    def __iter__(self):
-        return iter(self.sorted())
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def _check_subset(params: ModelParams, subset: OrderSubset) -> tuple[int, ...]:
-    ms = subset.sorted()
+def _check_subset(params: ModelParams, subset) -> tuple[int, ...]:
+    """The subset's orders as a sorted tuple; each must be an order of the model."""
+    ms = tuple(sorted(set(subset)))
+    if not ms:
+        raise ValueError("order subset must be nonempty")
     missing = [m for m in ms if m not in params.orders]
     if missing:
         raise ValueError(f"orders {missing} not present in the model")
@@ -161,13 +140,13 @@ class ExpectedRates:
     beta: float
 
 
-def degree_scale(params: ModelParams, subset: OrderSubset) -> float:
+def degree_scale(params: ModelParams, subset: tuple[int, ...]) -> float:
     """Degree scale d = sum over the subset of (m-1) * a_m."""
     ms = _check_subset(params, subset)
     return float(sum((m - 1) * params.orders[m][0] for m in ms))
 
 
-def snr_subset(params: ModelParams, subset: OrderSubset) -> float:
+def snr_subset(params: ModelParams, subset: tuple[int, ...]) -> float:
     """Signal-to-noise ratio of the sub-model restricted to ``subset``.
 
     Returns ``num^2 / den`` with
@@ -189,18 +168,18 @@ def snr_subset(params: ModelParams, subset: OrderSubset) -> float:
     return num * num / den
 
 
-def preprocess_select(params: ModelParams) -> OrderSubset:
+def preprocess_select(params: ModelParams) -> tuple[int, ...]:
     """Exhaustively pick the order subset with maximal signal-to-noise ratio.
 
-    Ties are broken by smaller cardinality, then by lexicographically
-    smallest sorted member tuple.
+    Returns the subset as a sorted tuple of orders.  Ties are broken by
+    smaller cardinality, then by the lexicographically smallest tuple.
     """
     if all(a == 0 and b == 0 for a, b in params.orders.values()):
         raise ValueError("all rates are zero; no subset carries signal")
     orders = sorted(params.orders)
-    subsets = [OrderSubset(frozenset(combo)) for r in range(1, len(orders) + 1)
-               for combo in itertools.combinations(orders, r)]
-    return min(subsets, key=lambda s: (-snr_subset(params, s), len(s), s.sorted()))
+    combos = [combo for r in range(1, len(orders) + 1)
+              for combo in itertools.combinations(orders, r)]
+    return min(combos, key=lambda combo: (-snr_subset(params, combo), len(combo), combo))
 
 
 def block_sizes(n: int, k: int) -> np.ndarray:
@@ -255,7 +234,7 @@ def expected_eigenvalues(params: ModelParams) -> tuple[float, float, float]:
 
 
 def blue_conditional_probs(
-    params: ModelParams, subset: OrderSubset
+    params: ModelParams, subset: tuple[int, ...]
 ) -> dict[int, tuple[float, float]]:
     """Per-order (psi_m, phi_m): P(edge is blue | edge is not red).
 
@@ -280,7 +259,7 @@ def _check_nu(nu: float) -> None:
         raise ValueError(f"nu must lie in (0.5, 1), got {nu}")
 
 
-def _blue_midpoint(params: ModelParams, subset: OrderSubset, nu: float, parts: int) -> float:
+def _blue_midpoint(params: ModelParams, subset: tuple[int, ...], nu: float, parts: int) -> float:
     """The blue thresholds' expected-count midpoint, for sets of size n/parts."""
     _check_nu(nu)
     ms = _check_subset(params, subset)
@@ -296,7 +275,7 @@ def _blue_midpoint(params: ModelParams, subset: OrderSubset, nu: float, parts: i
     return 0.5 * total
 
 
-def merging_threshold(params: ModelParams, subset: OrderSubset, nu: float) -> float:
+def merging_threshold(params: ModelParams, subset: tuple[int, ...], nu: float) -> float:
     """Blue-edge merging threshold mu_M.
 
     Midpoint of the expected weighted blue-neighbor counts of a correctly
@@ -306,7 +285,7 @@ def merging_threshold(params: ModelParams, subset: OrderSubset, nu: float) -> fl
     return _blue_midpoint(params, subset, nu, 2 * params.k)
 
 
-def binary_correction_threshold(params: ModelParams, subset: OrderSubset, nu: float) -> float:
+def binary_correction_threshold(params: ModelParams, subset: tuple[int, ...], nu: float) -> float:
     """Blue cross-neighbor threshold for the two-block correction stage.
 
     The merging threshold's midpoint with half-sized (n/2) sides in place
@@ -316,7 +295,7 @@ def binary_correction_threshold(params: ModelParams, subset: OrderSubset, nu: fl
 
 
 def blue_density_thresholds(
-    params: ModelParams, subset: OrderSubset, nu: float
+    params: ModelParams, subset: tuple[int, ...], nu: float
 ) -> tuple[float, float, float]:
     """Blue-density separation thresholds (mu_1, mu_2, mu_T) for candidate sets.
 
@@ -348,7 +327,7 @@ def blue_density_thresholds(
     return mu1, mu2, 0.5 * (mu1 + mu2)
 
 
-def error_rate_constant(subset: OrderSubset, nu: float, k: int) -> float:
+def error_rate_constant(subset: tuple[int, ...], nu: float, k: int) -> float:
     """Exponential error-rate constant for the selected subset (reported only).
 
     The misclassification fraction decays like exp(-const * SNR); the
@@ -356,7 +335,7 @@ def error_rate_constant(subset: OrderSubset, nu: float, k: int) -> float:
     normalization for the two-block case.
     """
     _check_nu(nu)
-    mm = subset.m_max
+    mm = max(subset)
     gap = nu ** (mm - 1) - (1.0 - nu) ** (mm - 1)
     if k == 2:
         return gap * gap / (8.0 * (mm - 1) ** 2)

@@ -1,9 +1,11 @@
 """The detection pipeline over hypergraph instances.
 
 ``partition`` is its one entry point.  It picks the order subset of
-largest signal-to-noise ratio, keeps only the edges of those orders and
-colors an uncolored hypergraph red or blue at random, then runs the
-two-block (k = 2) or the multi-block (k >= 3) pipeline.
+largest signal-to-noise ratio (a sorted tuple of orders), keeps only the
+edges of those orders and colors an uncolored hypergraph red or blue at
+random, then runs the two-block (k = 2) or the multi-block (k >= 3)
+pipeline.  Every stage reads the hypergraph through its per-order edge
+arrays ``h.edges``.
 
 For k >= 3 the pipeline splits the vertices into Z / Y1 / Y2, extracts a
 singular subspace from the regularized red bipartite adjacency between Z
@@ -14,8 +16,9 @@ projection goes through the k x s subspace coordinates of the s sampled
 columns, never an n x s float block.  Vertex sets travel between these
 stages as one n x (number of sets) boolean membership matrix, column j
 marking set j; only merging turns them into labels.  The two-block
-pipeline (k = 2) works on the full red adjacency and swaps suspicious
-vertices by a blue cross-neighbor test.
+pipeline (k = 2) works on the full red adjacency, splits the vertices
+into 0/1 labels and swaps suspicious vertices by a blue cross-neighbor
+test.
 
 Every stage is deterministic given the pipeline seed, from which each
 draw takes its own stream through ``sampler.trial_seed``; independent
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .model import ModelParams, OrderSubset, PartitionFailure
+from .model import ModelParams, PartitionFailure
 from .sampler import (
     SIDE_Y1,
     SIDE_Y2,
@@ -45,7 +48,7 @@ from .sampler import (
     subset_mask,
     trial_seed,
 )
-from .spectral import adjacency, bipartite_embed, incidence, regularize, top_subspace
+from .spectral import adjacency, bipartite_embed, regularize, top_subspace
 
 __all__ = [
     "PartitionFailure",
@@ -81,7 +84,7 @@ class PipelineConfig:
         model._check_nu(self.nu)
 
 
-def centering_vector(params: ModelParams, subset: OrderSubset, z_set) -> np.ndarray:
+def centering_vector(params: ModelParams, subset: tuple[int, ...], z_set) -> np.ndarray:
     """Column-centering vector: (alpha_bar + beta_bar)/2 on Z, zero elsewhere.
 
     alpha_bar / beta_bar are the expected within- and cross-block entries
@@ -90,7 +93,7 @@ def centering_vector(params: ModelParams, subset: OrderSubset, z_set) -> np.ndar
     n, k = params.n, params.k
     abar = 0.0
     bbar = 0.0
-    for m in subset.sorted():
+    for m in subset:
         a, b = params.orders[m]
         denom = math.comb(n, m - 1)
         same = model.comb_floor(3 * n / (4 * k) - 2, m - 2)
@@ -144,16 +147,23 @@ def _top_positions(scores: np.ndarray, size: int) -> np.ndarray:
 def _neighbor_scores(h: Hypergraph, members: np.ndarray) -> np.ndarray:
     """S[v, i] = sum of (m_e - 1) over edges e through v with the rest in set i.
 
-    ``members`` is the n x s membership matrix of the sets.  An edge of
-    order m has its other endpoints in the set when m of its endpoints lie
-    there if v does, and m - 1 if v does not.
+    ``members`` is the n x s membership matrix of the sets.  For each order
+    m, ``inside`` counts every edge's endpoints in every set; an endpoint v
+    has the other m - 1 in set i when that count, less v's own membership,
+    is m - 1.
     """
-    inc, order = incidence(h)
-    inside = inc @ members
-    weight = (order - 1)[:, None]
-    with_v = inc.T @ (weight * (inside == order[:, None]))
-    without_v = inc.T @ (weight * (inside == order[:, None] - 1))
-    return np.where(members, with_v, without_v)
+    n, s = members.shape
+    scores = np.zeros((n, s), dtype=np.int64)
+    for m, rows in h.edges.items():
+        # at most m endpoints per set, so int32 counts are exact
+        inside = np.zeros((len(rows), s), dtype=np.int32)
+        for v in rows.T:
+            inside += members[v]
+        for v in rows.T:
+            hit = inside - members[v] == m - 1
+            for i in range(s):
+                scores[:, i] += (m - 1) * np.bincount(v[hit[:, i]], minlength=n)
+    return scores
 
 
 def spectral_partition_k(
@@ -192,7 +202,7 @@ def spectral_partition_k(
                                {"z": len(z), "set_size": set_size})
 
     d = model.degree_scale(params, subset)
-    threshold = REGULARIZATION_FACTOR * subset.m_max * d
+    threshold = REGULARIZATION_FACTOR * max(subset) * d
 
     # subspace from the red hypergraph induced on Z u Y1
     a_zy1, kept = regularize(adjacency(restrict(h_red, np.concatenate([z, y1]))), threshold)
@@ -287,18 +297,20 @@ def spectral_partition_2(
     h_red: Hypergraph,
     params: ModelParams,
     cfg: PipelineConfig,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Two-block spectral split from the regularized red adjacency.
 
     Takes the two leading eigenvectors by magnitude, removes the direction
     of the projected all-ones vector, and splits the vertices at the
-    median coordinate of the remaining unit vector.
+    median coordinate of the remaining unit vector.  Returns 0/1 labels:
+    label 0 goes to the first ceil(n/2) vertices of a stable descending
+    sort of that vector, label 1 to the rest.
     """
     n = params.n
     subset = model.preprocess_select(params)
     h_red = restrict_orders(h_red, subset)
     d = model.degree_scale(params, subset)
-    threshold = REGULARIZATION_FACTOR * subset.m_max * d
+    threshold = REGULARIZATION_FACTOR * max(subset) * d
     a_reg, _ = regularize(adjacency(h_red), threshold)
     basis = top_subspace(a_reg, 2, "symmetric-eigen", seed=trial_seed(cfg.seed, 3))
     if basis.singular_values[0] == 0.0:
@@ -316,28 +328,21 @@ def spectral_partition_2(
         raise PartitionFailure("leading subspace is degenerate after deflation")
     v = residuals[:, best] / lengths[best]
 
-    order = np.argsort(-v, kind="stable")
-    half = (n + 1) // 2
-    return np.sort(order[:half]), np.sort(order[half:])
+    labels = np.ones(n, dtype=np.int64)
+    labels[np.argsort(-v, kind="stable")[:(n + 1) // 2]] = 0
+    return labels
 
 
-def correction_2(
-    h_blue: Hypergraph,
-    side_1,
-    side_2,
-    threshold: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Swap vertices whose weighted blue cross-neighbor count reaches the threshold."""
-    n = h_blue.n
-    m1 = subset_mask(n, side_1)
-    m2 = subset_mask(n, side_2)
-    if (m1 & m2).any() or not (m1 | m2).all():
-        raise ValueError("the two sides must partition the vertex set")
-    scores = _neighbor_scores(h_blue, np.column_stack([m1, m2]))
-    cross = np.where(m1, scores[:, 1], scores[:, 0])
-    bad = cross >= threshold
-    to_1 = (m1 & ~bad) | (m2 & bad)
-    return np.flatnonzero(to_1), np.flatnonzero(~to_1)
+def correction_2(h_blue: Hypergraph, labels: np.ndarray, threshold: float) -> np.ndarray:
+    """Swap vertices whose weighted blue cross-neighbor count reaches the threshold.
+
+    ``labels`` gives every vertex its side, 0 or 1; returns the corrected
+    labels.
+    """
+    sides = labels[:, None] == np.arange(2)
+    scores = _neighbor_scores(h_blue, sides)
+    cross = np.where(sides[:, 0], scores[:, 1], scores[:, 0])
+    return np.where(cross >= threshold, 1 - labels, labels)
 
 
 def partition(params: ModelParams, h: Hypergraph, cfg: PipelineConfig) -> np.ndarray:
@@ -350,17 +355,15 @@ def partition(params: ModelParams, h: Hypergraph, cfg: PipelineConfig) -> np.nda
     if not h.is_colored:
         h = color_edges(h, trial_seed(cfg.seed, 1))
     if params.k == 2:
-        side_1, side_2 = spectral_partition_2(h.red(), params, cfg)
+        labels = spectral_partition_2(h.red(), params, cfg)
         threshold = model.binary_correction_threshold(params, subset, cfg.nu)
-        hat_1, hat_2 = correction_2(h.blue(), side_1, side_2, threshold)
-        labels = np.zeros(params.n, dtype=np.int64)
-        labels[hat_2] = 1
-        log.debug("partition: subset=%s threshold=%.4f", subset.sorted(), threshold)
+        labels = correction_2(h.blue(), labels, threshold)
+        log.debug("partition: subset=%s threshold=%.4f", subset, threshold)
         return labels
     split = split_vertices(params.n, trial_seed(cfg.seed, 2))
     candidates = spectral_partition_k(h, split, params, cfg)
     corrected = correction_k(h.red(), split.z, candidates)
     mu_m = model.merging_threshold(params, subset, cfg.nu)
     labels = merging(h.blue(), split.members(SIDE_Y1, SIDE_Y2), corrected, mu_m)
-    log.debug("partition: subset=%s mu_m=%.4f", subset.sorted(), mu_m)
+    log.debug("partition: subset=%s mu_m=%.4f", subset, mu_m)
     return labels

@@ -2,14 +2,11 @@
 
 Adjacency matrices are scipy CSR with integer weights: entry (i, j) counts
 the hyperedges containing both endpoints, so the i-th row sum equals
-``sum_m (m-1) * #(order-m edges through i)``.  The incidence matrix H
-holds one 0/1 row per hyperedge, all orders stacked, so ``H @ X`` counts
-the endpoints of every edge inside each column set of a 0/1 matrix X.
-Subspaces and norms come from ARPACK's implicitly restarted Lanczos method
-(Lehoucq, Sorensen & Yang 1998) through ``scipy.sparse.linalg.eigsh``,
-started from a seeded vector so that results are deterministic;
-degenerate spectra are compared through projectors, never through
-individual vectors.
+``sum_m (m-1) * #(order-m edges through i)``.  Subspaces and norms come
+from ARPACK's implicitly restarted Lanczos method (Lehoucq, Sorensen &
+Yang 1998) through ``scipy.sparse.linalg.eigsh``, started from a seeded
+vector so that results are deterministic; degenerate spectra are compared
+through projectors, never through individual vectors.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from .sampler import Hypergraph, subset_mask
 __all__ = [
     "ConvergenceError",
     "SubspaceBasis",
-    "incidence",
     "adjacency",
     "bipartite_embed",
     "row_sums",
@@ -48,22 +44,6 @@ class SubspaceBasis:
 
     vectors: np.ndarray
     singular_values: np.ndarray
-
-
-def incidence(h: Hypergraph) -> tuple[sp.csr_array, np.ndarray]:
-    """Edge x vertex 0/1 incidence matrix and the order of each row.
-
-    Rows run through the orders in ascending order and, within one order,
-    follow ``h.edges[m]``; column indices within a row are ascending.
-    """
-    orders = sorted(m for m, arr in h.edges.items() if len(arr))
-    sizes = np.repeat(np.array(orders, dtype=np.int64),
-                      [len(h.edges[m]) for m in orders])
-    indptr = np.concatenate([[0], np.cumsum(sizes)])
-    indices = (np.concatenate([h.edges[m].ravel() for m in orders]) if orders
-               else np.empty(0, dtype=np.int64))
-    data = np.ones(len(indices), dtype=np.int64)
-    return sp.csr_array((data, indices, indptr), shape=(len(sizes), h.n)), sizes
 
 
 def adjacency(h: Hypergraph) -> sp.csr_array:

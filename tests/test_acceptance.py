@@ -72,7 +72,7 @@ def test_criterion_02_subset_selection_oracle():
                 key = (-snr, len(combo), combo)
                 if best is None or key < best:
                     best = key
-        return frozenset(best[2])
+        return best[2]
 
     rng = np.random.default_rng(BASE_SEED + 1)
     mismatches = 0
@@ -87,7 +87,7 @@ def test_criterion_02_subset_selection_oracle():
         if all(a == 0 and b == 0 for a, b in orders.values()):
             orders[2] = (1.0, 0.0)
         p = ModelParams(60, k, orders)
-        if preprocess_select(p).members != oracle(60, k, orders):
+        if preprocess_select(p) != oracle(60, k, orders):
             mismatches += 1
     gate(2, mismatches == 0, f"1000 random models, {mismatches} mismatches")
 

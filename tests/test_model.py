@@ -8,7 +8,6 @@ import pytest
 
 from hyperblock.model import (
     ModelParams,
-    OrderSubset,
     ResourceLimitError,
     binary_correction_threshold,
     blue_conditional_probs,
@@ -22,9 +21,6 @@ from hyperblock.model import (
     preprocess_select,
     snr_subset,
 )
-
-S = lambda *ms: OrderSubset(frozenset(ms))
-
 
 def brute_force_snr(n, k, orders, members):
     """Independent SNR evaluation, written from the displayed formula."""
@@ -42,7 +38,7 @@ def brute_force_select(n, k, orders):
             key = (-brute_force_snr(n, k, orders, combo), len(combo), combo)
             if best is None or key < best:
                 best = key
-    return frozenset(best[2])
+    return best[2]
 
 
 def pair_expectation_oracle(n, k, orders, i, j, labels):
@@ -84,21 +80,25 @@ class TestCombFloor:
 class TestDegreeScale:
     def test_hand_values(self):
         p = ModelParams(40, 2, {2: (3, 1), 3: (5, 1)})
-        assert degree_scale(p, S(2, 3)) == 13
-        assert degree_scale(ModelParams(40, 2, {2: (0, 0)}), S(2)) == 0
-        assert degree_scale(ModelParams(40, 2, {2: (3, 1)}), S(2)) == 3
+        assert degree_scale(p, (2, 3)) == 13
+        assert degree_scale(ModelParams(40, 2, {2: (0, 0)}), (2,)) == 0
+        assert degree_scale(ModelParams(40, 2, {2: (3, 1)}), (2,)) == 3
 
     def test_missing_order_rejected(self):
         p = ModelParams(40, 2, {2: (3, 1)})
         with pytest.raises(ValueError):
-            degree_scale(p, S(3))
+            degree_scale(p, (3,))
+
+    def test_empty_subset_rejected(self):
+        with pytest.raises(ValueError, match="order subset must be nonempty"):
+            degree_scale(ModelParams(40, 2, {2: (3, 1)}), ())
 
 
 class TestSnr:
     def test_hand_values(self):
-        assert snr_subset(ModelParams(40, 2, {2: (5, 1)}), S(2)) == pytest.approx(4 / 3)
-        assert snr_subset(ModelParams(40, 2, {3: (8, 0)}), S(3)) == pytest.approx(4.0)
-        assert snr_subset(ModelParams(40, 3, {2: (2, 2), 3: (1, 1)}), S(2, 3)) == 0.0
+        assert snr_subset(ModelParams(40, 2, {2: (5, 1)}), (2,)) == pytest.approx(4 / 3)
+        assert snr_subset(ModelParams(40, 2, {3: (8, 0)}), (3,)) == pytest.approx(4.0)
+        assert snr_subset(ModelParams(40, 3, {2: (2, 2), 3: (1, 1)}), (2, 3)) == 0.0
 
     def test_nonnegative_and_zero_iff_no_signal(self):
         rng = np.random.default_rng(1)
@@ -110,7 +110,7 @@ class TestSnr:
                 gap = float(rng.choice([0.0, rng.uniform(0, 5)]))
                 orders[m] = (b + gap, b)
             p = ModelParams(60, k, orders)
-            snr = snr_subset(p, S(*orders.keys()))
+            snr = snr_subset(p, tuple(orders))
             assert snr >= 0.0
             no_signal = all(a == b for a, b in orders.values())
             assert (snr == 0.0) == no_signal
@@ -118,10 +118,10 @@ class TestSnr:
 
 class TestPreprocessSelect:
     def test_spec_examples(self):
-        assert preprocess_select(ModelParams(40, 2, {2: (1, 1), 3: (8, 0)})).members == {3}
-        assert preprocess_select(ModelParams(40, 2, {2: (5, 1)})).members == {2}
+        assert preprocess_select(ModelParams(40, 2, {2: (1, 1), 3: (8, 0)})) == (3,)
+        assert preprocess_select(ModelParams(40, 2, {2: (5, 1)})) == (2,)
         p = ModelParams(40, 2, {2: (5, 1), 3: (5, 1)})
-        assert preprocess_select(p).members == brute_force_select(40, 2, p.orders)
+        assert preprocess_select(p) == brute_force_select(40, 2, p.orders)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -139,7 +139,7 @@ class TestPreprocessSelect:
             if all(a == 0 and b == 0 for a, b in orders.values()):
                 continue
             p = ModelParams(80, k, orders)
-            assert preprocess_select(p).members == brute_force_select(80, k, orders)
+            assert preprocess_select(p) == brute_force_select(80, k, orders)
 
 
 class TestExpectedRates:
@@ -221,52 +221,52 @@ class TestExpectedEigenvalues:
 
 class TestBlueConditionalProbs:
     def test_hand_value(self):
-        probs = blue_conditional_probs(ModelParams(4, 2, {2: (2, 0)}), S(2))
+        probs = blue_conditional_probs(ModelParams(4, 2, {2: (2, 0)}), (2,))
         psi, phi = probs[2]
         assert psi == pytest.approx(1 / 3)
         assert phi == 0.0
 
     def test_symmetry_and_ordering(self):
-        probs = blue_conditional_probs(ModelParams(30, 2, {2: (4, 4), 3: (6, 2)}), S(2, 3))
+        probs = blue_conditional_probs(ModelParams(30, 2, {2: (4, 4), 3: (6, 2)}), (2, 3))
         assert probs[2][0] == probs[2][1]
         for psi, phi in probs.values():
             assert 0 <= phi <= psi < 1
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            blue_conditional_probs(ModelParams(4, 2, {2: (9, 0)}), S(2))
+            blue_conditional_probs(ModelParams(4, 2, {2: (9, 0)}), (2,))
 
 
 class TestMergingThreshold:
     def test_hand_value(self):
         p = ModelParams(40, 2, {2: (40, 8)})
-        assert merging_threshold(p, S(2), 0.9) == pytest.approx(50 / 9, rel=1e-12)
+        assert merging_threshold(p, (2,), 0.9) == pytest.approx(50 / 9, rel=1e-12)
 
     def test_zero_cross_rate(self):
         p = ModelParams(40, 2, {2: (10, 0)})
-        probs = blue_conditional_probs(p, S(2))
+        probs = blue_conditional_probs(p, (2,))
         psi = probs[2][0]
         want = 0.5 * (comb_floor(0.75 * 10, 1) + comb_floor(0.25 * 10, 1)) * psi
-        assert merging_threshold(p, S(2), 0.75) == pytest.approx(want, rel=1e-12)
+        assert merging_threshold(p, (2,), 0.75) == pytest.approx(want, rel=1e-12)
 
     def test_equal_rates(self):
         p = ModelParams(48, 2, {2: (5, 5), 3: (3, 3)})
-        probs = blue_conditional_probs(p, S(2, 3))
+        probs = blue_conditional_probs(p, (2, 3))
         want = sum((m - 1) * comb_floor(48 / 4, m - 1) * probs[m][1] for m in (2, 3))
-        assert merging_threshold(p, S(2, 3), 0.8) == pytest.approx(want, rel=1e-12)
+        assert merging_threshold(p, (2, 3), 0.8) == pytest.approx(want, rel=1e-12)
 
 
 class TestBlueDensityThresholds:
     def test_hand_value(self):
         p = ModelParams(80, 2, {2: (40, 8)})
-        mu1, mu2, mut = blue_density_thresholds(p, S(2), 0.9)
+        mu1, mu2, mut = blue_density_thresholds(p, (2,), 0.9)
         assert mu1 == pytest.approx(80.6, rel=1e-12)
         assert mu2 == pytest.approx(87.4, rel=1e-12)
         assert mut == pytest.approx(84.0, rel=1e-12)
 
     def test_equal_rates_collapse(self):
         p = ModelParams(64, 2, {2: (6, 6), 3: (3, 3)})
-        mu1, mu2, mut = blue_density_thresholds(p, S(2, 3), 0.75)
+        mu1, mu2, mut = blue_density_thresholds(p, (2, 3), 0.75)
         want = 0.5 * sum(m * (m - 1) * comb_floor(64 / 4, m) * p.orders[m][1]
                          / math.comb(64, m - 1) for m in (2, 3))
         for v in (mu1, mu2, mut):
@@ -280,32 +280,32 @@ class TestBlueDensityThresholds:
             b = float(rng.uniform(0, 5))
             p = ModelParams(n, k, {2: (b + rng.uniform(0, 8), b), 3: (6, 2)})
             nu = float(rng.uniform(0.51, 0.99))
-            mu1, mu2, mut = blue_density_thresholds(p, S(2, 3), nu)
+            mu1, mu2, mut = blue_density_thresholds(p, (2, 3), nu)
             assert mu1 <= mut <= mu2
 
     def test_strict_gap_with_signal_at_large_n(self):
         p = ModelParams(4000, 3, {2: (10, 2), 3: (8, 1)})
-        mu1, mu2, _ = blue_density_thresholds(p, S(2, 3), 0.75)
+        mu1, mu2, _ = blue_density_thresholds(p, (2, 3), 0.75)
         assert mu2 > mu1
 
 
 class TestBinaryCorrectionThreshold:
     def test_reduces_to_merging_shape_with_half_blocks(self):
         p = ModelParams(40, 2, {2: (12, 4)})
-        probs = blue_conditional_probs(p, S(2))
+        probs = blue_conditional_probs(p, (2,))
         psi, phi = probs[2]
         want = 0.5 * ((comb_floor(0.75 * 20, 1) + comb_floor(0.25 * 20, 1)) * (psi - phi)
                       + 2 * comb_floor(20, 1) * phi)
-        assert binary_correction_threshold(p, S(2), 0.75) == pytest.approx(want, rel=1e-12)
+        assert binary_correction_threshold(p, (2,), 0.75) == pytest.approx(want, rel=1e-12)
 
     def test_graph_case_magnitude(self):
         # for one pairwise order the threshold is about (a + b) / 8 of the
         # blue-halved rates, independent of nu
         n = 2000
         p = ModelParams(n, 2, {2: (40, 8)})
-        got = binary_correction_threshold(p, S(2), 0.75)
+        got = binary_correction_threshold(p, (2,), 0.75)
         assert got == pytest.approx((40 + 8) / 8, rel=0.01)
-        assert binary_correction_threshold(p, S(2), 0.9) == pytest.approx(got, rel=0.01)
+        assert binary_correction_threshold(p, (2,), 0.9) == pytest.approx(got, rel=0.01)
 
 
 class TestSizePerturbationStability:

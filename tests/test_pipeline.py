@@ -6,10 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hyperblock import model, pipeline
 from hyperblock.metrics import accuracy_report, matched_accuracy
-from hyperblock.model import ModelParams, OrderSubset, merging_threshold
+from hyperblock.model import ModelParams, merging_threshold
 from hyperblock.pipeline import (
     PartitionFailure,
     PipelineConfig,
@@ -24,7 +25,7 @@ from hyperblock.pipeline import (
     _neighbor_scores,
     _top_positions,
 )
-from hyperblock.spectral import incidence
+from hyperblock.spectral import adjacency
 from hyperblock.sampler import (
     BLUE,
     RED,
@@ -35,9 +36,6 @@ from hyperblock.sampler import (
     sample_hsbm,
     split_vertices,
 )
-
-S = lambda *ms: OrderSubset(frozenset(ms))
-
 
 def colored(n, edges, colors):
     earr = {m: np.array(rows, dtype=np.int64).reshape(len(rows), m)
@@ -56,21 +54,48 @@ def columns(members):
     return [np.flatnonzero(col) for col in members.T]
 
 
+def incidence(h):
+    """Edge x vertex 0/1 incidence matrix and the order of each row.
+
+    Rows run through the orders in ascending order and, within one order,
+    follow ``h.edges[m]``.  ``inc @ X`` counts the endpoints of every edge
+    inside each column set of a 0/1 matrix X: the oracle of the blue count
+    and of the neighbor votes.
+    """
+    orders = sorted(m for m, arr in h.edges.items() if len(arr))
+    sizes = np.repeat(np.array(orders, dtype=np.int64),
+                      [len(h.edges[m]) for m in orders])
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    indices = (np.concatenate([h.edges[m].ravel() for m in orders]) if orders
+               else np.empty(0, dtype=np.int64))
+    data = np.ones(len(indices), dtype=np.int64)
+    return sp.csr_array((data, indices, indptr), shape=(len(sizes), h.n)), sizes
+
+
+class TestIncidence:
+    def test_gram_off_diagonal_is_adjacency(self):
+        h, _ = sample_hsbm(ModelParams(40, 2, {2: (8, 3), 3: (5, 2)}), 2)
+        inc, _ = incidence(h)
+        gram = (inc.T @ inc).toarray()
+        np.fill_diagonal(gram, 0)
+        assert (gram == adjacency(h).toarray()).all()
+
+
 class TestCenteringVector:
     def test_hand_value(self):
         p = ModelParams(80, 2, {2: (40, 8)})
         z = np.arange(10)
-        vec = centering_vector(p, S(2), z)
+        vec = centering_vector(p, (2,), z)
         assert vec[0] == pytest.approx(0.3)
         assert vec[10] == 0.0
 
     def test_empty_z(self):
         p = ModelParams(80, 2, {2: (40, 8)})
-        assert (centering_vector(p, S(2), []) == 0).all()
+        assert (centering_vector(p, (2,), []) == 0).all()
 
     def test_equal_rates_constant(self):
         p = ModelParams(64, 2, {2: (6, 6), 3: (4, 4)})
-        vec = centering_vector(p, S(2, 3), np.arange(32))
+        vec = centering_vector(p, (2, 3), np.arange(32))
         # alpha_bar equals beta_bar, so the value is just their common rate
         want = sum(math.comb(48 - 2, m - 2) * b / math.comb(64, m - 1)
                    for m, (a, b) in p.orders.items())
@@ -200,6 +225,50 @@ class TestWeightedRedNeighbors:
     def test_edgeless(self):
         h = Hypergraph(4, {2: np.empty((0, 2), dtype=np.int64)})
         assert neighbor_scores(h, [[0, 1], [2]]).tolist() == [[0, 0]] * 4
+
+    @staticmethod
+    def incidence_oracle(h, members):
+        """The scores from edge x set and vertex x set products: an edge has
+        the rest of its endpoints in a set when m of its endpoints lie there
+        if v does, and m - 1 if v does not."""
+        inc, order = incidence(h)
+        inside = inc @ members
+        weight = (order - 1)[:, None]
+        with_v = inc.T @ (weight * (inside == order[:, None]))
+        without_v = inc.T @ (weight * (inside == order[:, None] - 1))
+        return np.where(members, with_v, without_v)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 7])
+    def test_equals_incidence_oracle(self, s):
+        rng = np.random.default_rng(s)
+        params = ModelParams(40, 2, {2: (12, 4), 3: (10, 3), 4: (8, 2), 5: (6, 2)})
+        for trial in range(4):
+            h, _ = sample_hsbm(params, int(rng.integers(1 << 30)))
+            assert sorted(h.edges) == [2, 3, 4, 5] and all(len(a) for a in h.edges.values())
+            if trial == 3:  # an order with no edges
+                h = Hypergraph(40, {**h.edges, 3: np.empty((0, 3), dtype=np.int64)})
+            members = rng.random((40, s)) < rng.uniform(0.2, 0.9, size=s)
+            members[:, rng.permutation(s)[:min(trial, s)]] = False  # empty sets
+            got = _neighbor_scores(h, members)
+            want = self.incidence_oracle(h, members)
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    def test_peak_memory_bounded_by_one_order(self):
+        n, s = 6000, 3
+        h, _ = sample_hsbm(ModelParams(n, 3, {2: (60, 4), 3: (40, 4)}), 8)
+        members = np.random.default_rng(3).random((n, s)) < 0.4
+        tracemalloc.start()
+        try:
+            _neighbor_scores(h, members)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the int64 scores; for the order with most edges, its int32 counts
+        # and one int32 difference, two boolean edge x set arrays and one
+        # set's int64 edge ids; and two int64 bincounts
+        most = max(len(rows) for rows in h.edges.values())
+        assert peak < 8 * n * s + most * (4 * s + 4 * s + 2 * s + 8) + 2 * 8 * n + (1 << 16)
 
 
 def planted_k3(n=900, seed=0):
@@ -435,7 +504,7 @@ class TestMerging:
         params, hcol, split, _, cfg = planted_k3(seed=2)
         sets = spectral_partition_k(hcol, split, params, cfg)
         out = correction_k(hcol.red(), split.z, sets)
-        mu = merging_threshold(params, S(2, 3), cfg.nu)
+        mu = merging_threshold(params, (2, 3), cfg.nu)
         labels = merging(hcol.blue(), split.members(SIDE_Y1, SIDE_Y2), out, mu)
         assert (labels >= 0).all()
 
@@ -487,26 +556,33 @@ class TestPartitionK:
 
 
 class TestBinaryPipeline:
-    def test_spectral_split_sizes(self):
-        params = ModelParams(500, 2, {2: (40, 4)})
+    @pytest.mark.parametrize("n", [500, 501])
+    def test_spectral_split_sizes(self, n):
+        params = ModelParams(n, 2, {2: (40, 4)})
         h, _ = sample_hsbm(params, 3)
         hc = color_edges(h, 5)
-        v1, v2 = spectral_partition_2(hc.red(), params, PipelineConfig(seed=1))
-        assert len(v1) == 250 and len(v2) == 250
-        assert not set(v1.tolist()) & set(v2.tolist())
+        labels = spectral_partition_2(hc.red(), params, PipelineConfig(seed=1))
+        assert labels.dtype == np.int64 and set(labels.tolist()) == {0, 1}
+        assert np.count_nonzero(labels == 0) == (n + 1) // 2
 
     def test_correction_2_stay_and_swap(self):
         # vertex 0 has every blue edge crossing: swaps; vertex 3 has none: stays
         h = colored(6, {2: [[0, 3], [0, 4], [0, 5]]}, {2: [BLUE] * 3})
-        v1, v2 = np.array([0, 1, 2]), np.array([3, 4, 5])
-        hat1, hat2 = correction_2(h.blue(), v1, v2, 2.0)
-        assert 0 in hat2 and 3 in hat2
-        assert 1 in hat1 and 2 in hat1
+        labels = np.array([0, 0, 0, 1, 1, 1])
+        assert correction_2(h.blue(), labels, 2.0).tolist() == [1, 0, 0, 1, 1, 1]
 
-    def test_correction_2_requires_partition(self):
-        h = colored(4, {2: [[0, 1]]}, {2: [BLUE]})
-        with pytest.raises(ValueError):
-            correction_2(h.blue(), np.array([0, 1]), np.array([1, 2]), 1.0)
+    def test_correction_2_swaps_both_ways(self):
+        # vertex 0 (side 0) and vertex 5 (side 1) each have two crossing edges
+        h = colored(6, {2: [[0, 3], [0, 4], [1, 5], [2, 5]]}, {2: [BLUE] * 4})
+        labels = np.array([0, 0, 0, 1, 1, 1])
+        assert correction_2(h.blue(), labels, 2.0).tolist() == [1, 0, 0, 1, 1, 0]
+
+    def test_correction_2_swaps_at_the_threshold(self):
+        # an order-3 edge weighs m - 1 = 2: vertex 0's cross count is exactly 2
+        h = colored(6, {3: [[0, 4, 5]]}, {3: [BLUE]})
+        labels = np.array([0, 0, 0, 1, 1, 1])
+        assert correction_2(h.blue(), labels, 2.0)[0] == 1
+        assert correction_2(h.blue(), labels, np.nextafter(2.0, 3.0))[0] == 0
 
     def test_recovers_planted_blocks(self):
         params = ModelParams(1500, 2, {2: (50, 4)})

@@ -11,7 +11,6 @@ from hyperblock.spectral import (
     ConvergenceError,
     adjacency,
     bipartite_embed,
-    incidence,
     mask_matrix,
     regularize,
     row_sums,
@@ -23,31 +22,6 @@ from hyperblock.spectral import (
 def planted_instance(n=260, k=2, a=40, b=4, seed=0):
     h, _ = sample_hsbm(ModelParams(n, k, {2: (a, b)}), seed)
     return adjacency(h).astype(np.float64)
-
-
-class TestIncidence:
-    def test_rows_follow_orders_and_edges(self):
-        h, _ = sample_hsbm(ModelParams(30, 2, {2: (8, 3), 3: (6, 2), 4: (5, 2)}), 1)
-        inc, order = incidence(h)
-        rows = [list(row) for m in sorted(h.edges) for row in h.edges[m].tolist()]
-        assert inc.shape == (len(rows), 30)
-        assert order.tolist() == [len(r) for r in rows]
-        assert [inc.indices[inc.indptr[e]:inc.indptr[e + 1]].tolist()
-                for e in range(len(rows))] == rows
-        assert (inc.data == 1).all()
-
-    def test_gram_off_diagonal_is_adjacency(self):
-        h, _ = sample_hsbm(ModelParams(40, 2, {2: (8, 3), 3: (5, 2)}), 2)
-        inc, _ = incidence(h)
-        gram = (inc.T @ inc).toarray()
-        np.fill_diagonal(gram, 0)
-        assert (gram == adjacency(h).toarray()).all()
-
-    def test_edgeless(self):
-        for h in (Hypergraph(5, {}), Hypergraph(5, {3: np.empty((0, 3), dtype=np.int64)})):
-            inc, order = incidence(h)
-            assert inc.shape == (0, 5) and len(order) == 0
-            assert (inc @ np.ones((5, 2))).shape == (0, 2)
 
 
 class TestAdjacency:
