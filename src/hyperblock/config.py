@@ -78,8 +78,10 @@ def _parse_orders(value: str) -> dict[int, tuple[float, float]]:
         part = part.strip()
         if not part:
             continue
-        m_s, rates = part.split(":")
-        a_s, b_s = rates.split(",")
+        m_s, colon, rates = part.partition(":")
+        a_s, comma, b_s = rates.partition(",")
+        if not (colon and comma) or ":" in rates or "," in m_s + b_s:
+            raise ValueError(f"entry {part!r} is not of the form m:a,b")
         m = int(m_s)
         if m in orders:
             raise ValueError(f"duplicate order {m} in orders")

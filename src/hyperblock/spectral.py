@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sputils import get_index_dtype
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, aslinearoperator, eigsh
 
 from .model import ConvergenceError
@@ -46,8 +47,17 @@ class SubspaceBasis:
     singular_values: np.ndarray
 
 
+def _index_dtype(n: int, nnz: int) -> type:
+    """CSR index dtype of an n x n matrix with nnz stored entries: int32 when both fit."""
+    return get_index_dtype(maxval=max(n, nnz))
+
+
 def adjacency(h: Hypergraph) -> sp.csr_array:
-    """Symmetric integer adjacency: (i, j) counts hyperedges containing both."""
+    """Symmetric integer adjacency: (i, j) counts hyperedges containing both.
+
+    Its indices are int32 unless n or the entry count needs int64; every
+    masked copy keeps the index dtype.
+    """
     n = h.n
     rows, cols = [], []
     for m, arr in h.edges.items():
@@ -58,8 +68,10 @@ def adjacency(h: Hypergraph) -> sp.csr_array:
             cols.append(arr[:, q])
     if not rows:
         return sp.csr_array((n, n), dtype=np.int64)
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
+    # the symmetric sum stores at most two entries per pair
+    idx = _index_dtype(n, 2 * sum(map(len, rows)))
+    r = np.concatenate(rows, dtype=idx)
+    c = np.concatenate(cols, dtype=idx)
     data = np.ones(len(r), dtype=np.int64)
     upper = sp.coo_array((data, (r, c)), shape=(n, n)).tocsr()
     return (upper + upper.T).tocsr()
@@ -69,7 +81,9 @@ def _keep_entries(a, in_rows: np.ndarray, in_cols: np.ndarray) -> sp.csr_array:
     """CSR copy of ``a`` holding the stored entries whose row and column pass the masks."""
     a = sp.csr_array(a)
     keep = np.repeat(in_rows, np.diff(a.indptr)) & in_cols[a.indices]
-    indptr = np.concatenate([[0], np.cumsum(keep)])[a.indptr]
+    kept_before = np.zeros(len(keep) + 1, dtype=a.indptr.dtype)
+    np.cumsum(keep, out=kept_before[1:])
+    indptr = kept_before[a.indptr]
     return sp.csr_array((a.data[keep], a.indices[keep], indptr), shape=a.shape)
 
 

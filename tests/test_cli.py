@@ -45,6 +45,14 @@ class TestSnrCommand:
         cfg = write(tmp_path / "c.cfg", "n = 40\nk = 2\norders = 2:0,0\n")
         assert main(["snr", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("orders", ["2:10", "2", "2:10,5,1", "2:3:4,5"])
+    def test_malformed_orders_entry_named_exit_2(self, tmp_path, capsys, orders):
+        cfg = write(tmp_path / "c.cfg", f"n = 40\nk = 2\norders = {orders}\n")
+        assert main(["snr", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"entry {orders!r} is not of the form m:a,b" in err
+        assert "unpack" not in err
+
 
 class TestSampleCommand:
     def test_empty_model_header_only(self, tmp_path):
@@ -300,6 +308,25 @@ class TestConclabCommand:
         assert main(["conclab", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED[seed]
 
+    def test_debug_log_line_per_trial_same_bytes(self, tmp_path):
+        # at tau = 1 two trials trim rows and two keep every vertex
+        cfg = write(tmp_path / "c.cfg", self.CFG + "tau = 1\n")
+        quiet, logged = tmp_path / "quiet.csv", tmp_path / "logged.csv"
+        _run_clean(["-m", "hyperblock.cli", "conclab", "--config", cfg, "--out", str(quiet)],
+                   tmp_path)
+        err = _run_clean(["-m", "hyperblock.cli", "conclab", "--config", cfg,
+                          "--out", str(logged)], tmp_path, HYPERBLOCK_LOG="debug").stderr
+        assert logged.read_bytes() == quiet.read_bytes()
+        lines = [ln for ln in err.splitlines() if "concentration trial:" in ln]
+        rows = [r.split(",") for r in quiet.read_text().splitlines()[1:]]
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            n, seed = row[0], row[4]
+            kept = round(float(row[7]) * int(n))
+            assert f"n={n} seed={seed} kept={kept} " in line
+            assert line.endswith("reused from raw" if kept == int(n) else "solved")
+        assert {line.endswith("solved") for line in lines} == {True, False}
+
     def test_tau_zero_keeps_no_edges(self, tmp_path):
         # tau = 0 keeps only isolated vertices, so the regularized operator
         # is zero (the second trial keeps no vertex at all)
@@ -423,3 +450,15 @@ class TestThreadDefault:
                         "--out", str(out)], tmp_path, **extra)
             outputs.append((out.read_bytes(), Path(f"{out}.summary").read_bytes()))
         assert outputs[0] == outputs[1]
+
+    def test_conclab_bytes_independent_of_blas_threads(self, tmp_path):
+        # the benchmark's conclab config (sizes 500 to 4000) at seed 1
+        cfg = write(tmp_path / "c.cfg", "n = 4000\nk = 2\norders = 2:10,5;3:10,5\n"
+                    "sizes = 500,1000,2000,4000\ntrials = 6\n")
+        digests = set()
+        for threads in ("1", "2"):
+            out = tmp_path / f"{threads}.csv"
+            _run_clean(["-m", "hyperblock.cli", "conclab", "--config", cfg, "--seed", "1",
+                        "--out", str(out)], tmp_path, OPENBLAS_NUM_THREADS=threads)
+            digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert digests == {"8eafe79e075aef2f04186fb77a6347e6da4b3f6026131b330e80d3b2b1f4cd92"}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from hyperblock import concentration
 from hyperblock.concentration import (
     concentration_trial,
     centered_operator,
@@ -95,6 +96,41 @@ class TestConcentrationTrial:
         sqrt_d = math.sqrt(rec.d)
         assert rec.raw_ratio * sqrt_d == pytest.approx(np.linalg.norm(w, 2), rel=1e-8)
         assert rec.reg_ratio * sqrt_d == pytest.approx(np.linalg.norm(wm, 2), rel=1e-8)
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return spectral_norm(*args, **kwargs)
+
+        monkeypatch.setattr(concentration, "spectral_norm", spy)
+        return calls
+
+    def test_untrimmed_trial_solves_once(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        rec = concentration_trial(ModelParams(500, 2, {2: (10, 5), 3: (10, 5)}), 1, tau=60.0)
+        assert rec.kept_fraction == 1.0
+        assert len(calls) == 1
+        assert rec.reg_ratio == rec.raw_ratio
+
+    def test_trimmed_trial_solves_twice(self, monkeypatch):
+        p = ModelParams(500, 2, {2: (10, 5), 3: (10, 5)})
+        h, _ = sample_hsbm(p, 1)
+        tau = (adjacency(h).sum(axis=1).max() - 0.5) / 30.0
+        calls = self.count_solves(monkeypatch)
+        rec = concentration_trial(p, 1, tau=tau)
+        assert rec.kept_fraction < 1.0
+        assert len(calls) == 2
+
+    def test_mask_keeping_every_vertex_gives_the_raw_norm(self):
+        # why an untrimmed trial may reuse the raw norm: the solve is bit-identical
+        p = ModelParams(500, 2, {2: (10, 5), 3: (10, 5)})
+        h, _ = sample_hsbm(p, 2)
+        a = adjacency(h).astype(np.float64)
+        raw = spectral_norm(centered_operator(p, a), seed=2)
+        assert spectral_norm(centered_operator(p, a, np.arange(p.n)), seed=2) == raw
 
     def test_log_degree_raw_ratio_bounded(self):
         # degree scale 2 ln n: the unregularized ratio stays under a fixed bound

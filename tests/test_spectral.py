@@ -9,6 +9,7 @@ from hyperblock.model import ModelParams
 from hyperblock.sampler import SIDE_Y1, SIDE_Z, Hypergraph, sample_hsbm, split_vertices
 from hyperblock.spectral import (
     ConvergenceError,
+    _index_dtype,
     adjacency,
     bipartite_embed,
     mask_matrix,
@@ -100,6 +101,55 @@ class TestMaskingMatchesSelectorProduct:
                 assert got.dtype == want.dtype
                 for field in ("indptr", "indices", "data"):
                     assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def with_int64_indices(a):
+    return sp.csr_array((a.data, a.indices.astype(np.int64), a.indptr.astype(np.int64)),
+                        shape=a.shape)
+
+
+class TestIndexDtype:
+    """int32 CSR indices where they fit, kept through every masked copy."""
+
+    N = 2000
+
+    @pytest.fixture(scope="class")
+    def a(self):
+        h, _ = sample_hsbm(ModelParams(self.N, 3, {2: (30, 4), 3: (20, 4)}), 1)
+        return adjacency(h)
+
+    def test_adjacency_and_derived_matrices_are_int32(self, a):
+        split = split_vertices(self.N, 1)
+        kept = np.arange(0, self.N, 3)
+        f = a.astype(np.float64)
+        derived = [a, f, mask_matrix(a, kept), mask_matrix(f, kept),
+                   bipartite_embed(a, split.z, split.y1), regularize(f, 20.0)[0],
+                   adjacency(Hypergraph(5, {}))]
+        for m in derived:
+            assert (m.indices.dtype, m.indptr.dtype) == (np.int32, np.int32)
+
+    def test_int64_input_stays_int64(self, a):
+        wide = with_int64_indices(a)
+        assert wide.indices.dtype == np.int64
+        m = mask_matrix(wide, np.arange(0, self.N, 3))
+        assert (m.indices.dtype, m.indptr.dtype) == (np.int64, np.int64)
+
+    def test_products_equal_int64_copy(self, a):
+        f = a.astype(np.float64)
+        wide = with_int64_indices(f)
+        rng = np.random.default_rng(0)
+        v, block = rng.standard_normal(self.N), rng.standard_normal((self.N, 3))
+        assert np.array_equal(f @ v, wide @ v)
+        assert np.array_equal(f.T @ block, wide.T @ block)
+
+    @pytest.mark.parametrize("n, nnz, want", [
+        (10, 0, np.int32),
+        (2**31 - 1, 2**31 - 1, np.int32),
+        (2**31, 10, np.int64),
+        (10, 2**31, np.int64),
+    ])
+    def test_index_dtype_widens_past_int32(self, n, nnz, want):
+        assert _index_dtype(n, nnz) == want
 
 
 class TestRowSums:
