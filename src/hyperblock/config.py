@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ModelParams, _check_nu
+from .model import REGULARIZATION_FACTOR, ModelParams, _check_nu
 
 __all__ = ["ExperimentConfig", "parse_config", "CONFIG_KEYS"]
 
@@ -69,7 +69,7 @@ class ExperimentConfig:
     def resolved_tau(self) -> float:
         if self.tau is not None:
             return self.tau
-        return 20.0 * max(self.orders)
+        return float(REGULARIZATION_FACTOR * max(self.orders))
 
 
 def _parse_orders(value: str) -> dict[int, tuple[float, float]]:

@@ -32,6 +32,7 @@ __all__ = [
     "ExpectedRates",
     "comb_floor",
     "degree_scale",
+    "regularization_threshold",
     "snr_subset",
     "preprocess_select",
     "expected_rates",
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 DENSE_CAP_DEFAULT = 2000
+REGULARIZATION_FACTOR = 20
 
 
 # The package's exceptions live in this numpy-only module, so that the CLI
@@ -144,6 +146,11 @@ def degree_scale(params: ModelParams, subset: tuple[int, ...]) -> float:
     """Degree scale d = sum over the subset of (m-1) * a_m."""
     ms = _check_subset(params, subset)
     return float(sum((m - 1) * params.orders[m][0] for m in ms))
+
+
+def regularization_threshold(params: ModelParams, subset: tuple[int, ...]) -> float:
+    """Row-sum cap of the regularized adjacency: 20 * max(subset) * d."""
+    return REGULARIZATION_FACTOR * max(subset) * degree_scale(params, subset)
 
 
 def snr_subset(params: ModelParams, subset: tuple[int, ...]) -> float:

@@ -1,11 +1,11 @@
 """The detection pipeline over hypergraph instances.
 
-``partition`` is its one entry point.  It picks the order subset of
-largest signal-to-noise ratio (a sorted tuple of orders), keeps only the
-edges of those orders and colors an uncolored hypergraph red or blue at
-random, then runs the two-block (k = 2) or the multi-block (k >= 3)
-pipeline.  Every stage reads the hypergraph through its per-order edge
-arrays ``h.edges``.
+``partition`` is its one entry point and makes every per-run decision
+once: it picks the order subset of largest signal-to-noise ratio (a
+sorted tuple of orders), keeps only the edges of those orders, colors an
+uncolored hypergraph red or blue at random and splits it into its red and
+blue halves.  The stages take the subset and the halves, and read the
+halves through their per-order edge arrays ``h.edges``.
 
 For k >= 3 the pipeline splits the vertices into Z / Y1 / Y2, extracts a
 singular subspace from the regularized red bipartite adjacency between Z
@@ -13,12 +13,11 @@ and Y1, reads candidate sets off projected red columns between Z and Y2,
 filters them by blue-edge density, corrects Z by a weighted red-neighbor
 vote, and finally merges Y into the corrected sets using blue edges.  The
 projection goes through the k x s subspace coordinates of the s sampled
-columns, never an n x s float block.  Vertex sets travel between these
-stages as one n x (number of sets) boolean membership matrix, column j
-marking set j; only merging turns them into labels.  The two-block
-pipeline (k = 2) works on the full red adjacency, splits the vertices
-into 0/1 labels and swaps suspicious vertices by a blue cross-neighbor
-test.
+columns, never an n x s float block.  The s candidate sets live on Z as
+an s x |Z| mask; the k accepted ones leave as an n x k membership matrix,
+which only merging turns into labels.  The two-block pipeline (k = 2)
+works on the full red adjacency, splits the vertices into 0/1 labels and
+swaps suspicious vertices by a blue cross-neighbor test.
 
 Every stage is deterministic given the pipeline seed, from which each
 draw takes its own stream through ``sampler.trial_seed``; independent
@@ -65,8 +64,6 @@ __all__ = [
 
 log = logging.getLogger("hyperblock")
 
-REGULARIZATION_FACTOR = 20
-
 # blue_weighted_count and spectral_partition_k work in blocks of at most
 # this many bytes (edge x set bits and edge ids, or float64 Z x column
 # coordinates), which bounds their memory whatever the number of sets
@@ -103,17 +100,18 @@ def centering_vector(params: ModelParams, subset: tuple[int, ...], z_set) -> np.
     return np.where(subset_mask(n, z_set), 0.5 * (abar + bbar), 0.0)
 
 
-def blue_weighted_count(h_blue: Hypergraph, members: np.ndarray) -> np.ndarray:
+def blue_weighted_count(h_blue: Hypergraph, z: np.ndarray, top: np.ndarray) -> np.ndarray:
     """Weighted count of blue edges fully inside each set: sum of m(m-1) each.
 
-    ``members`` is the n x s membership matrix of the sets; returns one
-    count per set.  The membership rows are packed 8 sets to a byte, and
-    an edge lies inside exactly the sets whose bits survive the AND of its
-    endpoints' rows.
+    Row j of the s x len(z) mask ``top`` marks the positions in ``z`` (distinct
+    ids) of set j; returns one count per set.  The sets of each vertex are
+    packed 8 to a byte, and an edge lies inside exactly the sets whose bits
+    survive the AND of its endpoints' rows.
     """
-    s = members.shape[1]
-    packed = np.packbits(members, axis=1)
-    in_union = members.any(axis=1)
+    s = len(top)
+    packed = np.zeros((h_blue.n, -(-s // 8)), dtype=np.uint8)
+    packed[z] = np.packbits(top, axis=0).T
+    in_union = packed.any(axis=1)
     total = np.zeros(s, dtype=np.int64)
     for m, rows in h_blue.edges.items():
         count = np.zeros(s, dtype=np.int64)
@@ -167,9 +165,11 @@ def _neighbor_scores(h: Hypergraph, members: np.ndarray) -> np.ndarray:
 
 
 def spectral_partition_k(
-    h: Hypergraph,
+    h_red: Hypergraph,
+    h_blue: Hypergraph,
     split: SplitAssignment,
     params: ModelParams,
+    subset: tuple[int, ...],
     cfg: PipelineConfig,
 ) -> np.ndarray:
     """Candidate blocks from the red bipartite spectrum, filtered by blue density.
@@ -181,33 +181,26 @@ def spectral_partition_k(
     yields its floor(n/2k) largest Z coordinates: every vertex strictly
     above the cut value, then the lowest ids equal to it.
 
-    Returns the n x k membership matrix of k candidate sets of size
-    floor(n/2k) drawn from Z, with pairwise overlaps below
-    ceil((1-nu) n / k).  Raises PartitionFailure when fewer than k
-    sufficiently distinct sets survive the density filter.
+    Reads the halves of the instance restricted to ``subset``.  Returns the
+    n x k membership matrix of k candidate sets of size floor(n/2k) drawn
+    from Z, with pairwise overlaps below ceil((1-nu) n / k).  Raises
+    PartitionFailure when fewer than k sufficiently distinct sets survive.
     """
     n, k = params.n, params.k
     if n < 4 * k:
         raise ValueError("n must be at least 4k")
-    if not h.is_colored:
-        raise ValueError("spectral partition needs a colored hypergraph")
-    subset = model.preprocess_select(params)
-    h = restrict_orders(h, subset)
-    h_red, h_blue = h.red(), h.blue()
-
     z, y1, y2 = split.z, split.y1, split.y2
     set_size = n // (2 * k)
     if len(z) < set_size:
         raise PartitionFailure("side Z is too small for candidate sets",
                                {"z": len(z), "set_size": set_size})
 
-    d = model.degree_scale(params, subset)
-    threshold = REGULARIZATION_FACTOR * max(subset) * d
-
     # subspace from the red hypergraph induced on Z u Y1
-    a_zy1, kept = regularize(adjacency(restrict(h_red, np.concatenate([z, y1]))), threshold)
-    a1 = bipartite_embed(a_zy1, z, y1)
-    basis = top_subspace(a1, k, "left-singular", seed=trial_seed(cfg.seed, 3))
+    a_zy1, kept = regularize(adjacency(restrict(h_red, np.concatenate([z, y1]))),
+                             model.regularization_threshold(params, subset))
+    basis = top_subspace(bipartite_embed(a_zy1, z, y1), k, "left-singular",
+                         seed=trial_seed(cfg.seed, 3))
+    del a_zy1  # one red adjacency alive at a time
     if basis.singular_values[0] == 0.0:
         raise PartitionFailure("red bipartite adjacency carries no signal")
 
@@ -231,10 +224,8 @@ def spectral_partition_k(
     top = np.empty((s, len(z)), dtype=bool)
     for j in range(0, s, step):
         top[j:j + step] = _top_positions(coords[:, j:j + step].T @ v_z.T, set_size)
-    members = np.zeros((n, s), dtype=bool)
-    members[z] = top.T
 
-    densities = blue_weighted_count(h_blue, members)
+    densities = blue_weighted_count(h_blue, z, top)
     # drop the low-density half, but never a set that clears the aligned-set
     # density threshold: same-block candidates share edges, so one block's
     # whole cluster can fluctuate below the median at moderate n
@@ -260,7 +251,9 @@ def spectral_partition_k(
     if len(accepted) < k:
         raise PartitionFailure(
             f"only {len(accepted)} of {k} sufficiently distinct candidate sets found", diag)
-    return members[:, accepted]
+    candidates = np.zeros((n, k), dtype=bool)
+    candidates[z] = top[accepted].T
+    return candidates
 
 
 def correction_k(h_red: Hypergraph, z_set, candidates: np.ndarray) -> np.ndarray:
@@ -296,6 +289,7 @@ def merging(h_blue: Hypergraph, y_set, corrected: np.ndarray, mu_m: float) -> np
 def spectral_partition_2(
     h_red: Hypergraph,
     params: ModelParams,
+    subset: tuple[int, ...],
     cfg: PipelineConfig,
 ) -> np.ndarray:
     """Two-block spectral split from the regularized red adjacency.
@@ -307,11 +301,7 @@ def spectral_partition_2(
     sort of that vector, label 1 to the rest.
     """
     n = params.n
-    subset = model.preprocess_select(params)
-    h_red = restrict_orders(h_red, subset)
-    d = model.degree_scale(params, subset)
-    threshold = REGULARIZATION_FACTOR * max(subset) * d
-    a_reg, _ = regularize(adjacency(h_red), threshold)
+    a_reg, _ = regularize(adjacency(h_red), model.regularization_threshold(params, subset))
     basis = top_subspace(a_reg, 2, "symmetric-eigen", seed=trial_seed(cfg.seed, 3))
     if basis.singular_values[0] == 0.0:
         raise PartitionFailure("regularized red adjacency is zero")
@@ -348,22 +338,26 @@ def correction_2(h_blue: Hypergraph, labels: np.ndarray, threshold: float) -> np
 def partition(params: ModelParams, h: Hypergraph, cfg: PipelineConfig) -> np.ndarray:
     """Labels from the two-block (k == 2) or multi-block pipeline.
 
-    Deterministic given cfg.seed.
+    A colored ``h`` keeps its colors.  Deterministic given cfg.seed.
     """
+    if h.n != params.n:
+        raise ValueError(f"hypergraph has n = {h.n} vertices, the model n = {params.n}")
     subset = model.preprocess_select(params)
     h = restrict_orders(h, subset)
     if not h.is_colored:
         h = color_edges(h, trial_seed(cfg.seed, 1))
     if params.k == 2:
-        labels = spectral_partition_2(h.red(), params, cfg)
+        # one reader per half: blue is split off after the spectral stage's peak
+        labels = spectral_partition_2(h.red(), params, subset, cfg)
         threshold = model.binary_correction_threshold(params, subset, cfg.nu)
         labels = correction_2(h.blue(), labels, threshold)
         log.debug("partition: subset=%s threshold=%.4f", subset, threshold)
         return labels
+    h_red, h_blue = h.red(), h.blue()
     split = split_vertices(params.n, trial_seed(cfg.seed, 2))
-    candidates = spectral_partition_k(h, split, params, cfg)
-    corrected = correction_k(h.red(), split.z, candidates)
+    candidates = spectral_partition_k(h_red, h_blue, split, params, subset, cfg)
+    corrected = correction_k(h_red, split.z, candidates)
     mu_m = model.merging_threshold(params, subset, cfg.nu)
-    labels = merging(h.blue(), split.members(SIDE_Y1, SIDE_Y2), corrected, mu_m)
+    labels = merging(h_blue, split.members(SIDE_Y1, SIDE_Y2), corrected, mu_m)
     log.debug("partition: subset=%s mu_m=%.4f", subset, mu_m)
     return labels

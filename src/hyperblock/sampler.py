@@ -21,7 +21,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -97,26 +96,20 @@ class Hypergraph:
             return len(self.edges.get(m, ()))
         return sum(len(e) for e in self.edges.values())
 
-    @cached_property
-    def _by_color(self) -> dict[int, "Hypergraph"]:
-        return {}
-
     def only_color(self, color: int) -> "Hypergraph":
         """Uncolored sub-hypergraph holding just the edges of one color.
 
-        Split off on the first call and kept, so the stages that read one
-        color share a single copy of its edges.
+        Each call copies that color's edges, so a caller that reads a half
+        more than once splits it once and passes it on.
         """
         if self.colors is None:
             raise ValueError("hypergraph is not colored")
-        if color not in self._by_color:
-            kept = {}
-            for m, arr in self.edges.items():
-                mask = self.colors[m] == color
-                if mask.any():
-                    kept[m] = arr[mask]
-            self._by_color[color] = Hypergraph(self.n, kept, None)
-        return self._by_color[color]
+        kept = {}
+        for m, arr in self.edges.items():
+            mask = self.colors[m] == color
+            if mask.any():
+                kept[m] = arr[mask]
+        return Hypergraph(self.n, kept, None)
 
     def red(self) -> "Hypergraph":
         return self.only_color(RED)
@@ -125,7 +118,7 @@ class Hypergraph:
         return self.only_color(BLUE)
 
     def validate(self) -> None:
-        """Check tuple ordering, id range, and per-order uniqueness."""
+        """Check tuple ordering, id range, per-order uniqueness, and colors."""
         for m, arr in self.edges.items():
             if arr.ndim != 2 or arr.shape[1] != m:
                 raise ValueError(f"order {m}: edge array must be (*, {m})")
@@ -139,6 +132,8 @@ class Hypergraph:
             if self.colors is not None:
                 if m not in self.colors or len(self.colors[m]) != len(arr):
                     raise ValueError(f"order {m}: colors out of sync with edges")
+                if not np.isin(self.colors[m], (RED, BLUE)).all():
+                    raise ValueError(f"order {m}: colors must be RED ({RED}) or BLUE ({BLUE})")
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,32 @@ class TestDetectCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
         assert capsys.readouterr().out.splitlines()[1] == row
 
+    # sha256 of the labels file and the accuracy row of detect on a colored
+    # file: partition keeps the file's colors, and selection drops an order
+    # that carries no signal (order 4, resp. 3) together with its colors
+    PINNED_COLORED = {
+        "n = 600\nk = 3\norders = 2:40,4;3:30,3;4:2,2\n": (
+            "c246afa22552c69ec04c582f12d77a36b9267bf5c8313b546283e4e07f124ab1",
+            "0.49,0.6683333333333333,0.33166666666666667"),
+        "n = 400\nk = 2\norders = 2:16,3;3:2,2\n": (
+            "7fcdbade2f376e644844fe73c9404e2bef34976f4768b21b5ffc25d45387b8f5",
+            "0.82,0.8425,0.1575"),
+    }
+
+    @pytest.mark.parametrize("model", list(PINNED_COLORED))
+    def test_pinned_detect_labels_on_colored_file(self, tmp_path, capsys, model):
+        hfile = tmp_path / "h.txt"
+        assert main(["sample", "--config", write(tmp_path / "s.cfg", model + "colors = true\n"),
+                     "--seed", "1", "--out", str(hfile)]) == 0
+        h, _, _ = read_hypergraph(hfile.read_bytes())
+        assert h.is_colored and len(h.edges) == model.count(":")  # every order sampled
+        cfg = write(tmp_path / "d.cfg", model + f"input = {hfile}\n")
+        out = tmp_path / "labels.tsv"
+        assert main(["detect", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+        digest, row = self.PINNED_COLORED[model]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert capsys.readouterr().out.splitlines()[1] == row
+
     def test_detect_from_file_with_report(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.cfg", BASE)
         hfile = tmp_path / "h.txt"

@@ -505,7 +505,7 @@ class TestConfig:
 
     def test_conclab_defaults(self):
         cfg = parse_config("n = 100\nk = 2\norders = 2:6,3;3:4,1\n", "conclab")
-        assert cfg.resolved_tau() == 60.0
+        assert cfg.resolved_tau() == 60.0 and repr(cfg.resolved_tau()) == "60.0"
         cfg = parse_config("n = 100\nk = 2\norders = 2:6,3\ntau = 2.5\n", "conclab")
         assert cfg.resolved_tau() == 2.5
 

@@ -19,6 +19,7 @@ from hyperblock.model import (
     expected_rates,
     merging_threshold,
     preprocess_select,
+    regularization_threshold,
     snr_subset,
 )
 
@@ -92,6 +93,12 @@ class TestDegreeScale:
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError, match="order subset must be nonempty"):
             degree_scale(ModelParams(40, 2, {2: (3, 1)}), ())
+
+    def test_regularization_threshold_is_twenty_max_order_d(self):
+        p = ModelParams(40, 2, {2: (3, 1), 3: (5, 1)})
+        assert regularization_threshold(p, (2, 3)) == 20 * 3 * 13.0
+        assert regularization_threshold(p, (2,)) == 20 * 2 * 3.0
+        assert type(regularization_threshold(p, (3,))) is float
 
 
 class TestSnr:

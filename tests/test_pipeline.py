@@ -33,6 +33,7 @@ from hyperblock.sampler import (
     SIDE_Y2,
     Hypergraph,
     color_edges,
+    restrict_orders,
     sample_hsbm,
     split_vertices,
 )
@@ -52,6 +53,24 @@ def membership(n, sets):
 def columns(members):
     """The ids each column of a membership matrix marks, ascending."""
     return [np.flatnonzero(col) for col in members.T]
+
+
+def count(h_blue, members):
+    """blue_weighted_count of the sets of an n x s membership matrix, on Z = V."""
+    return blue_weighted_count(h_blue, np.arange(h_blue.n), members.T)
+
+
+def stage_inputs(hcol, params):
+    """The selected orders' red and blue halves and the subset, as partition
+    passes them to the spectral stages."""
+    subset = model.preprocess_select(params)
+    h = restrict_orders(hcol, subset)
+    return h.red(), h.blue(), subset
+
+
+def partition_k(hcol, split, params, cfg):
+    h_red, h_blue, subset = stage_inputs(hcol, params)
+    return spectral_partition_k(h_red, h_blue, split, params, subset, cfg)
 
 
 def incidence(h):
@@ -106,11 +125,11 @@ class TestBlueWeightedCount:
     def test_single_inside_edge(self):
         h = colored(6, {3: [[0, 1, 2]]}, {3: [BLUE]})
         sets = membership(6, [[0, 1, 2, 3], [0, 1]])
-        assert blue_weighted_count(h.blue(), sets).tolist() == [6.0, 0.0]
+        assert count(h.blue(), sets).tolist() == [6.0, 0.0]
 
     def test_no_blue_edges(self):
         h = colored(6, {3: [[0, 1, 2]]}, {3: [RED]})
-        assert blue_weighted_count(h.blue(), membership(6, [[0, 1, 2]])).tolist() == [0.0]
+        assert count(h.blue(), membership(6, [[0, 1, 2]])).tolist() == [0.0]
 
     def test_brute_force_agreement(self):
         h, _ = sample_hsbm(ModelParams(40, 2, {2: (10, 4), 3: (8, 3), 4: (6, 2)}), 5)
@@ -121,12 +140,12 @@ class TestBlueWeightedCount:
                     for m, arr in blue.edges.items()
                     for row in arr if set(row.tolist()) <= set(x.tolist()))
                 for x in sets]
-        assert blue_weighted_count(blue, membership(40, sets)).tolist() == want
+        assert count(blue, membership(40, sets)).tolist() == want
 
     def test_edgeless(self):
         h = colored(5, {2: [], 3: []}, {2: [], 3: []})
         sets = membership(5, [[0, 1], [2, 3, 4]])
-        assert blue_weighted_count(h.blue(), sets).tolist() == [0.0, 0.0]
+        assert count(h.blue(), sets).tolist() == [0.0, 0.0]
 
     @staticmethod
     def incidence_oracle(h_blue, members):
@@ -138,47 +157,54 @@ class TestBlueWeightedCount:
 
     @staticmethod
     def random_case(rng, n, s, empty=0):
+        """A blue half, sets on a random two-thirds z of the vertices (z in
+        random order) as the s x len(z) mask top, and their n x s matrix."""
         h, _ = sample_hsbm(ModelParams(n, 2, {2: (30, 10), 3: (20, 6), 4: (12, 4)}),
                            int(rng.integers(1 << 30)))
         blue = color_edges(h, int(rng.integers(1 << 30))).blue()
-        members = rng.random((n, s)) < rng.uniform(0.3, 0.9, size=s)
-        members[:, rng.permutation(s)[:empty]] = False
-        return blue, members
+        z = rng.permutation(n)[:2 * n // 3]
+        top = rng.random((s, len(z))) < rng.uniform(0.3, 0.9, size=s)[:, None]
+        top[rng.permutation(s)[:empty]] = False
+        members = np.zeros((n, s), dtype=bool)
+        members[z] = top.T
+        return blue, z, top, members
 
     @pytest.mark.parametrize("s", [1, 7, 8, 9, 589])
     def test_equals_incidence_oracle(self, s):
         rng = np.random.default_rng(s)
         for trial in range(3):
-            blue, members = self.random_case(rng, 60, s, empty=min(trial, s))
+            blue, z, top, members = self.random_case(rng, 60, s, empty=min(trial, s))
             assert sorted(blue.edges) == [2, 3, 4]
-            got = blue_weighted_count(blue, members)
+            got = blue_weighted_count(blue, z, top)
             assert got.dtype == np.float64
             assert np.array_equal(got, self.incidence_oracle(blue, members))
 
     def test_empty_sets_and_edgeless_hypergraph(self):
         rng = np.random.default_rng(1)
-        blue, members = self.random_case(rng, 60, 9)
-        none = np.zeros_like(members)
-        assert np.array_equal(blue_weighted_count(blue, none), np.zeros(9))
+        blue, z, top, _ = self.random_case(rng, 60, 9)
+        none = np.zeros_like(top)
+        assert np.array_equal(blue_weighted_count(blue, z, none), np.zeros(9))
         edgeless = Hypergraph(60, {2: np.empty((0, 2), dtype=np.int64)})
-        assert np.array_equal(blue_weighted_count(edgeless, members), np.zeros(9))
-        assert blue_weighted_count(blue, members[:, :0]).shape == (0,)
+        assert np.array_equal(blue_weighted_count(edgeless, z, top), np.zeros(9))
+        assert blue_weighted_count(blue, z, top[:0]).shape == (0,)
 
     @pytest.mark.parametrize("block", [1, 9, 100])
     def test_many_edge_blocks(self, monkeypatch, block):
-        blue, members = self.random_case(np.random.default_rng(block), 60, 9)
+        blue, z, top, members = self.random_case(np.random.default_rng(block), 60, 9)
         want = self.incidence_oracle(blue, members)
         monkeypatch.setattr(pipeline, "_COUNT_BLOCK", block)
-        assert np.array_equal(blue_weighted_count(blue, members), want)
+        assert np.array_equal(blue_weighted_count(blue, z, top), want)
 
     def test_peak_memory_bounded_by_packed_rows_and_one_block(self):
         n, s = 6000, 400
         h, _ = sample_hsbm(ModelParams(n, 3, {2: (60, 4), 3: (40, 4)}), 8)
         blue = color_edges(h, 9).blue()
-        members = np.random.default_rng(3).random((n, s)) < 0.5
+        rng = np.random.default_rng(3)
+        z = rng.permutation(n)[:n // 2]
+        top = rng.random((s, len(z))) < 0.5
         tracemalloc.start()
         try:
-            blue_weighted_count(blue, members)
+            blue_weighted_count(blue, z, top)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -312,11 +338,12 @@ def scored_and_dense_sets(monkeypatch, hcol, split, params, cfg):
     for name in ("top_subspace", "bipartite_embed", "blue_weighted_count"):
         spy(name)
     try:
-        spectral_partition_k(hcol, split, params, cfg)
+        partition_k(hcol, split, params, cfg)
     except PartitionFailure:
         pass
     monkeypatch.undo()
-    got = columns(seen["blue_weighted_count"][0][0][1])
+    _, z, top = seen["blue_weighted_count"][0][0]
+    got = [z[row] for row in top]
     a2 = seen["bipartite_embed"][1][1]
     return got, dense_candidate_sets(a2, seen["top_subspace"][0][1], split, params, cfg)
 
@@ -374,26 +401,27 @@ class TestSpectralPartitionK:
         for a, b in zip(got, want):
             assert np.array_equal(np.sort(a), b)
 
-    def test_memory_below_two_dense_blocks(self):
+    def test_memory_below_an_n_by_s_mask(self):
+        # the candidate sets live on Z: no n x s array, not even a boolean one
         n, k = 12000, 3
         params = ModelParams(n, k, {2: (80, 2), 3: (40, 2)})
         h, _ = sample_hsbm(params, 1)
-        hcol = color_edges(h, 2)
+        h_red, h_blue, subset = stage_inputs(color_edges(h, 2), params)
         split = split_vertices(n, 3)
         s = min(math.ceil(2 * k * math.log(n) ** 2), len(split.y2))
         tracemalloc.start()
         try:
-            spectral_partition_k(hcol, split, params, PipelineConfig(seed=4))
+            spectral_partition_k(h_red, h_blue, split, params, subset, PipelineConfig(seed=4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * n * s * 8
+        assert peak < n * s
 
     def test_postconditions_and_alignment(self):
         good_seeds = 0
         for seed in range(5):
             params, hcol, split, truth, cfg = planted_k3(seed=seed)
-            candidates = spectral_partition_k(hcol, split, params, cfg)
+            candidates = partition_k(hcol, split, params, cfg)
             sets = columns(candidates)
             n, k = params.n, params.k
             size = n // (2 * k)
@@ -417,19 +445,19 @@ class TestSpectralPartitionK:
         h = colored(120, {2: []}, {2: []})
         split = split_vertices(120, 0)
         with pytest.raises(PartitionFailure):
-            spectral_partition_k(h, split, params, PipelineConfig(seed=0))
+            partition_k(h, split, params, PipelineConfig(seed=0))
 
     def test_information_isolation(self, monkeypatch):
         densities = []
 
-        def spy(h_blue, members):
-            densities.append(count(h_blue, members))
+        def spy(h_blue, z, top):
+            densities.append(weighted_count(h_blue, z, top))
             return densities[-1]
-        count = pipeline.blue_weighted_count
+        weighted_count = pipeline.blue_weighted_count
         monkeypatch.setattr(pipeline, "blue_weighted_count", spy)
 
         params, hcol, split, _, cfg = planted_k3(seed=3)
-        sets_full = spectral_partition_k(hcol, split, params, cfg)
+        sets_full = partition_k(hcol, split, params, cfg)
 
         z = set(split.z.tolist())
         y1 = set(split.y1.tolist())
@@ -448,7 +476,7 @@ class TestSpectralPartitionK:
             edges[m] = arr[keep]
             colors[m] = hcol.colors[m][keep]
         pruned = Hypergraph(hcol.n, edges, colors)
-        sets_pruned = spectral_partition_k(pruned, split, params, cfg)
+        sets_pruned = partition_k(pruned, split, params, cfg)
         assert np.array_equal(sets_full, sets_pruned)
         assert np.array_equal(densities[0], densities[1])
 
@@ -461,7 +489,7 @@ class TestCorrectionK:
 
     def test_partition_of_z(self):
         params, hcol, split, _, cfg = planted_k3(seed=1)
-        sets = spectral_partition_k(hcol, split, params, cfg)
+        sets = partition_k(hcol, split, params, cfg)
         out = correction_k(hcol.red(), split.z, sets)
         assert out.shape == (params.n, params.k)
         assert np.array_equal(np.flatnonzero(out.sum(axis=1)), np.sort(split.z))
@@ -471,7 +499,7 @@ class TestCorrectionK:
         improved = 0
         for seed in range(8):
             params, hcol, split, truth, cfg = planted_k3(seed=seed + 100)
-            sets = spectral_partition_k(hcol, split, params, cfg)
+            sets = partition_k(hcol, split, params, cfg)
             n = params.n
             pre = np.full(n, -1, dtype=np.int64)
             for i, ids in enumerate(columns(sets)):
@@ -502,7 +530,7 @@ class TestMerging:
 
     def test_full_labeling(self):
         params, hcol, split, _, cfg = planted_k3(seed=2)
-        sets = spectral_partition_k(hcol, split, params, cfg)
+        sets = partition_k(hcol, split, params, cfg)
         out = correction_k(hcol.red(), split.z, sets)
         mu = merging_threshold(params, (2, 3), cfg.nu)
         labels = merging(hcol.blue(), split.members(SIDE_Y1, SIDE_Y2), out, mu)
@@ -555,13 +583,40 @@ class TestPartitionK:
         assert rep2.matched_accuracy == pytest.approx(rep.matched_accuracy)
 
 
+class TestPartitionEntry:
+    MODELS = {2: ModelParams(600, 2, {2: (40, 4), 3: (2, 2)}),
+              3: ModelParams(600, 3, {2: (60, 2), 3: (30, 2), 4: (2, 2)})}
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_selects_the_orders_once(self, monkeypatch, k):
+        params = self.MODELS[k]
+        h, _ = sample_hsbm(params, 6)
+        calls = []
+
+        def spy(p):
+            calls.append(p)
+            return select(p)
+        select = model.preprocess_select
+        monkeypatch.setattr(model, "preprocess_select", spy)
+        labels = partition(params, h, PipelineConfig(seed=123))
+        assert calls == [params] and len(labels) == params.n
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n", [500, 700])
+    def test_vertex_count_mismatch_rejected(self, k, n):
+        h, _ = sample_hsbm(self.MODELS[k], 6)
+        params = ModelParams(n, k, self.MODELS[k].orders)
+        with pytest.raises(ValueError, match=f"hypergraph has n = 600 .* model n = {n}"):
+            partition(params, h, PipelineConfig(seed=123))
+
+
 class TestBinaryPipeline:
     @pytest.mark.parametrize("n", [500, 501])
     def test_spectral_split_sizes(self, n):
         params = ModelParams(n, 2, {2: (40, 4)})
         h, _ = sample_hsbm(params, 3)
         hc = color_edges(h, 5)
-        labels = spectral_partition_2(hc.red(), params, PipelineConfig(seed=1))
+        labels = spectral_partition_2(hc.red(), params, (2,), PipelineConfig(seed=1))
         assert labels.dtype == np.int64 and set(labels.tolist()) == {0, 1}
         assert np.count_nonzero(labels == 0) == (n + 1) // 2
 

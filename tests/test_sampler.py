@@ -8,6 +8,7 @@ import pytest
 
 from hyperblock.model import ModelParams, block_sizes
 from hyperblock.sampler import (
+    BLUE,
     RED,
     SIDE_Y1,
     SIDE_Y2,
@@ -202,6 +203,15 @@ class TestRowHelpers:
             h.validate()
         Hypergraph(5, {2: np.array([[2, 3], [0, 1]], dtype=np.int64)}).validate()
 
+    @pytest.mark.parametrize("bad", [2, 255, -1])
+    def test_validate_rejects_colors_other_than_red_and_blue(self, bad):
+        edges = {2: np.array([[0, 1], [2, 3]], dtype=np.int64)}
+        for colors in ([bad, bad], [RED, bad]):
+            h = Hypergraph(5, edges, {2: np.array(colors, dtype=np.int64)})
+            with pytest.raises(ValueError, match="order 2: colors must be RED"):
+                h.validate()
+        Hypergraph(5, edges, {2: np.array([RED, BLUE], dtype=np.uint8)}).validate()
+
 
 class TestColorEdges:
     def test_balanced_fraction(self):
@@ -299,12 +309,6 @@ class TestColorSplitViews:
         for m in h.edges:
             assert edge_set(red, m) | edge_set(blue, m) == edge_set(h, m)
             assert not (edge_set(red, m) & edge_set(blue, m))
-
-    def test_each_color_split_off_once(self):
-        h, _ = sample_hsbm(ModelParams(60, 2, {2: (10, 5), 3: (8, 2)}), 6)
-        hc = color_edges(h, 2)
-        assert hc.red() is hc.red() and hc.blue() is hc.blue()
-        assert hc.red() is not hc.blue()
 
     def test_ground_truth_remainder(self):
         labels = ground_truth_labels(11, 3)
