@@ -10,7 +10,9 @@ Hypergraph format (line oriented, diff-able):
 
 Edge lines may come in any order; the reader puts each order's rows in
 canonical (lexicographic) order, so a file's line order never changes
-the hypergraph it describes.  The writer emits that order.
+the hypergraph it describes.  The writer emits that order.  The reader's
+edge arrays are int32 when the header's n < 2**31 and int64 otherwise,
+the rule ``sample_hsbm`` follows too.
 
 The reader takes str or UTF-8 bytes and tokenizes the bytes.  Lines end
 at the ASCII line breaks of str.splitlines (LF, CR, VT, FF and \x1c-\x1e,
@@ -36,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sampler import BLUE, RED, UNASSIGNED, Hypergraph, _row_order
+from .sampler import BLUE, RED, UNASSIGNED, Hypergraph, _has_repeats, _id_dtype, _row_order
 
 __all__ = [
     "write_hypergraph",
@@ -46,7 +48,7 @@ __all__ = [
 ]
 
 _COLOR_CHAR = {RED: "R", BLUE: "B"}
-_SCAN_BYTES = 1 << 20  # edge-line bytes scanned at a time
+_SCAN_BYTES = 1 << 18  # edge-line bytes scanned, checked and parsed at a time
 _MAX_DIGITS = 18  # every run of up to 18 digits fits int64
 _LINE_BREAKS = b"\n\r\v\f\x1c\x1d\x1e"  # the ASCII line breaks of str.splitlines
 _SEPARATORS = b" \t\x1f"  # the rest of the ASCII whitespace of str.split
@@ -172,24 +174,20 @@ def _scan_block(buf: np.ndarray) -> tuple[np.ndarray, ...]:
     return width, color.astype(np.int8), values, ok
 
 
-def _scan(data: bytes, lo: int) -> tuple[np.ndarray, ...]:
-    """``_scan_block`` of the edge lines in ``data[lo:]``.
+def _scan_blocks(data: bytes, lo: int):
+    """The ``(lo, hi)`` bounds of blocks of whole lines of about _SCAN_BYTES in ``data[lo:]``.
 
-    Works in blocks of whole lines of about _SCAN_BYTES, which bound the
-    temporaries.
+    The blocks bound the reader's temporaries.
     """
-    cuts = [lo]
-    while len(data) - cuts[-1] > _SCAN_BYTES:
-        lo = cuts[-1]
+    while len(data) - lo > _SCAN_BYTES:
         # after the block's last \n (or \r, in a file of CR line ends), or
         # after the long line it is in
-        cuts.append(data.rfind(b"\n", lo, lo + _SCAN_BYTES) + 1
-                    or data.rfind(b"\r", lo, lo + _SCAN_BYTES) + 1
-                    or data.find(b"\n", lo + _SCAN_BYTES) + 1 or len(data))
-    cuts.append(len(data))
-    parts = [_scan_block(np.frombuffer(data, np.uint8, hi - lo, lo))
-             for lo, hi in zip(cuts, cuts[1:])]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+        hi = (data.rfind(b"\n", lo, lo + _SCAN_BYTES) + 1
+              or data.rfind(b"\r", lo, lo + _SCAN_BYTES) + 1
+              or data.find(b"\n", lo + _SCAN_BYTES) + 1 or len(data))
+        yield lo, hi
+        lo = hi
+    yield lo, len(data)
 
 
 def _text(raw: bytes) -> str:
@@ -289,36 +287,53 @@ def _check_lines(values: np.ndarray, ok: np.ndarray, count: np.ndarray, first: n
                                         top=m_max))
 
 
-def _parse_edges(tokens: tuple[np.ndarray, ...], line: Callable[[int], str], n: int,
+def _parse_edges(data: bytes, lo: int, line: Callable[[int], str], n: int,
                  m_max: int) -> tuple[dict, dict | None]:
-    """Per-order edge arrays (rows sorted) and colors (or None) of the edge lines.
+    """Per-order edge arrays (rows sorted) and colors (or None) of the edge lines in ``data[lo:]``.
 
-    ``tokens`` is what ``_scan`` gives for the edge lines, and
-    ``line(i)`` the i-th of them; ``_check_lines`` names the first
-    malformed one.
+    Each scan block's lines are checked and turned into rows before the
+    next block is read; ``line(i)`` is the i-th edge line, and
+    ``_check_lines`` names the first malformed one.  Only the rows of an
+    order are put together, once; they must be distinct.  Orders keep the
+    order in which they first appear in the file.
     """
-    width, color, values, ok = tokens
-    if not len(width):
-        return {}, None
-    colored = color >= 0
-    count = width - colored  # numeric tokens per line: the order, then the ids
-    first = np.cumsum(count) - count
-    _check_lines(values, ok, count, first, line, n, m_max)
-    if colored.any() and not colored.all():
+    dtype = _id_dtype(n)
+    parts: dict[int, list] = {}  # order -> (rows, colors) of each block
+    lines_before = colored_lines = 0
+    for block_lo, block_hi in _scan_blocks(data, lo):
+        width, color, values, ok = _scan_block(np.frombuffer(data, np.uint8, block_hi - block_lo,
+                                                             block_lo))
+        if not len(width):
+            continue
+        colored = color >= 0
+        count = width - colored  # numeric tokens per line: the order, then the ids
+        first = np.cumsum(count) - count
+        _check_lines(values, ok, count, first, lambda i, at=lines_before: line(at + i), n, m_max)
+        lines_before += len(width)
+        colored_lines += int(np.count_nonzero(colored))
+        m = values[first]
+        orders, first_line = np.unique(m, return_index=True)
+        for order in orders[np.argsort(first_line)].tolist():
+            lines = np.flatnonzero(m == order)
+            rows = np.empty((len(lines), order), dtype=dtype)
+            for col in range(order):  # a column at a time bounds the index temporaries
+                rows[:, col] = values[first[lines] + 1 + col]
+            parts.setdefault(order, []).append((rows, color[lines]))
+    if 0 < colored_lines < lines_before:
         raise ValueError("edge colors must be given on every line or none")
 
-    m = values[first]
-    orders, first_line = np.unique(m, return_index=True)
     edges, colors = {}, {}
-    for order in orders[np.argsort(first_line)].tolist():
-        lines = np.flatnonzero(m == order)
-        rows = np.empty((len(lines), order), dtype=np.int64)
-        for col in range(order):  # a column at a time bounds the index temporaries
-            rows[:, col] = values[first[lines] + 1 + col]
+    for order, blocks in parts.items():
+        rows = np.concatenate([rows for rows, _ in blocks])
+        color = np.concatenate([color for _, color in blocks]).astype(np.uint8)
+        blocks.clear()  # free the blocks' rows before the sort
         perm = _row_order(rows)
-        edges[order] = rows[perm]
-        colors[order] = color[lines[perm]].astype(np.uint8)
-    return edges, (colors if colored.any() else None)
+        if perm is not None:
+            rows, color = rows[perm], color[perm]
+        if _has_repeats(rows):
+            raise ValueError(f"order {order}: duplicate edge tuples")
+        edges[order], colors[order] = rows, color
+    return edges, (colors if colored_lines else None)
 
 
 def read_hypergraph(text: str | bytes) -> tuple[Hypergraph, int, np.ndarray | None]:
@@ -330,7 +345,8 @@ def read_hypergraph(text: str | bytes) -> tuple[Hypergraph, int, np.ndarray | No
     line the next one when it starts with ``LABELS``.  Numbers are what
     ``int`` accepts; non-ASCII whitespace separates nothing.  Malformed
     input raises ValueError naming the first bad line, and bytes that are
-    not UTF-8 raise UnicodeDecodeError.
+    not UTF-8 raise UnicodeDecodeError.  Edge arrays are int32 when
+    n < 2**31, else int64.
     """
     if isinstance(text, str):
         data = text.encode("utf-8", "surrogatepass")
@@ -344,15 +360,12 @@ def read_hypergraph(text: str | bytes) -> tuple[Hypergraph, int, np.ndarray | No
         lo = after
     else:
         labels_line = None
-    tokens = _scan(data, lo)
 
     def line(i):  # split only once a check fails
         return _text([ln for ln in _LINE_BREAK.split(data[lo:]) if ln.strip(_SEPARATORS)][i])
     n, k, m_max = _parse_header(header)
     labels = None if labels_line is None else _parse_labels(labels_line, n, k)
-    h = Hypergraph(n, *_parse_edges(tokens, line, n, m_max))
-    h.validate()
-    return h, k, labels
+    return Hypergraph(n, *_parse_edges(data, lo, line, n, m_max)), k, labels
 
 
 def write_labels(labels: np.ndarray) -> str:

@@ -61,6 +61,11 @@ UNASSIGNED = -1
 _RANK_PART = 2**62
 
 
+def _id_dtype(n: int) -> type:
+    """dtype of the edge arrays of an n-vertex hypergraph: int32 when n < 2**31, else int64."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+
 def _stream(seed: int, *tags: int) -> np.random.Generator:
     """Philox stream keyed by (seed, tags...)."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(t) for t in tags))
@@ -78,8 +83,10 @@ def trial_seed(base: int, *indices: int) -> int:
 class Hypergraph:
     """Vertex count plus per-order edge arrays, optionally red/blue colored.
 
-    ``edges[m]`` is an (num_edges, m) int64 array whose rows are strictly
-    ascending vertex tuples, sorted lexicographically.  ``colors[m]`` is a
+    ``edges[m]`` is a (num_edges, m) integer array whose rows are strictly
+    ascending vertex tuples, sorted lexicographically.  The sampler and the
+    reader give int32 arrays when n < 2**31 and int64 arrays otherwise
+    (``_id_dtype``); every stage takes either.  ``colors[m]`` is a
     parallel uint8 array with values RED/BLUE, or None when uncolored.
     """
 
@@ -127,7 +134,7 @@ class Hypergraph:
                     raise ValueError(f"order {m}: vertex id out of range")
                 if not (np.diff(arr, axis=1) > 0).all():
                     raise ValueError(f"order {m}: tuples must be strictly ascending")
-                if len(_dedupe(arr)) != len(arr):
+                if _has_repeats(_sort_rows(arr)):
                     raise ValueError(f"order {m}: duplicate edge tuples")
             if self.colors is not None:
                 if m not in self.colors or len(self.colors[m]) != len(arr):
@@ -163,22 +170,35 @@ def ground_truth_labels(n: int, k: int) -> np.ndarray:
     return np.repeat(np.arange(k, dtype=np.int64), block_sizes(n, k))
 
 
-def _row_order(rows: np.ndarray) -> np.ndarray:
+def _row_order(rows: np.ndarray) -> np.ndarray | None:
     """Stable permutation that sorts the rows of an (E, m) array lexicographically.
 
-    Rows already in order (as the writer emits them) keep their positions
-    without a sort.
+    None when the rows are in order already (as the writer emits them),
+    which is found without a sort.
     """
     ordered = np.ones(max(len(rows) - 1, 0), dtype=bool)
     for above, below in zip(rows[:-1].T[::-1], rows[1:].T[::-1]):
         ordered = (above < below) | ((above == below) & ordered)
     if ordered.all():
-        return np.arange(len(rows))
+        return None
     return np.lexsort(rows.T[::-1])
 
 
 def _sort_rows(rows: np.ndarray) -> np.ndarray:
-    return rows[_row_order(rows)]
+    """The rows in lexicographic order: ``rows`` itself when they are in order already."""
+    perm = _row_order(rows)
+    return rows if perm is None else rows[perm]
+
+
+def _has_repeats(rows: np.ndarray) -> bool:
+    """Whether a row of lexicographically sorted rows equals the one before it.
+
+    Compares a column at a time, so no (E, m) temporary is made.
+    """
+    same = np.ones(max(len(rows) - 1, 0), dtype=bool)
+    for col in rows.T:
+        same &= col[1:] == col[:-1]
+    return bool(same.any())
 
 
 def _binomial_count(rng: np.random.Generator, size: int, p: float) -> int:
@@ -187,14 +207,6 @@ def _binomial_count(rng: np.random.Generator, size: int, p: float) -> int:
     if p >= 1.0:
         return size
     return int(rng.binomial(size, p))
-
-
-def _dedupe(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows in lexicographic order, as ``np.unique(rows, axis=0)``."""
-    rows = _sort_rows(rows)
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[keep]
 
 
 def _bernoulli_ranks(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
@@ -287,7 +299,8 @@ def sample_hsbm(params: ModelParams, seed: int) -> tuple[Hypergraph, np.ndarray]
         # blocks are contiguous, so a sorted row lies in one block iff its ends do
         parts.append(cross[labels[cross[:, 0]] != labels[cross[:, -1]]])
 
-        edges[m] = _sort_rows(np.concatenate(parts))
+        # unranking works in int64; casting the rows once changes no drawn id
+        edges[m] = _sort_rows(np.concatenate(parts, dtype=_id_dtype(n)))
     return Hypergraph(n, edges, None), labels
 
 

@@ -70,13 +70,18 @@ def read_hypergraph_per_line(text):
     return h, k, labels
 
 
+def id_dtype(n):
+    """The edge dtype the reader gives an n-vertex hypergraph."""
+    return np.int32 if n < 2**31 else np.int64
+
+
 def assert_same_hypergraph(h, h_ref):
     """Equal vertex count, orders and colors, with h_ref's rows in any order."""
     assert h.n == h_ref.n and list(h.edges) == list(h_ref.edges)
     assert h.is_colored == h_ref.is_colored
     for m, rows in h_ref.edges.items():
         perm = np.lexsort(rows.T[::-1])
-        assert h.edges[m].dtype == np.int64 and h.edges[m].shape == rows.shape
+        assert h.edges[m].dtype == id_dtype(h.n) and h.edges[m].shape == rows.shape
         assert (h.edges[m] == rows[perm]).all()
         if h.is_colored:
             assert h.colors[m].dtype == np.uint8
@@ -461,6 +466,66 @@ class TestByteScan:
             assert k_read == k and (labels_read == labels_lf).all()
             assert_same_hypergraph(h_read, h_lf)
             assert read_peak <= 1.5 * lf_peak
+
+
+class TestBlockwiseReader:
+    """Each scan block is checked and parsed before the next is read."""
+
+    def test_peak_below_three_times_the_file(self):
+        h, labels = sample_hsbm(ModelParams(20000, 3, {2: (80, 2), 3: (40, 2)}), 1)
+        data = write_hypergraph(h, 3, labels).encode()
+        del h
+        tracemalloc.start()
+        try:
+            got, _, _ = read_hypergraph(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.n == 20000 and got.num_edges() > 10**5
+        # whole-file token arrays and masks would peak at about 7x the file
+        assert peak < 3 * len(data)
+
+    @staticmethod
+    def lines(count=60):
+        return [f"2 {i} {i + 1}" for i in range(count)]
+
+    def test_duplicates_split_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(fileio, "_SCAN_BYTES", 64)
+        body = ["3 0 1 2", *self.lines(), "2 3 4"]  # the last line repeats the fifth
+        text = "HSBM 70 2 3\n" + "\n".join(body) + "\n"
+        with pytest.raises(ValueError, match="^order 2: duplicate edge tuples$"):
+            read_hypergraph(text)
+        # order 3 appears first in the file, so its duplicate is named first
+        text = text + "3 0 1 2\n"
+        with pytest.raises(ValueError, match="^order 3: duplicate edge tuples$"):
+            read_hypergraph(text)
+        assert_reads_like_oracle(text)
+
+    @pytest.mark.parametrize("scan_bytes", [16, 64, 200])
+    def test_first_bad_line_of_a_later_block_is_named(self, monkeypatch, scan_bytes):
+        monkeypatch.setattr(fileio, "_SCAN_BYTES", scan_bytes)
+        body = self.lines()
+        body[40], body[50] = "2 x 1", "2 9 8"
+        text = "HSBM 70 2 2\n" + "\n".join(body) + "\n"
+        # int()'s error quotes the token read back from the line at that position
+        with pytest.raises(ValueError, match=re.escape("invalid literal for int() with base "
+                                                       "10: 'x'")):
+            read_hypergraph(text)
+        body[40] = "2 41 42"
+        with pytest.raises(ValueError, match=re.escape("strictly ascending in '2 9 8'")):
+            read_hypergraph("HSBM 70 2 2\n" + "\n".join(body) + "\n")
+
+
+class TestVertexIdDtype:
+    """int32 rows while every id fits, int64 beyond; nothing of size n is built."""
+
+    def test_largest_int32_n_reads_int32_rows(self):
+        h, _, _ = read_hypergraph(f"HSBM {2**31 - 1} 2 2\n2 0 {2**31 - 2}\n")
+        assert h.edges[2].dtype == np.int32 and h.edges[2].tolist() == [[0, 2**31 - 2]]
+
+    def test_n_beyond_int32_reads_int64_rows(self):
+        h, _, _ = read_hypergraph("HSBM 3000000000 2 2\n2 0 2999999999\n")
+        assert h.edges[2].dtype == np.int64 and h.edges[2].tolist() == [[0, 2999999999]]
 
 
 class TestConfig:

@@ -602,6 +602,18 @@ class TestPartitionEntry:
         assert calls == [params] and len(labels) == params.n
 
     @pytest.mark.parametrize("k", [2, 3])
+    def test_int64_edges_partition_alike(self, k):
+        """API callers may pass int64 edge arrays; the sampler's are int32."""
+        params = self.MODELS[k]
+        h, _ = sample_hsbm(params, 6)
+        assert all(rows.dtype == np.int32 for rows in h.edges.values())
+        cfg = PipelineConfig(seed=123)
+        for given in (h, color_edges(h, 4)):
+            wide = Hypergraph(h.n, {m: rows.astype(np.int64) for m, rows in given.edges.items()},
+                              given.colors)
+            assert np.array_equal(partition(params, wide, cfg), partition(params, given, cfg))
+
+    @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("n", [500, 700])
     def test_vertex_count_mismatch_rejected(self, k, n):
         h, _ = sample_hsbm(self.MODELS[k], 6)

@@ -17,8 +17,10 @@ from hyperblock.sampler import (
     color_edges,
     ground_truth_labels,
     restrict,
-    _dedupe,
+    _has_repeats,
+    _id_dtype,
     _row_order,
+    _sort_rows,
     _unrank,
     restrict_orders,
     sample_hsbm,
@@ -156,25 +158,26 @@ class TestUnrank:
 
 class TestRowHelpers:
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
-    def test_dedupe_matches_np_unique(self, m):
+    def test_repeats_match_np_unique(self, m):
         rng = np.random.default_rng(m)
         for num, high in [(0, 3), (1, 3), (2, 1), (50, 3), (2000, 6), (2000, 10**6)]:
             rows = rng.integers(0, high, size=(num, m))
-            rows = np.concatenate([rows, rows[rng.integers(0, max(num, 1), size=num // 2)]])
-            got = _dedupe(rows)
-            assert got.dtype == rows.dtype
-            assert np.array_equal(got, np.unique(rows, axis=0))
+            for case in (rows, np.concatenate([rows, rows[rng.integers(0, max(num, 1),
+                                                                      size=num // 2)]])):
+                distinct = len(np.unique(case, axis=0)) == len(case)
+                assert _has_repeats(_sort_rows(case)) == (not distinct)
 
     def test_row_order_is_the_stable_lexicographic_order(self):
         rng = np.random.default_rng(0)
         rows = rng.integers(0, 4, size=(500, 3))
         assert np.array_equal(_row_order(rows), np.lexsort(rows.T[::-1]))
-        ordered = rows[_row_order(rows)]
-        # rows already in order, ties included, keep their positions
-        assert np.array_equal(_row_order(ordered), np.arange(len(ordered)))
+        ordered = _sort_rows(rows)
+        assert np.array_equal(ordered, rows[np.lexsort(rows.T[::-1])])
+        # rows already in order, ties included, need no permutation and no copy
+        assert _row_order(ordered) is None and _sort_rows(ordered) is ordered
         swapped = ordered.copy()
         swapped[[10, 400]] = swapped[[400, 10]]
-        assert np.array_equal(swapped[_row_order(swapped)], ordered)
+        assert np.array_equal(_sort_rows(swapped), ordered)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_row_order_equals_lexsort_on_every_shape(self, m):
@@ -191,11 +194,15 @@ class TestRowHelpers:
             "all equal": np.zeros((7, m), dtype=np.int64),
             "empty": np.empty((0, m), dtype=np.int64),
             "one row": rows[:1],
+            "int32": rows.astype(np.int32),
         }
         for name, case in cases.items():
+            want = np.lexsort(case.T[::-1])
             got = _row_order(case)
-            assert got.dtype == np.intp, name
-            assert np.array_equal(got, np.lexsort(case.T[::-1])), name
+            if got is None:  # only rows already in order
+                assert np.array_equal(want, np.arange(len(case))), name
+            else:
+                assert got.dtype == np.intp and np.array_equal(got, want), name
 
     def test_validate_rejects_duplicates(self):
         h = Hypergraph(5, {2: np.array([[0, 1], [2, 3], [0, 1]], dtype=np.int64)})
@@ -299,6 +306,21 @@ class TestRestrict:
         only3 = restrict_orders(h, [3])
         assert set(only3.edges) == {3}
         assert restrict_orders(h, [2, 3, 4]) is h  # nothing to drop
+
+
+class TestVertexIdDtype:
+    def test_rule(self):
+        assert _id_dtype(1) == _id_dtype(2**31 - 1) == np.int32
+        assert _id_dtype(2**31) == _id_dtype(3 * 10**9) == np.int64
+
+    def test_sampler_and_stages_give_int32_rows_for_small_n(self):
+        h, _ = sample_hsbm(ModelParams(60, 2, {2: (10, 5), 3: (8, 2)}), 6)
+        hc = color_edges(h, 2)
+        for name, g in {"sample_hsbm": h, "color_edges": hc,
+                        "restrict": restrict(hc, np.arange(30)),
+                        "only_color": hc.only_color(RED), "blue": hc.blue(),
+                        "restrict_orders": restrict_orders(hc, [3])}.items():
+            assert g.edges and all(a.dtype == np.int32 for a in g.edges.values()), name
 
 
 class TestColorSplitViews:
