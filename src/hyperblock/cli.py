@@ -17,7 +17,6 @@ them.
 from __future__ import annotations
 
 import argparse
-import itertools
 import logging
 import os
 import sys
@@ -60,13 +59,11 @@ def cmd_snr(cfg: ExperimentConfig, args) -> int:
     """Print the signal-to-noise ratio of every order subset, marking the argmax."""
     params = cfg.model_params()
     best = model.preprocess_select(params)
-    orders = sorted(params.orders)
     lines = ["subset\tsnr\tselected"]
-    for r in range(1, len(orders) + 1):
-        for combo in itertools.combinations(orders, r):
-            mark = "*" if combo == best else ""
-            lines.append("{%s}\t%s\t%s" % (",".join(map(str, combo)),
-                                           repr(model.snr_subset(params, combo)), mark))
+    for combo in model.order_subsets(params):
+        mark = "*" if combo == best else ""
+        lines.append("{%s}\t%s\t%s" % (",".join(map(str, combo)),
+                                       repr(model.snr_subset(params, combo)), mark))
     const = model.error_rate_constant(best, cfg.nu, params.k)
     lines.append(f"# error-rate constant at nu={repr(cfg.nu)}: {repr(const)}")
     _emit("\n".join(lines) + "\n", args.out)

@@ -63,9 +63,7 @@ def centered_operator(params: ModelParams, a, kept: np.ndarray | None = None) ->
     n, k = params.n, params.k
     rates = model.expected_rates(params)
     alpha, beta = rates.alpha, rates.beta
-    labels = np.repeat(np.arange(k), model.block_sizes(n, k))
-    indicators = np.zeros((n, k))
-    indicators[np.arange(n), labels] = 1.0
+    indicators = (model.ground_truth_labels(n, k)[:, None] == np.arange(k)).astype(np.float64)
     mask = None
     if kept is not None:
         a = mask_matrix(a, kept)

@@ -66,25 +66,25 @@ _BYTE_KIND[[ord(c) for c in _COLOR_CHAR.values()]] = _LETTER
 
 def write_hypergraph(h: Hypergraph, k: int, labels: np.ndarray | None = None) -> str:
     """Serialize to the text format; edges ordered by (m, tuple)."""
-    m_max = max(h.edges) if h.edges else 2
-    parts = [f"HSBM {h.n} {k} {m_max}\n"]
+    parts = [f"HSBM {h.n} {k} {max(h.edges, default=2)}\n"]
     if labels is not None:
         ids = np.asarray(labels).astype(np.int64).tolist()
         parts.append("LABELS " + " ".join(map(str, ids)) + "\n")
     # each cell carries the separator that follows it, so one join writes an order
-    top = max((int(arr.max()) + 1 for arr in h.edges.values() if len(arr)), default=0)
-    spaced = np.array([f"{v} " for v in range(top)], dtype=object)
-    ended = np.array([f"{v}\n" for v in range(top)], dtype=object)
+    edges = h.edges
+    values = range(max((int(arr.max()) + 1 for arr in edges.values() if len(arr)), default=0))
+    if len(values) > sum(arr.size for arr in edges.values()):
+        # fewer ids written than the largest id: strings for those, indexed by rank
+        values = np.unique(np.concatenate([arr.ravel() for arr in edges.values()]))
+        edges = {m: np.searchsorted(values, arr) for m, arr in edges.items()}
+    spaced = np.array([f"{v} " for v in values], dtype=object)
+    ended = np.array([f"{v}\n" for v in values], dtype=object)
     color_ended = np.array([f"{_COLOR_CHAR[c]}\n" for c in (RED, BLUE)], dtype=object)
-    for m in sorted(h.edges):
-        arr = h.edges[m]
+    for m, arr in sorted(edges.items()):
         cells = np.empty((len(arr), m + 1 + h.is_colored), dtype=object)
         cells[:, 0] = f"{m} "
         cells[:, 1:m + 1] = spaced[arr]
-        if h.is_colored:
-            cells[:, -1] = color_ended[h.colors[m]]
-        else:
-            cells[:, -1] = ended[arr[:, -1]]
+        cells[:, -1] = color_ended[h.colors[m]] if h.is_colored else ended[arr[:, -1]]
         parts.append("".join(cells.ravel().tolist()))
     return "".join(parts)
 

@@ -34,6 +34,7 @@ __all__ = [
     "degree_scale",
     "regularization_threshold",
     "snr_subset",
+    "order_subsets",
     "preprocess_select",
     "expected_rates",
     "expected_adjacency",
@@ -44,6 +45,7 @@ __all__ = [
     "blue_density_thresholds",
     "error_rate_constant",
     "block_sizes",
+    "ground_truth_labels",
     "ResourceLimitError",
     "PartitionFailure",
     "ConvergenceError",
@@ -175,6 +177,12 @@ def snr_subset(params: ModelParams, subset: tuple[int, ...]) -> float:
     return num * num / den
 
 
+def order_subsets(params: ModelParams) -> list[tuple[int, ...]]:
+    """Every order subset of the model, by size, then lexicographically."""
+    orders = sorted(params.orders)
+    return [c for r in range(1, len(orders) + 1) for c in itertools.combinations(orders, r)]
+
+
 def preprocess_select(params: ModelParams) -> tuple[int, ...]:
     """Exhaustively pick the order subset with maximal signal-to-noise ratio.
 
@@ -183,10 +191,7 @@ def preprocess_select(params: ModelParams) -> tuple[int, ...]:
     """
     if all(a == 0 and b == 0 for a, b in params.orders.values()):
         raise ValueError("all rates are zero; no subset carries signal")
-    orders = sorted(params.orders)
-    combos = [combo for r in range(1, len(orders) + 1)
-              for combo in itertools.combinations(orders, r)]
-    return min(combos, key=lambda combo: (-snr_subset(params, combo), len(combo), combo))
+    return min(order_subsets(params), key=lambda c: (-snr_subset(params, c), len(c), c))
 
 
 def block_sizes(n: int, k: int) -> np.ndarray:
@@ -195,6 +200,11 @@ def block_sizes(n: int, k: int) -> np.ndarray:
     sizes = np.full(k, base, dtype=np.int64)
     sizes[: n % k] += 1
     return sizes
+
+
+def ground_truth_labels(n: int, k: int) -> np.ndarray:
+    """Planted labels: consecutive blocks, remainder on the lowest-index ones."""
+    return np.repeat(np.arange(k, dtype=np.int64), block_sizes(n, k))
 
 
 def expected_rates(params: ModelParams) -> ExpectedRates:
@@ -217,7 +227,7 @@ def expected_adjacency(params: ModelParams, dense_cap: int = DENSE_CAP_DEFAULT) 
     if n > dense_cap:
         raise ResourceLimitError(f"n = {n} exceeds the dense cap {dense_cap}")
     rates = expected_rates(params)
-    labels = np.repeat(np.arange(params.k), block_sizes(n, params.k))
+    labels = ground_truth_labels(n, params.k)
     same = labels[:, None] == labels[None, :]
     ea = np.where(same, rates.alpha, rates.beta)
     np.fill_diagonal(ea, 0.0)

@@ -13,9 +13,10 @@ and Y1, reads candidate sets off projected red columns between Z and Y2,
 filters them by blue-edge density, corrects Z by a weighted red-neighbor
 vote, and finally merges Y into the corrected sets using blue edges.  The
 projection goes through the k x s subspace coordinates of the s sampled
-columns, never an n x s float block.  The s candidate sets live on Z as
-an s x |Z| mask; the k accepted ones leave as an n x k membership matrix,
-which only merging turns into labels.  The two-block pipeline (k = 2)
+columns, never an n x s float block.  The s candidate sets are held once,
+bit-packed: row v of an n x ceil(s/8) byte matrix says which sets hold v;
+the k accepted ones leave as an n x k membership matrix, which only
+merging turns into labels.  The two-block pipeline (k = 2)
 works on the full red adjacency, splits the vertices into 0/1 labels and
 swaps suspicious vertices by a blue cross-neighbor test.
 
@@ -64,9 +65,8 @@ __all__ = [
 
 log = logging.getLogger("hyperblock")
 
-# blue_weighted_count and spectral_partition_k work in blocks of at most
-# this many bytes (edge x set bits and edge ids, or float64 Z x column
-# coordinates), which bounds their memory whatever the number of sets
+# blue_weighted_count works in blocks of at most this many bytes (edge x
+# set bits and edge ids), which bounds its memory whatever the number of sets
 _COUNT_BLOCK = 1 << 19
 
 
@@ -100,17 +100,14 @@ def centering_vector(params: ModelParams, subset: tuple[int, ...], z_set) -> np.
     return np.where(subset_mask(n, z_set), 0.5 * (abar + bbar), 0.0)
 
 
-def blue_weighted_count(h_blue: Hypergraph, z: np.ndarray, top: np.ndarray) -> np.ndarray:
+def blue_weighted_count(h_blue: Hypergraph, packed: np.ndarray, s: int) -> np.ndarray:
     """Weighted count of blue edges fully inside each set: sum of m(m-1) each.
 
-    Row j of the s x len(z) mask ``top`` marks the positions in ``z`` (distinct
-    ids) of set j; returns one count per set.  The sets of each vertex are
-    packed 8 to a byte, and an edge lies inside exactly the sets whose bits
+    Row v of the n x ceil(s/8) byte matrix ``packed`` holds the sets of
+    vertex v in ``np.packbits`` order: bit j says v lies in set j.  Returns
+    one count per set.  An edge lies inside exactly the sets whose bits
     survive the AND of its endpoints' rows.
     """
-    s = len(top)
-    packed = np.zeros((h_blue.n, -(-s // 8)), dtype=np.uint8)
-    packed[z] = np.packbits(top, axis=0).T
     in_union = packed.any(axis=1)
     total = np.zeros(s, dtype=np.int64)
     for m, rows in h_blue.edges.items():
@@ -176,10 +173,11 @@ def spectral_partition_k(
 
     The s sampled, centered red columns A[:, S] - c/2 enter only through
     their k x s coordinates W = V^T A[:, S] - V^T c / 2 in the top-k left
-    singular subspace V: one sparse product and a rank-one term, since the
-    centering c is shared.  Each column of V[Z] W (formed a block at a time)
-    yields its floor(n/2k) largest Z coordinates: every vertex strictly
-    above the cut value, then the lowest ids equal to it.
+    singular subspace V: one sparse product, read off the rows A[S, Z] of
+    the symmetric adjacency, and a rank-one term, since the centering c is
+    shared.  Each column of V[Z] W (formed 8 at a time) yields its
+    floor(n/2k) largest Z coordinates: every vertex strictly above the cut
+    value, then the lowest ids equal to it.
 
     Reads the halves of the instance restricted to ``subset``.  Returns the
     n x k membership matrix of k candidate sets of size floor(n/2k) drawn
@@ -209,23 +207,24 @@ def spectral_partition_k(
     if s == 0:
         raise PartitionFailure("side Y2 is empty")
     sampled = _stream(cfg.seed, 4).choice(y2, size=s, replace=False)
-    a2 = bipartite_embed(adjacency(restrict(h_red, np.concatenate([z, y2]))), z, y2)
+    v_z = basis.vectors[z]
+    sampled_rows = adjacency(restrict(h_red, np.concatenate([z, y2])))[sampled][:, z]
     # the sampled columns live on the red half of the coloring, so their
     # background expectation is half the nominal centering value; without
     # the 1/2 the uncanceled bias drives every column to the same ranking
     # when the signal is weak
-    coords = ((a2[:, sampled].T @ basis.vectors).T
+    coords = ((sampled_rows @ v_z).T
               - 0.5 * (basis.vectors.T @ centering_vector(params, subset, z))[:, None])
 
-    # rank the Z coordinates of the projected columns a block at a time;
-    # row j of top marks the Z positions of candidate set j
-    v_z = basis.vectors[z]
-    step = max(1, _COUNT_BLOCK // (8 * len(z)))  # 8 bytes per float64 coordinate
-    top = np.empty((s, len(z)), dtype=bool)
-    for j in range(0, s, step):
-        top[j:j + step] = _top_positions(coords[:, j:j + step].T @ v_z.T, set_size)
+    # rank the Z coordinates of one byte of sets (8 projected columns) at a
+    # time; bit j of row v of packed, in np.packbits order, says v is in set j
+    bits = np.uint8(0x80) >> np.arange(8, dtype=np.uint8)
+    packed = np.zeros((n, -(-s // 8)), dtype=np.uint8)
+    for j in range(0, s, 8):
+        top = _top_positions(coords[:, j:j + 8].T @ v_z.T, set_size)
+        packed[z, j // 8] = (top * bits[:len(top), None]).sum(axis=0, dtype=np.uint8)
 
-    densities = blue_weighted_count(h_blue, z, top)
+    densities = blue_weighted_count(h_blue, packed, s)
     # drop the low-density half, but never a set that clears the aligned-set
     # density threshold: same-block candidates share edges, so one block's
     # whole cluster can fluctuate below the median at moderate n
@@ -235,12 +234,13 @@ def spectral_partition_k(
     survivors = survivors[np.lexsort((survivors, -densities[survivors]))]
 
     overlap_cap = math.ceil((1.0 - cfg.nu) * n / k)
-    accepted: list[int] = []
+    accepted: list[np.ndarray] = []
     max_overlap = 0
-    for j in survivors:
-        overlap = int(np.count_nonzero(top[accepted] & top[j], axis=1).max(initial=0))
+    for j in survivors.tolist():
+        column = (packed[:, j // 8] & bits[j % 8]) != 0
+        overlap = max((int(np.count_nonzero(other & column)) for other in accepted), default=0)
         if overlap < overlap_cap:
-            accepted.append(j)
+            accepted.append(column)
             max_overlap = max(max_overlap, overlap)
             if len(accepted) == k:
                 break
@@ -251,9 +251,7 @@ def spectral_partition_k(
     if len(accepted) < k:
         raise PartitionFailure(
             f"only {len(accepted)} of {k} sufficiently distinct candidate sets found", diag)
-    candidates = np.zeros((n, k), dtype=bool)
-    candidates[z] = top[accepted].T
-    return candidates
+    return np.stack(accepted, axis=1)
 
 
 def correction_k(h_red: Hypergraph, z_set, candidates: np.ndarray) -> np.ndarray:

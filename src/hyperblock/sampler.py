@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, block_sizes
+from .model import ModelParams, block_sizes, ground_truth_labels
 
 __all__ = [
     "RED",
@@ -163,11 +163,6 @@ class SplitAssignment:
     @property
     def y2(self) -> np.ndarray:
         return self.members(SIDE_Y2)
-
-
-def ground_truth_labels(n: int, k: int) -> np.ndarray:
-    """Planted labels: consecutive blocks, remainder on the lowest-index ones."""
-    return np.repeat(np.arange(k, dtype=np.int64), block_sizes(n, k))
 
 
 def _row_order(rows: np.ndarray) -> np.ndarray | None:

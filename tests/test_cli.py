@@ -41,6 +41,21 @@ class TestSnrCommand:
         out = capsys.readouterr().out
         assert sum(1 for ln in out.splitlines() if ln.startswith("{")) == 1
 
+    def test_table_pinned(self, tmp_path, capsys):
+        # every order subset by size, then lexicographically; the argmax {2,3} marked
+        cfg = write(tmp_path / "c.cfg", "n = 60\nk = 3\norders = 2:4,1;3:8,1;4:9,2\nnu = 0.8\n")
+        assert main(["snr", "--config", cfg]) == 0
+        assert capsys.readouterr().out == (
+            "subset\tsnr\tselected\n"
+            "{2}\t0.5\t\n"
+            "{3}\t0.6805555555555556\t\n"
+            "{4}\t0.08925318761384333\t\n"
+            "{2,3}\t1.1755555555555555\t*\n"
+            "{2,4}\t0.360056258790436\t\n"
+            "{3,4}\t0.5268817204301074\t\n"
+            "{2,3,4}\t0.9009009009009008\t\n"
+            "# error-rate constant at nu=0.8: 0.00017578125000000005\n")
+
     def test_all_zero_exit_2(self, tmp_path):
         cfg = write(tmp_path / "c.cfg", "n = 40\nk = 2\norders = 2:0,0\n")
         assert main(["snr", "--config", cfg]) == 2

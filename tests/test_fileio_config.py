@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -526,6 +527,56 @@ class TestVertexIdDtype:
     def test_n_beyond_int32_reads_int64_rows(self):
         h, _, _ = read_hypergraph("HSBM 3000000000 2 2\n2 0 2999999999\n")
         assert h.edges[2].dtype == np.int64 and h.edges[2].tolist() == [[0, 2999999999]]
+
+
+def write_hypergraph_per_line(h, k):
+    """Edge lines written one row at a time, kept as the writer's oracle."""
+    lines = [f"HSBM {h.n} {k} {max(h.edges, default=2)}\n"]
+    for m in sorted(h.edges):
+        for i, row in enumerate(h.edges[m].tolist()):
+            color = f" {'R' if h.colors[m][i] == RED else 'B'}" if h.is_colored else ""
+            lines.append(f"{m} {' '.join(map(str, row))}{color}\n")
+    return "".join(lines)
+
+
+class TestWriterCostFollowsTheEdges:
+    """The writer makes id strings for the ids it writes, not for every id
+    below the largest, when those are fewer."""
+
+    def test_one_wide_edge_writes_in_milliseconds(self):
+        h = Hypergraph(10**6, {2: np.array([[0, 10**6 - 1]], dtype=np.int32)})
+        start = time.perf_counter()
+        text = write_hypergraph(h, 2)
+        # a string per id below 10**6 took 0.4 s
+        assert time.perf_counter() - start < 0.1
+        assert text == "HSBM 1000000 2 2\n2 0 999999\n"
+
+    def test_largest_int32_n_allocates_nothing_of_size_n(self):
+        n = 2**31 - 1
+        h = Hypergraph(n, {2: np.array([[0, n - 1]], dtype=np.int32),
+                           3: np.array([[5, 7, n - 1]], dtype=np.int32)},
+                       {2: np.array([BLUE], dtype=np.uint8), 3: np.array([RED], dtype=np.uint8)})
+        tracemalloc.start()
+        try:
+            text = write_hypergraph(h, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        assert text == f"HSBM {n} 2 3\n2 0 {n - 1} B\n3 5 7 {n - 1} R\n"
+        got, _, _ = read_hypergraph(text)
+        assert all(np.array_equal(got.edges[m], h.edges[m]) for m in h.edges)
+
+    @pytest.mark.parametrize("n, rates", [(100000, {2: (0.002, 0.002), 3: (0.001, 0.001)}),
+                                          (300, {2: (20, 5), 3: (10, 3)})])
+    @pytest.mark.parametrize("colored", [False, True])
+    def test_sparse_and_dense_ids_match_the_oracle(self, n, rates, colored):
+        h, _ = sample_hsbm(ModelParams(n, 2, rates), 5)
+        cells = sum(rows.size for rows in h.edges.values())
+        assert 0 < cells and (cells < n) == (n == 100000)
+        if colored:
+            h = color_edges(h, 6)
+        assert write_hypergraph(h, 2) == write_hypergraph_per_line(h, 2)
 
 
 class TestConfig:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hyperblock import sampler
 from hyperblock.model import (
     ModelParams,
     ResourceLimitError,
@@ -17,7 +18,9 @@ from hyperblock.model import (
     expected_adjacency,
     expected_eigenvalues,
     expected_rates,
+    ground_truth_labels,
     merging_threshold,
+    order_subsets,
     preprocess_select,
     regularization_threshold,
     snr_subset,
@@ -123,6 +126,13 @@ class TestSnr:
             assert (snr == 0.0) == no_signal
 
 
+class TestOrderSubsets:
+    def test_by_size_then_lexicographic(self):
+        p = ModelParams(40, 2, {5: (3, 1), 2: (4, 1), 3: (2, 2)})
+        assert order_subsets(p) == [(2,), (3,), (5,), (2, 3), (2, 5), (3, 5), (2, 3, 5)]
+        assert order_subsets(ModelParams(40, 2, {4: (1, 0)})) == [(4,)]
+
+
 class TestPreprocessSelect:
     def test_spec_examples(self):
         assert preprocess_select(ModelParams(40, 2, {2: (1, 1), 3: (8, 0)})) == (3,)
@@ -166,6 +176,22 @@ class TestExpectedRates:
         # (0, 1) same block, (0, 4) across
         assert r.alpha == pytest.approx(pair_expectation_oracle(8, 2, p.orders, 0, 1, labels))
         assert r.beta == pytest.approx(pair_expectation_oracle(8, 2, p.orders, 0, 4, labels))
+
+
+class TestGroundTruthLabels:
+    def test_one_rule_for_planted_labels(self):
+        assert sampler.ground_truth_labels is ground_truth_labels
+        labels = ground_truth_labels(11, 3)
+        assert labels.dtype == np.int64 and labels.tolist() == [0] * 4 + [1] * 4 + [2] * 3
+
+    def test_expected_adjacency_blocks_follow_the_labels(self):
+        p = ModelParams(11, 3, {2: (5, 1)})
+        labels = ground_truth_labels(11, 3)
+        same = labels[:, None] == labels[None, :]
+        ea = expected_adjacency(p)
+        off = ~np.eye(11, dtype=bool)
+        assert (ea[same & off] == expected_rates(p).alpha).all()
+        assert (ea[~same] == expected_rates(p).beta).all()
 
 
 class TestExpectedAdjacency:

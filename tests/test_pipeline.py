@@ -25,7 +25,7 @@ from hyperblock.pipeline import (
     _neighbor_scores,
     _top_positions,
 )
-from hyperblock.spectral import adjacency
+from hyperblock.spectral import adjacency, bipartite_embed
 from hyperblock.sampler import (
     BLUE,
     RED,
@@ -33,6 +33,7 @@ from hyperblock.sampler import (
     SIDE_Y2,
     Hypergraph,
     color_edges,
+    restrict,
     restrict_orders,
     sample_hsbm,
     split_vertices,
@@ -56,8 +57,8 @@ def columns(members):
 
 
 def count(h_blue, members):
-    """blue_weighted_count of the sets of an n x s membership matrix, on Z = V."""
-    return blue_weighted_count(h_blue, np.arange(h_blue.n), members.T)
+    """blue_weighted_count of the sets of an n x s membership matrix."""
+    return blue_weighted_count(h_blue, np.packbits(members, axis=1), members.shape[1])
 
 
 def stage_inputs(hcol, params):
@@ -157,59 +158,58 @@ class TestBlueWeightedCount:
 
     @staticmethod
     def random_case(rng, n, s, empty=0):
-        """A blue half, sets on a random two-thirds z of the vertices (z in
-        random order) as the s x len(z) mask top, and their n x s matrix."""
+        """A blue half and the n x s membership matrix of s sets on a random
+        two-thirds of the vertices."""
         h, _ = sample_hsbm(ModelParams(n, 2, {2: (30, 10), 3: (20, 6), 4: (12, 4)}),
                            int(rng.integers(1 << 30)))
         blue = color_edges(h, int(rng.integers(1 << 30))).blue()
         z = rng.permutation(n)[:2 * n // 3]
-        top = rng.random((s, len(z))) < rng.uniform(0.3, 0.9, size=s)[:, None]
-        top[rng.permutation(s)[:empty]] = False
         members = np.zeros((n, s), dtype=bool)
-        members[z] = top.T
-        return blue, z, top, members
+        members[z] = rng.random((len(z), s)) < rng.uniform(0.3, 0.9, size=s)
+        members[:, rng.permutation(s)[:empty]] = False
+        return blue, members
 
     @pytest.mark.parametrize("s", [1, 7, 8, 9, 589])
     def test_equals_incidence_oracle(self, s):
         rng = np.random.default_rng(s)
         for trial in range(3):
-            blue, z, top, members = self.random_case(rng, 60, s, empty=min(trial, s))
+            blue, members = self.random_case(rng, 60, s, empty=min(trial, s))
             assert sorted(blue.edges) == [2, 3, 4]
-            got = blue_weighted_count(blue, z, top)
+            got = count(blue, members)
             assert got.dtype == np.float64
             assert np.array_equal(got, self.incidence_oracle(blue, members))
 
     def test_empty_sets_and_edgeless_hypergraph(self):
         rng = np.random.default_rng(1)
-        blue, z, top, _ = self.random_case(rng, 60, 9)
-        none = np.zeros_like(top)
-        assert np.array_equal(blue_weighted_count(blue, z, none), np.zeros(9))
+        blue, members = self.random_case(rng, 60, 9)
+        assert np.array_equal(count(blue, np.zeros_like(members)), np.zeros(9))
         edgeless = Hypergraph(60, {2: np.empty((0, 2), dtype=np.int64)})
-        assert np.array_equal(blue_weighted_count(edgeless, z, top), np.zeros(9))
-        assert blue_weighted_count(blue, z, top[:0]).shape == (0,)
+        assert np.array_equal(count(edgeless, members), np.zeros(9))
+        assert count(blue, members[:, :0]).shape == (0,)
 
     @pytest.mark.parametrize("block", [1, 9, 100])
     def test_many_edge_blocks(self, monkeypatch, block):
-        blue, z, top, members = self.random_case(np.random.default_rng(block), 60, 9)
+        blue, members = self.random_case(np.random.default_rng(block), 60, 9)
         want = self.incidence_oracle(blue, members)
         monkeypatch.setattr(pipeline, "_COUNT_BLOCK", block)
-        assert np.array_equal(blue_weighted_count(blue, z, top), want)
+        assert np.array_equal(count(blue, members), want)
 
-    def test_peak_memory_bounded_by_packed_rows_and_one_block(self):
-        n, s = 6000, 400
+    def test_peak_memory_bounded_by_the_union_and_one_block(self):
+        # the packed sets are read as given: no copy of their n x s/8 bytes
+        n, s = 6000, 1600
         h, _ = sample_hsbm(ModelParams(n, 3, {2: (60, 4), 3: (40, 4)}), 8)
         blue = color_edges(h, 9).blue()
         rng = np.random.default_rng(3)
-        z = rng.permutation(n)[:n // 2]
-        top = rng.random((s, len(z))) < 0.5
+        packed = np.zeros((n, s // 8), dtype=np.uint8)
+        packed[rng.permutation(n)[:n // 2]] = rng.integers(256, size=(n // 2, s // 8))
         tracemalloc.start()
         try:
-            blue_weighted_count(blue, z, top)
+            blue_weighted_count(blue, packed, s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        packed = n * math.ceil(s / 8)
-        assert peak < 2 * packed + pipeline._COUNT_BLOCK
+        assert packed.nbytes > n + 2 * pipeline._COUNT_BLOCK
+        assert peak < n + 2 * pipeline._COUNT_BLOCK
 
 
 def neighbor_scores(h, sets):
@@ -324,7 +324,7 @@ def dense_candidate_sets(a2, basis, split, params, cfg):
 
 def scored_and_dense_sets(monkeypatch, hcol, split, params, cfg):
     """The sets spectral_partition_k scores, and dense_candidate_sets on its
-    own subspace and red Z x Y2 adjacency."""
+    own subspace and the red Z x Y2 adjacency."""
     seen = {}
 
     def spy(name):
@@ -335,16 +335,18 @@ def scored_and_dense_sets(monkeypatch, hcol, split, params, cfg):
             return seen[name][-1][1]
         monkeypatch.setattr(pipeline, name, wrapped)
 
-    for name in ("top_subspace", "bipartite_embed", "blue_weighted_count"):
+    for name in ("top_subspace", "blue_weighted_count"):
         spy(name)
     try:
         partition_k(hcol, split, params, cfg)
     except PartitionFailure:
         pass
     monkeypatch.undo()
-    _, z, top = seen["blue_weighted_count"][0][0]
-    got = [z[row] for row in top]
-    a2 = seen["bipartite_embed"][1][1]
+    _, packed, s = seen["blue_weighted_count"][0][0]
+    got = columns(np.unpackbits(packed, axis=1, count=s).astype(bool))
+    h_red = stage_inputs(hcol, params)[0]
+    a2 = bipartite_embed(adjacency(restrict(h_red, np.concatenate([split.z, split.y2]))),
+                         split.z, split.y2)
     return got, dense_candidate_sets(a2, seen["top_subspace"][0][1], split, params, cfg)
 
 
@@ -417,6 +419,32 @@ class TestSpectralPartitionK:
             tracemalloc.stop()
         assert peak < n * s
 
+    def test_sets_held_once_bit_packed(self, monkeypatch):
+        # from scoring on, the stage holds the s candidate sets once, as n x
+        # ceil(s/8) bytes, beside O(n) vectors: less than two such copies,
+        # and far less than an s x |Z| boolean mask of them
+        n, k = 60000, 3
+        params = ModelParams(n, k, {2: (80, 2), 3: (40, 2)})
+        h, _ = sample_hsbm(params, 1)
+        h_red, h_blue, subset = stage_inputs(color_edges(h, 2), params)
+        split = split_vertices(n, 3)
+        s = min(math.ceil(2 * k * math.log(n) ** 2), len(split.y2))
+
+        def spy(*args):
+            tracemalloc.reset_peak()  # the peak from here on includes what is held
+            return weighted_count(*args)
+        weighted_count = pipeline.blue_weighted_count
+        monkeypatch.setattr(pipeline, "blue_weighted_count", spy)
+        tracemalloc.start()
+        try:
+            spectral_partition_k(h_red, h_blue, split, params, subset, PipelineConfig(seed=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        packed = n * math.ceil(s / 8)
+        assert 2 * packed < s * len(split.z)
+        assert peak < 2 * packed
+
     def test_postconditions_and_alignment(self):
         good_seeds = 0
         for seed in range(5):
@@ -450,8 +478,8 @@ class TestSpectralPartitionK:
     def test_information_isolation(self, monkeypatch):
         densities = []
 
-        def spy(h_blue, z, top):
-            densities.append(weighted_count(h_blue, z, top))
+        def spy(h_blue, packed, s):
+            densities.append(weighted_count(h_blue, packed, s))
             return densities[-1]
         weighted_count = pipeline.blue_weighted_count
         monkeypatch.setattr(pipeline, "blue_weighted_count", spy)
