@@ -17,11 +17,18 @@ Conventions used throughout:
   ``a_m >= b_m >= 0``; the within-block connection probability of an
   order-``m`` edge is ``a_m / comb(n, m-1)`` and the cross-block one is
   ``b_m / comb(n, m-1)``.
+* ``ModelParams`` decides the model once.  A rate above ``comb(n, m-1)``
+  is stored as ``comb(n, m-1)`` (probability 1), with a warning, so the
+  sampler and every closed form here describe the same model.  An order
+  whose ``comb(n, m-1)``, ``comb(n, m)``, ``k^(m-1)`` or (for k >= 3)
+  ``2^(2m+3)`` exceeds the float range is rejected, and so is a model
+  whose signal-to-noise sums over all orders are not finite.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -50,6 +57,8 @@ __all__ = [
     "PartitionFailure",
     "ConvergenceError",
 ]
+
+log = logging.getLogger("hyperblock")
 
 DENSE_CAP_DEFAULT = 2000
 REGULARIZATION_FACTOR = 20
@@ -112,6 +121,7 @@ class ModelParams:
             raise ValueError("at least one order is required")
         if self.n < self.k:
             raise ValueError("n must be at least k (nonempty blocks)")
+        orders = {}
         for m, (a, b) in self.orders.items():
             if m < 2:
                 raise ValueError(f"edge order {m} < 2")
@@ -121,8 +131,55 @@ class ModelParams:
                 raise ValueError(f"order {m}: need a_m >= b_m >= 0, got ({a}, {b})")
             if not math.isfinite(a):
                 raise ValueError(f"order {m}: rates must be finite, got ({a}, {b})")
+            cap = _check_float_range(self.n, self.k, m)
+            if a > cap:
+                log.warning("order %d: rate %r above comb(n, m-1) = %r, clamped to it "
+                            "(probability 1)", m, a, cap)
+                a, b = cap, min(b, cap)
+            orders[m] = (a, b)
+        num, den = _snr_sums(orders, self.k, orders)
+        if not (math.isfinite(num * num) and math.isfinite(den)):
+            raise ValueError("the signal-to-noise sums over all orders exceed the float range")
         # normalize to a plain sorted dict so iteration order is stable
-        object.__setattr__(self, "orders", dict(sorted(self.orders.items())))
+        object.__setattr__(self, "orders", dict(sorted(orders.items())))
+
+
+def _as_float(x: int) -> float:
+    """float(x) for an integer x >= 0, inf when it exceeds the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def _float_comb(n: int, j: int) -> float:
+    """C(n, j) as a float, inf when it exceeds the float range.
+
+    With t = min(j, n - j), C(n, j) = C(n, t) >= (n / t)^t >= 2^t, so
+    t >= 1024 overflows without computing the (slow) exact binomial.
+    """
+    t = min(j, n - j)
+    return math.inf if t >= 1024 else _as_float(math.comb(n, t))
+
+
+def _check_float_range(n: int, k: int, m: int) -> float:
+    """float(C(n, m-1)), after checking the binomials and powers order m's closed forms take.
+
+    Every binomial the closed forms take is C(x, j) with x <= n and
+    j in {m-2, m-1, m}, and C(x, m-2) <= C(n-2, m-2) <= C(n, m), so
+    C(n, m-1) and C(n, m) bound them all.  ``snr_subset`` divides by
+    k^(m-1) and ``error_rate_constant`` multiplies by 2^(2m+3) when k >= 3.
+    """
+    cap = _float_comb(n, m - 1)
+    if math.isinf(cap) or math.isinf(_float_comb(n, m)):
+        raise ValueError(f"order {m}: comb(n, m-1) or comb(n, m) exceeds the float range "
+                         f"at n = {n}")
+    # k^(m-1) >= 2^(m-1), so m > 1024 overflows without taking the power
+    if m > 1024 or math.isinf(_as_float(k ** (m - 1))):
+        raise ValueError(f"order {m}: k^(m-1) exceeds the float range at k = {k}")
+    if k >= 3 and 2 * m + 3 >= 1024:
+        raise ValueError(f"order {m}: 2^(2m+3) exceeds the float range (k >= 3)")
+    return cap
 
 
 def _check_subset(params: ModelParams, subset) -> tuple[int, ...]:
@@ -163,18 +220,22 @@ def snr_subset(params: ModelParams, subset: tuple[int, ...]) -> float:
     ``den = sum (m-1) ((a_m - b_m) / k^(m-1) + b_m)``, and 0 when the
     denominator vanishes (all rates in the subset are zero).
     """
-    ms = _check_subset(params, subset)
-    k = params.k
-    num = 0.0
-    den = 0.0
-    for m in ms:
-        a, b = params.orders[m]
-        diff = (a - b) / k ** (m - 1)
-        num += (m - 1) * diff
-        den += (m - 1) * (diff + b)
+    num, den = _snr_sums(params.orders, params.k, _check_subset(params, subset))
     if den == 0.0:
         return 0.0
     return num * num / den
+
+
+def _snr_sums(orders: dict[int, tuple[float, float]], k: int, ms) -> tuple[float, float]:
+    """The signal-to-noise numerator and denominator sums over the orders ms."""
+    num = 0.0
+    den = 0.0
+    for m in ms:
+        a, b = orders[m]
+        diff = (a - b) / k ** (m - 1)
+        num += (m - 1) * diff
+        den += (m - 1) * (diff + b)
+    return num, den
 
 
 def order_subsets(params: ModelParams) -> list[tuple[int, ...]]:
@@ -256,7 +317,8 @@ def blue_conditional_probs(
     """Per-order (psi_m, phi_m): P(edge is blue | edge is not red).
 
     psi_m uses the within-block rate, phi_m the cross-block rate; both are
-    ``q / (1 - q)`` with ``q = rate / (2 comb(n, m-1))``.
+    ``q / (1 - q)`` with ``q = rate / (2 comb(n, m-1))``, which is at most
+    1/2 since ``ModelParams`` caps every rate at ``comb(n, m-1)``.
     """
     ms = _check_subset(params, subset)
     n = params.n
@@ -265,8 +327,6 @@ def blue_conditional_probs(
         a, b = params.orders[m]
         denom = 2.0 * math.comb(n, m - 1)
         qa, qb = a / denom, b / denom
-        if qa >= 1.0 or qb >= 1.0:
-            raise ValueError(f"order {m}: rate / (2 comb(n, m-1)) must be < 1")
         out[m] = (qa / (1.0 - qa), qb / (1.0 - qb))
     return out
 
@@ -322,8 +382,6 @@ def blue_density_thresholds(
     their midpoint.
     """
     _check_nu(nu)
-    if params.k < 2:
-        raise ValueError("k must be at least 2")
     ms = _check_subset(params, subset)
     n, k = params.n, params.k
     mu1 = 0.0

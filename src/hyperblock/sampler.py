@@ -18,7 +18,6 @@ and independent trials can run in parallel.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -44,8 +43,6 @@ __all__ = [
     "restrict",
     "restrict_orders",
 ]
-
-log = logging.getLogger("hyperblock")
 
 RED = 0
 BLUE = 1
@@ -268,9 +265,8 @@ def sample_hsbm(params: ModelParams, seed: int) -> tuple[Hypergraph, np.ndarray]
     """Draw one instance; returns the hypergraph and its planted labels.
 
     Within-block m-sets appear independently with probability
-    ``a_m / comb(n, m-1)``, all other m-sets with ``b_m / comb(n, m-1)``;
-    probabilities above 1 are clamped with a warning.  Deterministic in
-    ``seed``.
+    ``a_m / comb(n, m-1)``, all other m-sets with ``b_m / comb(n, m-1)``.
+    Deterministic in ``seed``.
     """
     n, k = params.n, params.k
     sizes = block_sizes(n, k).tolist()
@@ -281,9 +277,6 @@ def sample_hsbm(params: ModelParams, seed: int) -> tuple[Hypergraph, np.ndarray]
         a, b = params.orders[m]
         denom = math.comb(n, m - 1)
         pa, pb = a / denom, b / denom
-        if pa > 1.0 or pb > 1.0:
-            log.warning("order %d: rate/comb(n, m-1) above 1, clamping", m)
-            pa, pb = min(pa, 1.0), min(pb, 1.0)
 
         rng_w = _stream(seed, m, 0)
         parts = [start + _unrank(_bernoulli_ranks(rng_w, math.comb(size, m), pa), size, m)
@@ -324,12 +317,14 @@ def split_vertices(n: int, seed: int) -> SplitAssignment:
 def subset_mask(n: int, vertex_set) -> np.ndarray:
     """Length-n boolean indicator of a vertex set (array or any iterable of ids).
 
-    Raises ValueError on ids outside [0, n).
+    Raises ValueError on ids outside [0, n), and on a nonempty set whose
+    ids are not of an integer type (a boolean mask or float ids).
     """
     mask = np.zeros(n, dtype=bool)
-    ids = np.asarray(list(vertex_set) if not isinstance(vertex_set, np.ndarray) else vertex_set,
-                     dtype=np.int64)
+    ids = np.asarray(vertex_set if isinstance(vertex_set, np.ndarray) else list(vertex_set))
     if len(ids):
+        if ids.dtype.kind not in "iu":
+            raise ValueError(f"vertex ids must be integers, got dtype {ids.dtype}")
         if ids.min() < 0 or ids.max() >= n:
             raise ValueError("vertex set contains out-of-range ids")
         mask[ids] = True

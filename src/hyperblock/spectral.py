@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sputils import get_index_dtype
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, aslinearoperator, eigsh
 
 from .model import ConvergenceError
-from .sampler import Hypergraph, subset_mask
+from .sampler import Hypergraph, _id_dtype, subset_mask
 
 __all__ = [
     "ConvergenceError",
@@ -49,7 +48,7 @@ class SubspaceBasis:
 
 def _index_dtype(n: int, nnz: int) -> type:
     """CSR index dtype of an n x n matrix with nnz stored entries: int32 when both fit."""
-    return get_index_dtype(maxval=max(n, nnz))
+    return _id_dtype(max(n, nnz))
 
 
 def adjacency(h: Hypergraph) -> sp.csr_array:
@@ -152,10 +151,13 @@ def _eigsh(op, k: int, tol: float, max_iter: int, seed: int) -> tuple[np.ndarray
     return theta[order], u[:, order]
 
 
-def _left_singular(op, k: int, tol: float, max_iter: int, seed: int) -> SubspaceBasis:
-    """Top k left singular vectors and singular values of the operator op."""
-    # eigenvalues of op op^T are the squared singular values
-    theta, u = _eigsh(op @ op.H, k, tol, max_iter, seed)
+def _left_singular(a, k: int, tol: float, max_iter: int, seed: int) -> SubspaceBasis:
+    """Top k left singular vectors and singular values of a (matrix or operator)."""
+    op = aslinearoperator(a)
+    # a sparse a's transpose is a view on its arrays, where op.H would copy them
+    op_t = aslinearoperator(a.T) if sp.issparse(a) else op.H
+    # eigenvalues of a a^T are the squared singular values
+    theta, u = _eigsh(op @ op_t, k, tol, max_iter, seed)
     return SubspaceBasis(u, np.sqrt(np.maximum(theta, 0.0)))
 
 
@@ -184,11 +186,10 @@ def top_subspace(
         raise ValueError(f"k must be in [1, {n}]")
     if mode not in ("left-singular", "symmetric-eigen"):
         raise ValueError(f"unknown mode {mode!r}")
-    op = aslinearoperator(a)
     if mode == "symmetric-eigen":
-        theta, u = _eigsh(op, k, tol, max_iter, seed)
+        theta, u = _eigsh(aslinearoperator(a), k, tol, max_iter, seed)
         return SubspaceBasis(u, np.abs(theta))
-    return _left_singular(op, k, tol, max_iter, seed)
+    return _left_singular(a, k, tol, max_iter, seed)
 
 
 def spectral_norm(a, tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER,
@@ -200,4 +201,4 @@ def spectral_norm(a, tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER,
     ``top_subspace``, with the same ``tol``, ``max_iter`` and
     ConvergenceError.
     """
-    return float(_left_singular(aslinearoperator(a), 1, tol, max_iter, seed).singular_values[0])
+    return float(_left_singular(a, 1, tol, max_iter, seed).singular_values[0])

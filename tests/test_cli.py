@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import os
 import random
 import subprocess
@@ -67,6 +68,47 @@ class TestSnrCommand:
         err = capsys.readouterr().err
         assert f"entry {orders!r} is not of the form m:a,b" in err
         assert "unpack" not in err
+
+
+class TestModelBoundary:
+    """ModelParams decides the model: clamped rates, and orders past the float range."""
+
+    @pytest.mark.parametrize("command, model, named", [
+        ("snr", "n = 1000\nk = 3\norders = 2:5,1;700:3,1\n", "order 700: k^(m-1)"),
+        ("snr", "n = 520\nk = 3\norders = 515:5,1\n", "order 515: 2^(2m+3)"),
+        ("sample", "n = 10000\nk = 2\norders = 2:1,0;200:1,0\n", "order 200: comb(n, m-1)"),
+        ("detect", "n = 10000\nk = 2\norders = 2:1,0;200:1,0\n", "order 200: comb(n, m-1)"),
+    ])
+    def test_order_beyond_float_range_exit_2(self, tmp_path, capsys, command, model, named):
+        cfg = write(tmp_path / "c.cfg", model)
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named}")
+
+    @pytest.mark.parametrize("rate", [60, 90])
+    def test_clamped_config_matches_the_cap(self, tmp_path, capsys, caplog, rate):
+        outputs = {}
+        for a in (rate, 40):
+            cfg = write(tmp_path / f"{a}.cfg", f"n = 40\nk = 2\norders = 2:{a},1\nseed = 3\n")
+            for command in ("snr", "sample", "detect", "conclab"):
+                assert main([command, "--config", cfg]) == 0
+                outputs[a, command] = capsys.readouterr().out
+        for command in ("snr", "sample", "detect", "conclab"):
+            assert outputs[rate, command] == outputs[40, command]
+        assert {r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING} == {
+            f"order 2: rate {float(rate)} above comb(n, m-1) = 40.0, clamped to it (probability 1)"}
+        # the same bytes as before the clamp moved out of the sampler
+        digest = hashlib.sha256(outputs[40, "sample"].encode()).hexdigest()
+        assert digest == "5aef562d08d774bf49d4df4500133c6efa1d29b44dfa9d0e1748b7117cd5af4c"
+
+    def test_clamped_rates_snr_table_pinned(self, tmp_path, capsys):
+        cfg = write(tmp_path / "c.cfg", "n = 40\nk = 2\norders = 2:1e308,0;3:1e308,0\n")
+        assert main(["snr", "--config", cfg]) == 0
+        assert capsys.readouterr().out == (
+            "subset\tsnr\tselected\n"
+            "{2}\t20.0\t\n"
+            "{3}\t390.0\t\n"
+            "{2,3}\t410.0\t*\n"
+            "# error-rate constant at nu=0.75: 0.0078125\n")
 
 
 class TestSampleCommand:

@@ -1,8 +1,10 @@
 """The package's lazy re-exports, and every module's ``__all__``."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,22 @@ def test_all_lists_public_definitions(name):
                if not x.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
                and obj.__module__ == mod.__name__}
     assert sorted(defined - set(exported)) == []
+
+
+def test_no_private_scipy_imports():
+    private = []
+    for path in sorted(Path(hyperblock.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            private += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] == "scipy"
+                        and any(part.startswith("_") for part in name.split(".")[1:])]
+    assert private == []
 
 
 class TestPackageExports:

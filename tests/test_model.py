@@ -1,12 +1,13 @@
 """Closed-form model algebra against hand values and enumeration oracles."""
 
 import itertools
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from hyperblock import sampler
+from hyperblock import pipeline, sampler
 from hyperblock.model import (
     ModelParams,
     ResourceLimitError,
@@ -15,6 +16,7 @@ from hyperblock.model import (
     blue_density_thresholds,
     comb_floor,
     degree_scale,
+    error_rate_constant,
     expected_adjacency,
     expected_eigenvalues,
     expected_rates,
@@ -63,6 +65,73 @@ class TestModelParams:
     def test_non_finite_rates_rejected(self, rates):
         with pytest.raises(ValueError, match="order 2: "):
             ModelParams(500, 2, {2: rates})
+
+    def test_rate_above_cap_clamped_to_probability_one(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="hyperblock"):
+            p = ModelParams(40, 2, {2: (60, 50), 3: (5, 1)})
+        # comb(40, 1) = 40: both rates of order 2 become 40, so a >= b still holds
+        assert p.orders == {2: (40.0, 40.0), 3: (5, 1)}
+        assert [type(r) for r in p.orders[2]] == [float, float]
+        assert [r.getMessage() for r in caplog.records] == [
+            "order 2: rate 60 above comb(n, m-1) = 40.0, clamped to it (probability 1)"]
+
+    def test_rate_at_cap_kept(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="hyperblock"):
+            p = ModelParams(40, 2, {2: (40, 39), 3: (780, 0)})
+        assert p.orders == {2: (40, 39), 3: (780, 0)}
+        assert caplog.records == []
+
+    def test_clamped_model_is_the_capped_model(self):
+        clamped = ModelParams(40, 2, {2: (90, 1)})
+        capped = ModelParams(40, 2, {2: (40, 1)})
+        assert clamped == capped
+        assert snr_subset(clamped, (2,)) == snr_subset(capped, (2,))
+        assert merging_threshold(clamped, (2,), 0.75) == merging_threshold(capped, (2,), 0.75)
+
+    @pytest.mark.parametrize("n, k, orders, named", [
+        (1000, 3, {2: (5, 1), 700: (3, 1)}, "order 700: k\\^\\(m-1\\)"),
+        (520, 3, {515: (5, 1)}, "order 515: 2\\^\\(2m\\+3\\)"),
+        (10000, 2, {2: (1, 0), 200: (1, 0)}, "order 200: comb\\(n, m-1\\)"),
+        (10**6, 2, {500001: (1, 0)}, "order 500001: comb"),  # decided without the exact binomial
+        (10**6, 2, {1025: (1, 0)}, "order 1025: "),
+    ], ids=["k-power", "two-power", "comb", "comb-decided-without-it", "k-power-decided-without-it"])
+    def test_order_beyond_float_range_rejected(self, n, k, orders, named):
+        with pytest.raises(ValueError, match=named):
+            ModelParams(n, k, orders)
+
+    def test_snr_sums_beyond_float_range_rejected(self):
+        # comb(n, 2) = 5e199 fits, but the numerator's square does not
+        with pytest.raises(ValueError, match="signal-to-noise sums"):
+            ModelParams(10**100, 2, {3: (1e200, 0)})
+        assert snr_subset(ModelParams(10**100, 2, {3: (1e200, 1e200)}), (3,)) == 0.0
+
+
+def _accepts(n, k, m):
+    try:
+        ModelParams(n, k, {m: (5, 1)})
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n, k", [(40, 2), (1000, 3), (1030, 2), (2000, 5), (10**6, 2)])
+def test_closed_forms_finite_at_the_largest_accepted_orders(n, k):
+    orders = range(2, min(n, 1024) + 1)  # k^(m-1) >= 2^1024 past 1024
+    largest = max(m for m in orders if _accepts(n, k, m))
+    below_first_rejected = next((m - 1 for m in orders if not _accepts(n, k, m)), largest)
+    for m in {largest, below_first_rejected}:
+        for rates in [(5, 1), (0, 0), (5, 5)]:
+            p = ModelParams(n, k, {m: rates})
+            ms = (m,)
+            expected = expected_rates(p)
+            values = [snr_subset(p, ms), degree_scale(p, ms), regularization_threshold(p, ms),
+                      expected.alpha, expected.beta, *blue_conditional_probs(p, ms)[m],
+                      merging_threshold(p, ms, 0.75), binary_correction_threshold(p, ms, 0.75),
+                      *blue_density_thresholds(p, ms, 0.75), error_rate_constant(ms, 0.75, k),
+                      *pipeline.centering_vector(p, ms, [0, 1])[:2]]
+            if n % k == 0:
+                values += expected_eigenvalues(p)
+            assert all(type(v) in (float, np.float64) and math.isfinite(v) for v in values)
 
 
 class TestCombFloor:
@@ -124,6 +193,26 @@ class TestSnr:
             assert snr >= 0.0
             no_signal = all(a == b for a, b in orders.values())
             assert (snr == 0.0) == no_signal
+
+    def test_finite_on_every_accepted_model(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            n = int(10 ** rng.uniform(1, 120))
+            orders = {}
+            for m in rng.choice(np.arange(2, 9), size=int(rng.integers(1, 4)), replace=False):
+                a = float(10 ** rng.uniform(0, 308))
+                orders[int(m)] = (a, a * float(rng.choice([0.0, rng.uniform()])))
+            try:
+                p = ModelParams(n, int(rng.integers(2, 6)), orders)
+            except ValueError:
+                continue
+            assert all(math.isfinite(snr_subset(p, c)) for c in order_subsets(p))
+
+    def test_clamped_rates_select_by_snr(self):
+        # both rates exceed comb(n, m-1); the clamped model has a finite snr per subset
+        p = ModelParams(40, 2, {2: (1e308, 0), 3: (1e308, 0)})
+        assert [snr_subset(p, c) for c in order_subsets(p)] == [20.0, 390.0, 410.0]
+        assert preprocess_select(p) == (2, 3)
 
 
 class TestOrderSubsets:
@@ -265,9 +354,9 @@ class TestBlueConditionalProbs:
         for psi, phi in probs.values():
             assert 0 <= phi <= psi < 1
 
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            blue_conditional_probs(ModelParams(4, 2, {2: (9, 0)}), (2,))
+    def test_clamped_rate_gives_psi_one(self):
+        # a_2 = 9 is clamped to comb(4, 1) = 4, so q = 4 / 8 = 1/2 and psi = q / (1 - q) = 1
+        assert blue_conditional_probs(ModelParams(4, 2, {2: (9, 0)}), (2,)) == {2: (1.0, 0.0)}
 
 
 class TestMergingThreshold:

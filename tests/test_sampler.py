@@ -39,9 +39,10 @@ class TestSampleHsbm:
         assert h.num_edges() == 0
         assert (np.bincount(labels) == 15).all()
 
-    def test_probability_one_fills_everything(self):
-        # a = b = comb(n, 1) makes every pair deterministic
-        h, _ = sample_hsbm(ModelParams(6, 2, {2: (6.0, 6.0)}), 1)
+    @pytest.mark.parametrize("rates", [(6.0, 6.0), (1e9, 1e9)])
+    def test_probability_one_fills_everything(self, rates):
+        # a = b = comb(n, 1) makes every pair deterministic; ModelParams clamps larger rates to it
+        h, _ = sample_hsbm(ModelParams(6, 2, {2: rates}), 1)
         assert len(edge_set(h, 2)) == math.comb(6, 2)
 
     def test_determinism(self):
@@ -300,6 +301,27 @@ class TestRestrict:
         for bad in ([0, 5], [-1]):
             with pytest.raises(ValueError, match="out-of-range"):
                 subset_mask(5, bad)
+
+    @pytest.mark.parametrize("bad", [np.array([False, False, True, True, False]), [True],
+                                     np.array([1.5]), [0.0, 1.0]])
+    def test_non_integer_ids_rejected(self, bad):
+        # a boolean mask is not read as the ids {0, 1}, nor float ids truncated
+        with pytest.raises(ValueError, match="integers"):
+            subset_mask(5, bad)
+        h = Hypergraph(5, {2: np.array([[0, 1], [2, 3]])})
+        with pytest.raises(ValueError, match="integers"):
+            restrict(h, bad)
+
+    @pytest.mark.parametrize("empty", [[], set(), np.array([], dtype=bool),
+                                       np.array([], dtype=np.float64)])
+    def test_empty_set_of_any_dtype(self, empty):
+        assert not subset_mask(5, empty).any()
+
+    def test_restrict_by_ids_of_a_mask(self):
+        h = Hypergraph(5, {2: np.array([[0, 1], [2, 3]])})
+        mask = np.array([False, False, True, True, False])
+        assert restrict(h, np.flatnonzero(mask)).edges[2].tolist() == [[2, 3]]
+        assert restrict(h, np.array([2, 3], dtype=np.uint8)).edges[2].tolist() == [[2, 3]]
 
     def test_restrict_orders(self):
         h, _ = sample_hsbm(ModelParams(40, 2, {2: (8, 2), 3: (6, 2)}), 1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from hyperblock.model import ModelParams
 from hyperblock.sampler import SIDE_Y1, SIDE_Z, Hypergraph, sample_hsbm, split_vertices
@@ -233,6 +233,16 @@ class TestTopSubspace:
         d = np.diag([5.0, -4.0, 3.0, 1.0, -0.5])
         basis = top_subspace(d, 3, "symmetric-eigen", tol=1e-12)
         assert np.allclose(basis.singular_values, [5.0, 4.0, 3.0], atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sparse_input_same_basis_as_operator_input(self, seed):
+        # sparse input applies a^T through a view; an operator goes through op.H
+        for a in (planted_instance(seed=seed), planted_instance(seed=seed).astype(np.int64)):
+            direct = top_subspace(a, 2)
+            via_operator = top_subspace(aslinearoperator(a), 2)
+            assert np.array_equal(direct.vectors, via_operator.vectors)
+            assert np.array_equal(direct.singular_values, via_operator.singular_values)
+            assert spectral_norm(a) == spectral_norm(aslinearoperator(a))
 
     def test_projector_stability_across_solver_seeds(self):
         a = planted_instance()
