@@ -57,7 +57,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_snr(cfg: ExperimentConfig, args) -> int:
     """Print the signal-to-noise ratio of every order subset, marking the argmax."""
-    params = cfg.model_params()
+    params = cfg.params
     best = model.preprocess_select(params)
     lines = ["subset\tsnr\tselected"]
     for combo in model.order_subsets(params):
@@ -72,7 +72,7 @@ def cmd_snr(cfg: ExperimentConfig, args) -> int:
 
 def cmd_sample(cfg: ExperimentConfig, args) -> int:
     """Sample one instance and write it in the hypergraph text format."""
-    params = cfg.model_params()
+    params = cfg.params
     h, labels = sampler.sample_hsbm(params, cfg.seed)
     if cfg.colors:
         h = sampler.color_edges(h, sampler.trial_seed(cfg.seed, 1))
@@ -81,22 +81,35 @@ def cmd_sample(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
+def _instance(cfg: ExperimentConfig) -> list:
+    """The instance to partition and its true labels, as the list ``[h, truth]``.
+
+    ``h`` is read from ``input`` or sampled inline; ``truth`` is None when
+    the file has no labels.  A list, so that the caller can hand ``h`` over
+    with ``pop``.
+    """
+    params = cfg.params
+    if cfg.input is None:
+        return list(sampler.sample_hsbm(params, sampler.trial_seed(cfg.seed, 0)))
+    with open(cfg.input, "rb") as fh:
+        h, file_k, truth = fileio.read_hypergraph(fh.read())
+    if h.n != params.n or file_k != params.k:
+        raise ValueError(
+            f"config says n={params.n} k={params.k}, file says n={h.n} k={file_k}")
+    return [h, truth]
+
+
 def cmd_detect(cfg: ExperimentConfig, args) -> int:
     """Partition an instance (from file or sampled inline) and write labels."""
     from . import metrics, pipeline
 
-    params = cfg.model_params()
-    truth = None
-    if cfg.input is not None:
-        with open(cfg.input, "rb") as fh:
-            h, file_k, truth = fileio.read_hypergraph(fh.read())
-        if h.n != params.n or file_k != params.k:
-            raise ValueError(
-                f"config says n={params.n} k={params.k}, file says n={h.n} k={file_k}")
-    else:
-        h, truth = sampler.sample_hsbm(params, sampler.trial_seed(cfg.seed, 0))
+    params = cfg.params
+    instance = _instance(cfg)
+    truth = instance.pop()
     pcfg = pipeline.PipelineConfig(nu=cfg.nu, seed=sampler.trial_seed(cfg.seed, 1))
-    labels = pipeline.partition(params, h, pcfg)
+    # partition gets the only reference to the instance, so the edges it
+    # drops once they are split into red and blue halves are freed
+    labels = pipeline.partition(params, instance.pop(), pcfg)
     _emit(fileio.write_labels(labels), args.out)
     if truth is not None:
         report = metrics.accuracy_report(truth, labels)

@@ -57,14 +57,11 @@ class ExperimentConfig:
     sizes: tuple[int, ...] = ()
     tau: float | None = None
 
-    def model_params(self, n: int | None = None) -> ModelParams:
-        return ModelParams(n if n is not None else self.n, self.k, dict(self.orders))
-
-    def ladder_params(self, gap: float) -> ModelParams:
-        """Model of one experiment rung: ``ladder_order`` gets rates (base_b + gap, base_b)."""
-        orders = dict(self.orders)
-        orders[self.ladder_order] = (self.base_b + gap, self.base_b)
-        return ModelParams(self.n, self.k, orders)
+    # the models parse_config builds, each distinct one once: the config's
+    # own, one per sizes entry and one per ladder rung
+    params: ModelParams | None = None
+    size_params: tuple[ModelParams, ...] = ()
+    rung_params: tuple[ModelParams, ...] = ()
 
     def resolved_tau(self) -> float:
         if self.tau is not None:
@@ -169,16 +166,22 @@ def parse_config(text: str, command: str) -> ExperimentConfig:
         raise ValueError(f"tau must be a nonnegative number, got {cfg.tau}")
     if command == "experiment" and not cfg.ladder:
         raise ValueError("experiment needs a ladder of rate gaps")
-    # validate model preconditions up front
-    cfg.model_params()
-    for n in cfg.sizes:
-        try:
-            cfg.model_params(n)
-        except ValueError as exc:
-            raise ValueError(f"sizes entry {n}: {exc}") from None
-    for gap in cfg.ladder:
-        try:
-            cfg.ladder_params(gap)
-        except ValueError as exc:
-            raise ValueError(f"ladder entry {gap}: {exc}") from None
+    # build each distinct model once, which validates it and logs its clamps once
+    built: dict = {}
+
+    def build(n: int, orders: dict, where: str) -> ModelParams:
+        key = (n, tuple(sorted(orders.items())))
+        if key not in built:
+            try:
+                built[key] = ModelParams(n, cfg.k, dict(orders))
+            except ValueError as exc:
+                raise ValueError(f"{where}{exc}") from None
+        return built[key]
+
+    cfg.params = build(cfg.n, cfg.orders, "")
+    cfg.size_params = tuple(build(n, cfg.orders, f"sizes entry {n}: ") for n in cfg.sizes)
+    cfg.rung_params = tuple(
+        build(cfg.n, {**cfg.orders, cfg.ladder_order: (cfg.base_b + gap, cfg.base_b)},
+              f"ladder entry {gap}: ")
+        for gap in cfg.ladder)
     return cfg

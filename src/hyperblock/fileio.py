@@ -49,6 +49,7 @@ __all__ = [
 
 _COLOR_CHAR = {RED: "R", BLUE: "B"}
 _SCAN_BYTES = 1 << 18  # edge-line bytes scanned, checked and parsed at a time
+_LABEL_LINES = 1 << 10  # label lines joined at a time
 _MAX_DIGITS = 18  # every run of up to 18 digits fits int64
 _LINE_BREAKS = b"\n\r\v\f\x1c\x1d\x1e"  # the ASCII line breaks of str.splitlines
 _SEPARATORS = b" \t\x1f"  # the rest of the ASCII whitespace of str.split
@@ -369,7 +370,14 @@ def read_hypergraph(text: str | bytes) -> tuple[Hypergraph, int, np.ndarray | No
 
 
 def write_labels(labels: np.ndarray) -> str:
-    return "".join(f"{i}\t{int(b)}\n" for i, b in enumerate(labels))
+    """``vertex_id<TAB>block`` lines, one per vertex in id order.
+
+    The lines are joined a chunk at a time, so only one chunk's per-line
+    strings live next to the joined text: the peak stays near twice the text.
+    """
+    return "".join("".join(f"{i}\t{int(b)}\n"
+                           for i, b in enumerate(labels[lo:lo + _LABEL_LINES], lo))
+                   for lo in range(0, len(labels), _LABEL_LINES))
 
 
 def read_labels(text: str) -> np.ndarray:

@@ -11,14 +11,17 @@ For k >= 3 the pipeline splits the vertices into Z / Y1 / Y2, extracts a
 singular subspace from the regularized red bipartite adjacency between Z
 and Y1, reads candidate sets off projected red columns between Z and Y2,
 filters them by blue-edge density, corrects Z by a weighted red-neighbor
-vote, and finally merges Y into the corrected sets using blue edges.  The
-projection goes through the k x s subspace coordinates of the s sampled
-columns, never an n x s float block.  The s candidate sets are held once,
-bit-packed: row v of an n x ceil(s/8) byte matrix says which sets hold v;
-the k accepted ones leave as an n x k membership matrix, which only
-merging turns into labels.  The two-block pipeline (k = 2)
-works on the full red adjacency, splits the vertices into 0/1 labels and
-swaps suspicious vertices by a blue cross-neighbor test.
+vote, and finally merges Y into the corrected sets using blue edges.  Once
+split into its halves, ``partition`` drops the instance, so each edge is
+held once.  No symmetric red adjacency is built: the regularized Z x Y1
+block and the s sampled Y2 rows against Z are counted straight from the
+red edge arrays.  The projection goes through the k x s subspace
+coordinates of the s sampled columns, never an n x s float block.  The s
+candidate sets are held once, bit-packed: row v of an n x ceil(s/8) byte
+matrix says which sets hold v; the k accepted ones leave as an n x k
+membership matrix, which only merging turns into labels.  The two-block
+pipeline (k = 2) works on the full red adjacency, splits the vertices into
+0/1 labels and swaps suspicious vertices by a blue cross-neighbor test.
 
 Every stage is deterministic given the pipeline seed, from which each
 draw takes its own stream through ``sampler.trial_seed``; independent
@@ -32,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import model
 from .model import ModelParams, PartitionFailure
@@ -40,6 +44,7 @@ from .sampler import (
     SIDE_Y2,
     Hypergraph,
     SplitAssignment,
+    _id_dtype,
     _stream,
     color_edges,
     restrict,
@@ -48,7 +53,7 @@ from .sampler import (
     subset_mask,
     trial_seed,
 )
-from .spectral import adjacency, bipartite_embed, regularize, top_subspace
+from .spectral import _index_dtype, _pair_counts, adjacency, regularize, top_subspace
 
 __all__ = [
     "PartitionFailure",
@@ -161,6 +166,52 @@ def _neighbor_scores(h: Hypergraph, members: np.ndarray) -> np.ndarray:
     return scores
 
 
+def _bipartite_block(h_red: Hypergraph, z: np.ndarray, y1: np.ndarray,
+                     threshold: float) -> tuple[sp.csr_array, np.ndarray]:
+    """The regularized red Z x Y1 block, n x n, and the kept vertices.
+
+    In the red adjacency induced on Z u Y1, a vertex's row sum is the sum of
+    m - 1 over its induced edges; the vertices whose sum is at most
+    ``threshold`` are kept.  Entry (z, y) counts the induced edges through a
+    kept z of Z and a kept y of Y1.  The arrays equal those of
+    ``bipartite_embed(regularize(adjacency(restrict(h_red, Z u Y1)), threshold)[0], z, y1)``.
+    """
+    n = h_red.n
+    induced = restrict(h_red, np.concatenate([z, y1])).edges
+    sums = np.zeros(n, dtype=np.int64)
+    for m, arr in induced.items():
+        sums += (m - 1) * np.bincount(arr.ravel(), minlength=n)
+    kept = np.flatnonzero(sums <= threshold)
+    ids = np.where(subset_mask(n, kept), np.arange(n, dtype=_id_dtype(n)), -1)
+    rows = np.where(subset_mask(n, z), ids, -1)
+    cols = np.where(subset_mask(n, y1), ids, -1)
+    # the adjacency's index dtype: it stores two entries per endpoint pair
+    pairs = sum(math.comb(m, 2) * len(arr) for m, arr in induced.items())
+    return _pair_counts(induced, rows, cols, (n, n), _index_dtype(n, 2 * pairs)), kept
+
+
+def _sampled_rows(h_red: Hypergraph, z: np.ndarray, y2: np.ndarray,
+                  sampled: np.ndarray) -> sp.csr_array:
+    """Rows ``sampled`` and columns Z of the red adjacency induced on Z u Y2.
+
+    Counted from the induced red edges that hold a sampled vertex.  The
+    arrays equal those of ``adjacency(restrict(h_red, Z u Y2))[sampled][:, z]``.
+    """
+    n = h_red.n
+    inside = subset_mask(n, np.concatenate([z, y2]))
+    is_sampled = subset_mask(n, sampled)
+    edges, pairs = {}, 0
+    for m, arr in h_red.edges.items():
+        induced = inside[arr].all(axis=1)
+        pairs += math.comb(m, 2) * int(np.count_nonzero(induced))
+        edges[m] = arr[induced & is_sampled[arr].any(axis=1)]
+    rows = np.full(n, -1, dtype=_id_dtype(n))
+    rows[sampled] = np.arange(len(sampled))
+    cols = np.full(n, -1, dtype=_id_dtype(n))
+    cols[z] = np.arange(len(z))
+    return _pair_counts(edges, rows, cols, (len(sampled), len(z)), _index_dtype(n, 2 * pairs))
+
+
 def spectral_partition_k(
     h_red: Hypergraph,
     h_blue: Hypergraph,
@@ -171,11 +222,12 @@ def spectral_partition_k(
 ) -> np.ndarray:
     """Candidate blocks from the red bipartite spectrum, filtered by blue density.
 
-    The s sampled, centered red columns A[:, S] - c/2 enter only through
-    their k x s coordinates W = V^T A[:, S] - V^T c / 2 in the top-k left
-    singular subspace V: one sparse product, read off the rows A[S, Z] of
-    the symmetric adjacency, and a rank-one term, since the centering c is
-    shared.  Each column of V[Z] W (formed 8 at a time) yields its
+    V is the top-k left singular subspace of the regularized red Z x Y1
+    block.  The s sampled, centered red columns A[:, S] - c/2, A the red
+    adjacency induced on Z u Y2, enter only through their k x s coordinates
+    W = V^T A[:, S] - V^T c / 2: one sparse product with the s x |Z| rows
+    A[S, Z], and a rank-one term, since the centering c is shared.  Both
+    sparse matrices are counted from the red edges; A itself is never built.  Each column of V[Z] W (formed 8 at a time) yields its
     floor(n/2k) largest Z coordinates: every vertex strictly above the cut
     value, then the lowest ids equal to it.
 
@@ -193,12 +245,11 @@ def spectral_partition_k(
         raise PartitionFailure("side Z is too small for candidate sets",
                                {"z": len(z), "set_size": set_size})
 
-    # subspace from the red hypergraph induced on Z u Y1
-    a_zy1, kept = regularize(adjacency(restrict(h_red, np.concatenate([z, y1]))),
-                             model.regularization_threshold(params, subset))
-    basis = top_subspace(bipartite_embed(a_zy1, z, y1), k, "left-singular",
-                         seed=trial_seed(cfg.seed, 3))
-    del a_zy1  # one red adjacency alive at a time
+    # subspace from the red edges induced on Z u Y1
+    block, kept = _bipartite_block(h_red, z, y1,
+                                   model.regularization_threshold(params, subset))
+    basis = top_subspace(block, k, "left-singular", seed=trial_seed(cfg.seed, 3))
+    del block  # freed before the sampled rows are counted
     if basis.singular_values[0] == 0.0:
         raise PartitionFailure("red bipartite adjacency carries no signal")
 
@@ -208,7 +259,7 @@ def spectral_partition_k(
         raise PartitionFailure("side Y2 is empty")
     sampled = _stream(cfg.seed, 4).choice(y2, size=s, replace=False)
     v_z = basis.vectors[z]
-    sampled_rows = adjacency(restrict(h_red, np.concatenate([z, y2])))[sampled][:, z]
+    sampled_rows = _sampled_rows(h_red, z, y2, sampled)
     # the sampled columns live on the red half of the coloring, so their
     # background expectation is half the nominal centering value; without
     # the 1/2 the uncanceled bias drives every column to the same ranking
@@ -352,6 +403,7 @@ def partition(params: ModelParams, h: Hypergraph, cfg: PipelineConfig) -> np.nda
         log.debug("partition: subset=%s threshold=%.4f", subset, threshold)
         return labels
     h_red, h_blue = h.red(), h.blue()
+    del h  # each edge is held once from here: the caller hands h over
     split = split_vertices(params.n, trial_seed(cfg.seed, 2))
     candidates = spectral_partition_k(h_red, h_blue, split, params, subset, cfg)
     corrected = correction_k(h_red, split.z, candidates)

@@ -65,8 +65,7 @@ def experiment_rows(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[str], li
     """
     specs = []
     meta = []
-    for rung, gap in enumerate(cfg.ladder):
-        params = cfg.ladder_params(gap)
+    for rung, (gap, params) in enumerate(zip(cfg.ladder, cfg.rung_params)):
         subset = model.preprocess_select(params)
         snr = model.snr_subset(params, subset)
         for t in range(cfg.trials):
@@ -97,11 +96,9 @@ def _conclab_trial(args) -> concentration.ConcentrationRecord:
 
 def conclab_records(cfg: ExperimentConfig, jobs: int = 1) -> list[concentration.ConcentrationRecord]:
     """Concentration sweep over the configured sizes x trial seeds."""
-    sizes = cfg.sizes if cfg.sizes else (cfg.n,)
     tau = cfg.resolved_tau()
     tasks = []
-    for gi, n in enumerate(sizes):
-        params = cfg.model_params(n=n)
+    for gi, params in enumerate(cfg.size_params or (cfg.params,)):
         for t in range(cfg.trials):
             tasks.append((params, sampler.trial_seed(cfg.seed, gi, t), tau))
     return pmap(_conclab_trial, tasks, jobs)

@@ -121,24 +121,6 @@ class Hypergraph:
     def blue(self) -> "Hypergraph":
         return self.only_color(BLUE)
 
-    def validate(self) -> None:
-        """Check tuple ordering, id range, per-order uniqueness, and colors."""
-        for m, arr in self.edges.items():
-            if arr.ndim != 2 or arr.shape[1] != m:
-                raise ValueError(f"order {m}: edge array must be (*, {m})")
-            if len(arr):
-                if arr.min() < 0 or arr.max() >= self.n:
-                    raise ValueError(f"order {m}: vertex id out of range")
-                if not (np.diff(arr, axis=1) > 0).all():
-                    raise ValueError(f"order {m}: tuples must be strictly ascending")
-                if _has_repeats(_sort_rows(arr)):
-                    raise ValueError(f"order {m}: duplicate edge tuples")
-            if self.colors is not None:
-                if m not in self.colors or len(self.colors[m]) != len(arr):
-                    raise ValueError(f"order {m}: colors out of sync with edges")
-                if not np.isin(self.colors[m], (RED, BLUE)).all():
-                    raise ValueError(f"order {m}: colors must be RED ({RED}) or BLUE ({BLUE})")
-
 
 @dataclass(frozen=True)
 class SplitAssignment:

@@ -7,12 +7,14 @@ import os
 import random
 import subprocess
 import sys
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hyperblock import pipeline, runner
+from hyperblock import fileio, pipeline, runner, sampler
 from hyperblock.cli import main
 from hyperblock.fileio import read_hypergraph, read_labels
 from hyperblock.spectral import ConvergenceError
@@ -23,6 +25,16 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def logged_warnings(caplog):
+    """How often each WARNING (or worse) message was logged."""
+    return Counter(r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING)
+
+
+def clamp_message(rate, cap):
+    return (f"order 2: rate {float(rate)} above comb(n, m-1) = {float(cap)}, clamped to it "
+            "(probability 1)")
 
 
 BASE = "n = 200\nk = 2\norders = 2:30,3\nseed = 5\n"
@@ -109,6 +121,27 @@ class TestModelBoundary:
             "{3}\t390.0\t\n"
             "{2,3}\t410.0\t*\n"
             "# error-rate constant at nu=0.75: 0.0078125\n")
+
+
+    @pytest.mark.parametrize("command, extra, clamped", [
+        ("snr", "", [60]),
+        ("sample", "", [60]),
+        ("detect", "", [60]),
+        # three sizes entries, one distinct model, the config's own
+        ("conclab", "sizes = 40,40\ntrials = 1\n", [60]),
+        # the config's own model, and the two equal rungs at gap 50
+        ("experiment", "ladder = 50,50,10\ntrials = 1\n", [60, 50]),
+    ])
+    def test_one_warning_per_clamped_order_per_model(self, tmp_path, caplog, command, extra,
+                                                     clamped):
+        cfg = write(tmp_path / "c.cfg", f"n = 40\nk = 2\norders = 2:60,1\nseed = 3\n{extra}")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert logged_warnings(caplog) == Counter(clamp_message(a, 40) for a in clamped)
+
+    def test_each_distinct_size_warns_once(self, tmp_path, caplog):
+        cfg = write(tmp_path / "c.cfg", "n = 40\nk = 2\norders = 2:60,1\nsizes = 30,40,30\n")
+        assert main(["conclab", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert logged_warnings(caplog) == Counter([clamp_message(60, 30), clamp_message(60, 40)])
 
 
 class TestSampleCommand:
@@ -317,6 +350,36 @@ class TestDetectCommand:
                 "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
         lines = _run_clean(["-c", code], tmp_path).stdout.splitlines()
         assert lines[0].startswith("gamma,") and lines[-1] == "[]"  # scored, nothing loaded
+
+
+    @pytest.mark.parametrize("from_file", [True, False])
+    def test_instance_freed_before_spectral_stage(self, tmp_path, monkeypatch, from_file):
+        # detect hands the read or sampled instance to partition, which drops
+        # it once it is split into red and blue halves: none of its edge
+        # arrays is alive when the spectral stage runs
+        model = "n = 600\nk = 3\norders = 2:40,4;3:30,3\nseed = 3\n"
+        if from_file:
+            hfile = tmp_path / "h.txt"
+            assert main(["sample", "--config", write(tmp_path / "s.cfg", model),
+                         "--out", str(hfile)]) == 0
+            model += f"input = {hfile}\n"
+        module, name = (fileio, "read_hypergraph") if from_file else (sampler, "sample_hsbm")
+        make, stage = getattr(module, name), pipeline.spectral_partition_k
+        refs, alive = [], []
+
+        def watched(*args):
+            instance = make(*args)
+            refs.extend(weakref.ref(arr) for arr in instance[0].edges.values())
+            return instance
+
+        def spy(*args):
+            alive.append([ref() is not None for ref in refs])
+            return stage(*args)
+        monkeypatch.setattr(module, name, watched)
+        monkeypatch.setattr(pipeline, "spectral_partition_k", spy)
+        cfg = write(tmp_path / "d.cfg", model)
+        assert main(["detect", "--config", cfg, "--out", str(tmp_path / "l.tsv")]) == 0
+        assert len(refs) == 2 and alive == [[False, False]]
 
 
 class TestExperimentCommand:

@@ -20,6 +20,8 @@ from hyperblock.fileio import (
 from hyperblock.model import ModelParams
 from hyperblock.sampler import BLUE, RED, Hypergraph, color_edges, sample_hsbm
 
+from oracles import validate
+
 
 def read_hypergraph_per_line(text):
     """Line-by-line reader kept as an oracle: same checks and messages, file order kept."""
@@ -67,7 +69,7 @@ def read_hypergraph_per_line(text):
             for m, rows in edges.items()}
     carr = {m: np.array(colors[m], dtype=np.uint8) for m in earr} if any_color else None
     h = Hypergraph(n, earr, carr)
-    h.validate()
+    validate(h)
     return h, k, labels
 
 
@@ -184,6 +186,25 @@ class TestHypergraphFormat:
     def test_labels_round_trip(self):
         labels = np.array([0, 2, 1, 1, 0])
         assert (read_labels(write_labels(labels)) == labels).all()
+
+    @pytest.mark.parametrize("n", [0, 1, fileio._LABEL_LINES, fileio._LABEL_LINES + 1, 5000])
+    def test_write_labels_equals_per_line_text(self, n):
+        labels = np.random.default_rng(n).integers(-1, 12, size=n)
+        text = write_labels(labels)
+        assert isinstance(text, str)
+        assert text == "".join(f"{i}\t{int(b)}\n" for i, b in enumerate(labels))
+
+    def test_write_labels_memory_near_twice_the_text(self):
+        # chunks of lines are joined, so the per-line strings of one chunk
+        # are alive at a time, not one Python string per vertex
+        labels = np.random.default_rng(1).integers(0, 3, size=20000)
+        tracemalloc.start()
+        try:
+            text = write_labels(labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(text)
 
     def test_labels_any_line_order_and_unassigned(self):
         assert read_labels("2\t1\n\n0\t-1\n1\t0\n").tolist() == [-1, 0, 1]
@@ -618,6 +639,17 @@ class TestConfig:
     def test_model_preconditions_checked(self):
         with pytest.raises(ValueError):
             parse_config("n = 20\nk = 2\norders = 2:1,4\n", "snr")  # a < b
+
+    def test_keeps_each_distinct_model_once(self):
+        cfg = parse_config("n = 80\nk = 2\norders = 2:6,3;3:4,1\nsizes = 60,80,60\n", "conclab")
+        assert cfg.params == ModelParams(80, 2, {2: (6.0, 3.0), 3: (4.0, 1.0)})
+        assert [p.n for p in cfg.size_params] == [60, 80, 60]
+        assert cfg.size_params[0] is cfg.size_params[2] and cfg.size_params[1] is cfg.params
+        cfg = parse_config("n = 80\nk = 2\norders = 2:6,3;3:4,1\nladder = 3,1,3\nbase_b = 3\n",
+                           "experiment")
+        assert [p.orders[2] for p in cfg.rung_params] == [(6.0, 3.0), (4.0, 3.0), (6.0, 3.0)]
+        assert cfg.rung_params[0] is cfg.rung_params[2] is cfg.params
+        assert cfg.rung_params[1].orders[3] == (4.0, 1.0)
 
     def test_conclab_defaults(self):
         cfg = parse_config("n = 100\nk = 2\norders = 2:6,3;3:4,1\n", "conclab")

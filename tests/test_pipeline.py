@@ -22,10 +22,12 @@ from hyperblock.pipeline import (
     partition,
     spectral_partition_2,
     spectral_partition_k,
+    _bipartite_block,
     _neighbor_scores,
+    _sampled_rows,
     _top_positions,
 )
-from hyperblock.spectral import adjacency, bipartite_embed
+from hyperblock.spectral import adjacency, bipartite_embed, regularize
 from hyperblock.sampler import (
     BLUE,
     RED,
@@ -388,6 +390,85 @@ class TestTopPositions:
             assert (_top_positions(scores, size) == self.oracle(scores, size)).all()
 
 
+def assert_same_csr(got, want):
+    """Same shape, and the same indptr, indices and data, dtypes included."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def block_oracle(h_red, split, threshold):
+    """The regularized Z x Y1 block through the whole symmetric adjacency."""
+    a, kept = regularize(adjacency(restrict(h_red, np.concatenate([split.z, split.y1]))),
+                         threshold)
+    return bipartite_embed(a, split.z, split.y1), kept
+
+
+def rows_oracle(h_red, split, sampled):
+    """The sampled rows, Z columns, of the whole red adjacency induced on Z u Y2."""
+    return adjacency(restrict(h_red, np.concatenate([split.z, split.y2])))[sampled][:, split.z]
+
+
+class TestRedBlocks:
+    """The two matrices the spectral stage reads, counted from the red edges."""
+
+    MODELS = [(300, 3, {2: (30, 3)}), (300, 3, {3: (20, 3)}), (200, 4, {2: (20, 3), 4: (10, 2)}),
+              (150, 3, {2: (10, 1), 5: (8, 2)}), (400, 4, {2: (30, 2), 3: (20, 2), 4: (8, 1)})]
+
+    @staticmethod
+    def red_half(n, k, orders, seed=1):
+        params = ModelParams(n, k, orders)
+        h, _ = sample_hsbm(params, seed)
+        return params, color_edges(h, seed + 1).red(), split_vertices(n, seed + 2)
+
+    @pytest.mark.parametrize("n, k, orders", MODELS)
+    @pytest.mark.parametrize("threshold", ["model", 10, 3, 0])
+    def test_block_equals_masked_adjacency(self, n, k, orders, threshold):
+        params, h_red, split = self.red_half(n, k, orders)
+        if threshold == "model":
+            threshold = model.regularization_threshold(params, tuple(sorted(orders)))
+        block, kept = _bipartite_block(h_red, split.z, split.y1, threshold)
+        want, want_kept = block_oracle(h_red, split, threshold)
+        assert_same_csr(block, want)
+        assert np.array_equal(kept, want_kept)
+
+    def test_thresholds_drop_rows(self):
+        # the thresholds above exercise the mask: 3 keeps some entries, 0 none
+        params, h_red, split = self.red_half(*self.MODELS[0])
+        full = _bipartite_block(h_red, split.z, split.y1, np.inf)[0].nnz
+        assert 0 == _bipartite_block(h_red, split.z, split.y1, 0)[0].nnz
+        assert 0 < _bipartite_block(h_red, split.z, split.y1, 3)[0].nnz < full
+
+    @pytest.mark.parametrize("n, k, orders", MODELS)
+    def test_sampled_rows_equal_adjacency_rows(self, n, k, orders):
+        _, h_red, split = self.red_half(n, k, orders)
+        for s in (1, 7, len(split.y2)):
+            sampled = np.random.default_rng(s).choice(split.y2, size=s, replace=False)
+            rows = _sampled_rows(h_red, split.z, split.y2, sampled)
+            assert_same_csr(rows, rows_oracle(h_red, split, sampled))
+            assert rows.nnz > 0 or s == 1
+
+    def test_empty_red_half_and_order_without_induced_edge(self):
+        n = 60
+        split = split_vertices(n, 2)
+        z, y1, y2 = split.z, split.y1, split.y2
+        cross = np.array([[z[0], y1[0], y2[0]]])  # inside neither Z u Y1 nor Z u Y2
+        halves = [
+            Hypergraph(n, {}),
+            Hypergraph(n, {3: np.zeros((0, 3), dtype=np.int32)}),
+            Hypergraph(n, {2: np.sort([[z[0], y1[0]], [z[1], y2[0]]], axis=1),
+                           3: np.sort(cross, axis=1)}),
+        ]
+        for h_red in halves:
+            for threshold in (0, 10):
+                block, kept = _bipartite_block(h_red, z, y1, threshold)
+                want, want_kept = block_oracle(h_red, split, threshold)
+                assert_same_csr(block, want)
+                assert np.array_equal(kept, want_kept)
+            assert_same_csr(_sampled_rows(h_red, z, y2, y2[:3]), rows_oracle(h_red, split, y2[:3]))
+
+
 class TestSpectralPartitionK:
     @pytest.mark.parametrize("orders", [{2: (60, 2), 3: (60, 2)}, {2: (30, 5), 3: (20, 5)},
                                         {3: (6, 3)}])
@@ -444,6 +525,23 @@ class TestSpectralPartitionK:
         packed = n * math.ceil(s / 8)
         assert 2 * packed < s * len(split.z)
         assert peak < 2 * packed
+
+    def test_memory_at_n_20000(self):
+        # the two red matrices are counted from the edges, not sliced out of
+        # whole symmetric adjacencies (8.3 MiB when they were)
+        n = 20000
+        params = ModelParams(n, 3, {2: (80, 2), 3: (40, 2)})
+        h, _ = sample_hsbm(params, 1)
+        h_red, h_blue, subset = stage_inputs(color_edges(h, 2), params)
+        del h
+        split = split_vertices(n, 3)
+        tracemalloc.start()
+        try:
+            spectral_partition_k(h_red, h_blue, split, params, subset, PipelineConfig(seed=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     def test_postconditions_and_alignment(self):
         good_seeds = 0

@@ -28,6 +28,8 @@ from hyperblock.sampler import (
     subset_mask,
 )
 
+from oracles import validate
+
 
 def edge_set(h, m):
     return {tuple(row) for row in h.edges.get(m, np.empty((0, m), dtype=np.int64))}
@@ -56,7 +58,7 @@ class TestSampleHsbm:
 
     def test_edges_valid(self):
         h, labels = sample_hsbm(ModelParams(40, 3, {2: (8, 3), 3: (6, 2)}), 7)
-        h.validate()
+        validate(h)
 
     def test_within_block_mean_count(self):
         # mean within-block pair count across seeds within 4 sigma
@@ -113,7 +115,7 @@ class TestSampleHsbm:
         # p_a = 0.95 inside each block of 1000
         p = ModelParams(2000, 2, {2: (1900, 10)})
         h, labels = sample_hsbm(p, 1)
-        h.validate()
+        validate(h)
         e = h.edges[2]
         within = int((labels[e[:, 0]] == labels[e[:, 1]]).sum())
         mean = 2 * math.comb(1000, 2) * 0.95
@@ -124,7 +126,7 @@ class TestSampleHsbm:
         # at n = 105000 comb(n, 4) exceeds 2**62, so the cross ranks come in two parts
         p = ModelParams(n, k, {4: (10, 2)})
         h, _ = sample_hsbm(p, 1)
-        h.validate()
+        validate(h)
         n_within = sum(math.comb(int(size), 4) for size in block_sizes(n, k))
         mean = (n_within * 10 + (math.comb(n, 4) - n_within) * 2) / math.comb(n, 3)
         assert abs(h.num_edges(4) - mean) < 5 * math.sqrt(mean)
@@ -208,8 +210,8 @@ class TestRowHelpers:
     def test_validate_rejects_duplicates(self):
         h = Hypergraph(5, {2: np.array([[0, 1], [2, 3], [0, 1]], dtype=np.int64)})
         with pytest.raises(ValueError, match="order 2: duplicate edge tuples"):
-            h.validate()
-        Hypergraph(5, {2: np.array([[2, 3], [0, 1]], dtype=np.int64)}).validate()
+            validate(h)
+        validate(Hypergraph(5, {2: np.array([[2, 3], [0, 1]], dtype=np.int64)}))
 
     @pytest.mark.parametrize("bad", [2, 255, -1])
     def test_validate_rejects_colors_other_than_red_and_blue(self, bad):
@@ -217,8 +219,8 @@ class TestRowHelpers:
         for colors in ([bad, bad], [RED, bad]):
             h = Hypergraph(5, edges, {2: np.array(colors, dtype=np.int64)})
             with pytest.raises(ValueError, match="order 2: colors must be RED"):
-                h.validate()
-        Hypergraph(5, edges, {2: np.array([RED, BLUE], dtype=np.uint8)}).validate()
+                validate(h)
+        validate(Hypergraph(5, edges, {2: np.array([RED, BLUE], dtype=np.uint8)}))
 
 
 class TestColorEdges:
