@@ -17,7 +17,7 @@ from scipy.sparse.linalg import LinearOperator
 from . import model
 from .model import ModelParams
 from .sampler import sample_hsbm
-from .spectral import adjacency, mask_matrix, row_sums, spectral_norm
+from .spectral import adjacency, mask_matrix, spectral_norm
 
 __all__ = [
     "ConcentrationRecord",
@@ -92,16 +92,17 @@ def concentration_trial(
 ) -> ConcentrationRecord:
     """Sample one instance and measure |A - E A| / sqrt(d) raw and regularized.
 
-    The kept set is {i : row(i) <= tau * d} with d = sum (m-1) a_m over all
-    orders of the model.  When it holds every vertex, the regularized
-    operator does the raw one's arithmetic, so its norm is the raw norm and
-    is not solved again.
+    The kept set is {i : degree(i) <= tau * d} with d = sum (m-1) a_m over
+    all orders of the model; a degree is a row sum of A.  When it holds
+    every vertex, the regularized operator does the raw one's arithmetic,
+    so its norm is the raw norm and is not solved again.  The sampled
+    edges are dropped once A is formed.
     """
     h, _ = sample_hsbm(params, seed)
-    a = adjacency(h).astype(np.float64)
     d = model.degree_scale(params, tuple(params.orders))
-    rows = row_sums(a)
-    kept = np.flatnonzero(rows <= tau * d)
+    kept = np.flatnonzero(h.degrees() <= tau * d)
+    a = adjacency(h).astype(np.float64)
+    del h
     if d == 0.0:
         return ConcentrationRecord(params.n, params.k, d, tau, seed, 0.0, 0.0,
                                    1.0, 0)

@@ -22,7 +22,9 @@ Conventions used throughout:
   sampler and every closed form here describe the same model.  An order
   whose ``comb(n, m-1)``, ``comb(n, m)``, ``k^(m-1)`` or (for k >= 3)
   ``2^(2m+3)`` exceeds the float range is rejected, and so is a model
-  whose signal-to-noise sums over all orders are not finite.
+  whose signal-to-noise sums, degree scale or regularization threshold
+  over all orders are not finite.  A subset's degree scale and threshold
+  are at most the all-orders ones, so they are finite too.
 """
 
 from __future__ import annotations
@@ -140,6 +142,11 @@ class ModelParams:
         num, den = _snr_sums(orders, self.k, orders)
         if not (math.isfinite(num * num) and math.isfinite(den)):
             raise ValueError("the signal-to-noise sums over all orders exceed the float range")
+        d = sum((m - 1) * a for m, (a, _) in sorted(orders.items()))
+        if not math.isfinite(d):
+            raise ValueError("the degree scale over all orders exceeds the float range")
+        if not math.isfinite(REGULARIZATION_FACTOR * max(orders) * d):
+            raise ValueError("the regularization threshold over all orders exceeds the float range")
         # normalize to a plain sorted dict so iteration order is stable
         object.__setattr__(self, "orders", dict(sorted(orders.items())))
 

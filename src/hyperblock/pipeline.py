@@ -13,15 +13,17 @@ and Y1, reads candidate sets off projected red columns between Z and Y2,
 filters them by blue-edge density, corrects Z by a weighted red-neighbor
 vote, and finally merges Y into the corrected sets using blue edges.  Once
 split into its halves, ``partition`` drops the instance, so each edge is
-held once.  No symmetric red adjacency is built: the regularized Z x Y1
-block and the s sampled Y2 rows against Z are counted straight from the
-red edge arrays.  The projection goes through the k x s subspace
-coordinates of the s sampled columns, never an n x s float block.  The s
-candidate sets are held once, bit-packed: row v of an n x ceil(s/8) byte
-matrix says which sets hold v; the k accepted ones leave as an n x k
-membership matrix, which only merging turns into labels.  The two-block
-pipeline (k = 2) works on the full red adjacency, splits the vertices into
-0/1 labels and swaps suspicious vertices by a blue cross-neighbor test.
+held once.  No red adjacency is built whole: ``spectral.regularize``
+counts the regularized Z x Y1 block straight from the red edge arrays,
+and the s sampled Y2 rows against Z are counted the same way.  The
+projection goes through the k x s subspace coordinates of the s sampled
+columns, never an n x s float block.  The s candidate sets are held
+once, bit-packed: row v of an n x ceil(s/8) byte matrix says which sets
+hold v; the k accepted ones leave as an n x k membership matrix, which
+only merging turns into labels.  The two-block
+pipeline (k = 2) takes the regularized red adjacency from
+``spectral.regularize`` too, splits the vertices into 0/1 labels and swaps
+suspicious vertices by a blue cross-neighbor test.
 
 Every stage is deterministic given the pipeline seed, from which each
 draw takes its own stream through ``sampler.trial_seed``; independent
@@ -53,7 +55,7 @@ from .sampler import (
     subset_mask,
     trial_seed,
 )
-from .spectral import _index_dtype, _pair_counts, adjacency, regularize, top_subspace
+from .spectral import _pair_counts, regularize, top_subspace
 
 __all__ = [
     "PartitionFailure",
@@ -166,30 +168,6 @@ def _neighbor_scores(h: Hypergraph, members: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _bipartite_block(h_red: Hypergraph, z: np.ndarray, y1: np.ndarray,
-                     threshold: float) -> tuple[sp.csr_array, np.ndarray]:
-    """The regularized red Z x Y1 block, n x n, and the kept vertices.
-
-    In the red adjacency induced on Z u Y1, a vertex's row sum is the sum of
-    m - 1 over its induced edges; the vertices whose sum is at most
-    ``threshold`` are kept.  Entry (z, y) counts the induced edges through a
-    kept z of Z and a kept y of Y1.  The arrays equal those of
-    ``bipartite_embed(regularize(adjacency(restrict(h_red, Z u Y1)), threshold)[0], z, y1)``.
-    """
-    n = h_red.n
-    induced = restrict(h_red, np.concatenate([z, y1])).edges
-    sums = np.zeros(n, dtype=np.int64)
-    for m, arr in induced.items():
-        sums += (m - 1) * np.bincount(arr.ravel(), minlength=n)
-    kept = np.flatnonzero(sums <= threshold)
-    ids = np.where(subset_mask(n, kept), np.arange(n, dtype=_id_dtype(n)), -1)
-    rows = np.where(subset_mask(n, z), ids, -1)
-    cols = np.where(subset_mask(n, y1), ids, -1)
-    # the adjacency's index dtype: it stores two entries per endpoint pair
-    pairs = sum(math.comb(m, 2) * len(arr) for m, arr in induced.items())
-    return _pair_counts(induced, rows, cols, (n, n), _index_dtype(n, 2 * pairs)), kept
-
-
 def _sampled_rows(h_red: Hypergraph, z: np.ndarray, y2: np.ndarray,
                   sampled: np.ndarray) -> sp.csr_array:
     """Rows ``sampled`` and columns Z of the red adjacency induced on Z u Y2.
@@ -200,16 +178,13 @@ def _sampled_rows(h_red: Hypergraph, z: np.ndarray, y2: np.ndarray,
     n = h_red.n
     inside = subset_mask(n, np.concatenate([z, y2]))
     is_sampled = subset_mask(n, sampled)
-    edges, pairs = {}, 0
-    for m, arr in h_red.edges.items():
-        induced = inside[arr].all(axis=1)
-        pairs += math.comb(m, 2) * int(np.count_nonzero(induced))
-        edges[m] = arr[induced & is_sampled[arr].any(axis=1)]
+    edges = {m: arr[inside[arr].all(axis=1) & is_sampled[arr].any(axis=1)]
+             for m, arr in h_red.edges.items()}
     rows = np.full(n, -1, dtype=_id_dtype(n))
     rows[sampled] = np.arange(len(sampled))
     cols = np.full(n, -1, dtype=_id_dtype(n))
     cols[z] = np.arange(len(z))
-    return _pair_counts(edges, rows, cols, (len(sampled), len(z)), _index_dtype(n, 2 * pairs))
+    return _pair_counts(edges, rows, cols, (len(sampled), len(z)))
 
 
 def spectral_partition_k(
@@ -227,7 +202,8 @@ def spectral_partition_k(
     adjacency induced on Z u Y2, enter only through their k x s coordinates
     W = V^T A[:, S] - V^T c / 2: one sparse product with the s x |Z| rows
     A[S, Z], and a rank-one term, since the centering c is shared.  Both
-    sparse matrices are counted from the red edges; A itself is never built.  Each column of V[Z] W (formed 8 at a time) yields its
+    sparse matrices are counted from the red edges; A itself is never
+    built.  Each column of V[Z] W (formed 8 at a time) yields its
     floor(n/2k) largest Z coordinates: every vertex strictly above the cut
     value, then the lowest ids equal to it.
 
@@ -246,8 +222,8 @@ def spectral_partition_k(
                                {"z": len(z), "set_size": set_size})
 
     # subspace from the red edges induced on Z u Y1
-    block, kept = _bipartite_block(h_red, z, y1,
-                                   model.regularization_threshold(params, subset))
+    block, kept = regularize(restrict(h_red, np.concatenate([z, y1])),
+                             model.regularization_threshold(params, subset), z, y1)
     basis = top_subspace(block, k, "left-singular", seed=trial_seed(cfg.seed, 3))
     del block  # freed before the sampled rows are counted
     if basis.singular_values[0] == 0.0:
@@ -350,7 +326,7 @@ def spectral_partition_2(
     sort of that vector, label 1 to the rest.
     """
     n = params.n
-    a_reg, _ = regularize(adjacency(h_red), model.regularization_threshold(params, subset))
+    a_reg, _ = regularize(h_red, model.regularization_threshold(params, subset))
     basis = top_subspace(a_reg, 2, "symmetric-eigen", seed=trial_seed(cfg.seed, 3))
     if basis.singular_values[0] == 0.0:
         raise PartitionFailure("regularized red adjacency is zero")

@@ -51,9 +51,12 @@ class DetectTrial:
 
 def run_detect_trial(spec: DetectTrial) -> metrics.AccuracyReport:
     """Sample an instance, run the matching pipeline, and score it."""
-    h, truth = sampler.sample_hsbm(spec.params, spec.instance_seed)
+    instance = list(sampler.sample_hsbm(spec.params, spec.instance_seed))
+    truth = instance.pop()
     cfg = pipeline.PipelineConfig(nu=spec.nu, seed=spec.pipeline_seed)
-    labels = pipeline.partition(spec.params, h, cfg)
+    # partition gets the only reference to the instance, so the edges it
+    # drops once they are split into red and blue halves are freed
+    labels = pipeline.partition(spec.params, instance.pop(), cfg)
     return metrics.accuracy_report(truth, labels)
 
 

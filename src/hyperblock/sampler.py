@@ -100,6 +100,16 @@ class Hypergraph:
             return len(self.edges.get(m, ()))
         return sum(len(e) for e in self.edges.values())
 
+    def degrees(self) -> np.ndarray:
+        """Per vertex, the sum of m - 1 over its order-m edges (int64).
+
+        These are the row sums of ``spectral.adjacency(self)``.
+        """
+        deg = np.zeros(self.n, dtype=np.int64)
+        for m, arr in self.edges.items():
+            deg += (m - 1) * np.bincount(arr.ravel(), minlength=self.n)
+        return deg
+
     def only_color(self, color: int) -> "Hypergraph":
         """Uncolored sub-hypergraph holding just the edges of one color.
 

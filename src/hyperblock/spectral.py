@@ -2,7 +2,10 @@
 
 Adjacency matrices are scipy CSR with integer weights: entry (i, j) counts
 the hyperedges containing both endpoints, so the i-th row sum equals
-``sum_m (m-1) * #(order-m edges through i)``.  Subspaces and norms come
+``sum_m (m-1) * #(order-m edges through i)``, the degree
+``Hypergraph.degrees`` gives.  ``regularize``, the one regularization of
+every pipeline, counts the regularized adjacency, or a rectangle of it,
+straight from the edge arrays.  Subspaces and norms come
 from ARPACK's implicitly restarted Lanczos method (Lehoucq, Sorensen &
 Yang 1998) through ``scipy.sparse.linalg.eigsh``, started from a seeded
 vector so that results are deterministic; degenerate spectra are compared
@@ -26,7 +29,6 @@ __all__ = [
     "SubspaceBasis",
     "adjacency",
     "bipartite_embed",
-    "row_sums",
     "regularize",
     "mask_matrix",
     "top_subspace",
@@ -77,24 +79,24 @@ def adjacency(h: Hypergraph) -> sp.csr_array:
 
 
 def _pair_counts(edges: dict[int, np.ndarray], row_of: np.ndarray, col_of: np.ndarray,
-                 shape: tuple[int, int], idx: type) -> sp.csr_array:
-    """CSR whose (i, j) entry counts the edges holding a vertex of row i and one of column j.
+                 shape: tuple[int, int]) -> sp.csr_array:
+    """CSR whose (i, j) entry counts the edges holding a vertex of row i and another of column j.
 
     ``row_of[v]`` and ``col_of[v]`` give vertex v's row and column, or -1
-    where it has none; no vertex has both.  The indices are sorted and of
-    dtype ``idx``, the data int64, as in a masked ``adjacency``.
+    where it has none.  The indices are sorted, int32 unless the shape or
+    the number of counted pairs needs int64, and the data int64, as in a
+    masked ``adjacency``.
     """
-    keys = [np.zeros(0, dtype=np.int64)]
+    rows, cols = [row_of[:0]], [col_of[:0]]  # typed, for an input without edges
     for m, arr in edges.items():
-        rows, cols = row_of[arr], col_of[arr]
+        r, c = row_of[arr], col_of[arr]
         for p, q in itertools.permutations(range(m), 2):
-            hit = (rows[:, p] >= 0) & (cols[:, q] >= 0)
-            keys.append(rows[hit, p].astype(np.int64) * shape[1] + cols[hit, q])
-    key, count = np.unique(np.concatenate(keys), return_counts=True)
-    indptr = np.zeros(shape[0] + 1, dtype=idx)
-    np.cumsum(np.bincount(key // shape[1], minlength=shape[0]), out=indptr[1:])
-    return sp.csr_array((count.astype(np.int64), (key % shape[1]).astype(idx), indptr),
-                        shape=shape)
+            hit = (r[:, p] >= 0) & (c[:, q] >= 0)
+            rows.append(r[hit, p])
+            cols.append(c[hit, q])
+    r, c = np.concatenate(rows), np.concatenate(cols)
+    del rows, cols
+    return sp.coo_array((np.ones(len(r), dtype=np.int64), (r, c)), shape=shape).tocsr()
 
 
 def _keep_entries(a, in_rows: np.ndarray, in_cols: np.ndarray) -> sp.csr_array:
@@ -122,27 +124,31 @@ def bipartite_embed(a, rows, cols) -> sp.csr_array:
     return _keep_entries(a, in_rows, in_cols)
 
 
-def row_sums(a) -> np.ndarray:
-    """Vector of row sums of a sparse or dense matrix."""
-    return np.asarray(a.sum(axis=1)).ravel()
-
-
 def mask_matrix(a, kept: np.ndarray):
     """Zero out the rows and columns not indexed by ``kept``."""
     mask = subset_mask(a.shape[0], kept)
     return _keep_entries(a, mask, mask)
 
 
-def regularize(a, threshold: float) -> tuple[sp.csr_array, np.ndarray]:
-    """Drop heavy rows: keep indices with row sum <= threshold, zero the rest.
+def regularize(h: Hypergraph, threshold: float, rows=None,
+               cols=None) -> tuple[sp.csr_array, np.ndarray]:
+    """Drop heavy vertices: keep those of degree <= threshold, and count the rest out.
 
-    Returns the masked matrix and the kept index set.  Every row sum of
-    the output is <= threshold by construction.
+    A vertex's degree is its row sum in ``adjacency(h)`` (``h.degrees()``).
+    Entry (i, j) of the n x n result counts the edges holding a kept i of
+    ``rows`` and a kept j of ``cols``; None stands for every vertex, which
+    gives ``mask_matrix(adjacency(h), kept)``.  Returns the matrix and the
+    kept index set.  Every row sum of the output is <= threshold by
+    construction.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    kept = np.flatnonzero(row_sums(a) <= threshold)
-    return mask_matrix(a, kept), kept
+    n = h.n
+    kept = np.flatnonzero(h.degrees() <= threshold)
+    ids = np.where(subset_mask(n, kept), np.arange(n, dtype=_id_dtype(n)), -1)
+    row_of = ids if rows is None else np.where(subset_mask(n, rows), ids, -1)
+    col_of = ids if cols is None else np.where(subset_mask(n, cols), ids, -1)
+    return _pair_counts(h.edges, row_of, col_of, (n, n)), kept
 
 
 def _eigsh(op, k: int, tol: float, max_iter: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

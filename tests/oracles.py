@@ -3,6 +3,7 @@
 import numpy as np
 
 from hyperblock.sampler import BLUE, RED, _has_repeats, _sort_rows
+from hyperblock.spectral import mask_matrix
 
 
 def validate(h) -> None:
@@ -26,3 +27,17 @@ def validate(h) -> None:
                 raise ValueError(f"order {m}: colors out of sync with edges")
             if not np.isin(h.colors[m], (RED, BLUE)).all():
                 raise ValueError(f"order {m}: colors must be RED ({RED}) or BLUE ({BLUE})")
+
+
+def row_sums(a) -> np.ndarray:
+    """Vector of row sums of a sparse or dense matrix."""
+    return np.asarray(a.sum(axis=1)).ravel()
+
+
+def regularize_matrix(a, threshold: float):
+    """``spectral.regularize`` on a matrix: mask the rows and columns of row sum above threshold.
+
+    Returns the masked matrix and the kept index set.
+    """
+    kept = np.flatnonzero(row_sums(a) <= threshold)
+    return mask_matrix(a, kept), kept

@@ -17,6 +17,7 @@ import pytest
 from hyperblock import fileio, pipeline, runner, sampler
 from hyperblock.cli import main
 from hyperblock.fileio import read_hypergraph, read_labels
+from hyperblock.model import ModelParams
 from hyperblock.spectral import ConvergenceError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -90,6 +91,8 @@ class TestModelBoundary:
         ("snr", "n = 520\nk = 3\norders = 515:5,1\n", "order 515: 2^(2m+3)"),
         ("sample", "n = 10000\nk = 2\norders = 2:1,0;200:1,0\n", "order 200: comb(n, m-1)"),
         ("detect", "n = 10000\nk = 2\norders = 2:1,0;200:1,0\n", "order 200: comb(n, m-1)"),
+        ("snr", "n = 2000\nk = 5\norders = 229:1e308,0\n", "the degree scale"),
+        ("snr", "n = 2000\nk = 5\norders = 229:4e304,0\n", "the regularization threshold"),
     ])
     def test_order_beyond_float_range_exit_2(self, tmp_path, capsys, command, model, named):
         cfg = write(tmp_path / "c.cfg", model)
@@ -424,6 +427,26 @@ class TestExperimentCommand:
         digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
                         for p in (out, tmp_path / "exp.csv.summary"))
         assert digests == self.PINNED[seed]
+
+    def test_experiment_trial_frees_the_instance(self, monkeypatch):
+        # an experiment trial hands its sampled instance to partition as
+        # detect does: no edge array of it is alive in the spectral stage
+        make, stage = sampler.sample_hsbm, pipeline.spectral_partition_k
+        refs, alive = [], []
+
+        def watched(*args):
+            instance = make(*args)
+            refs.extend(weakref.ref(arr) for arr in instance[0].edges.values())
+            return instance
+
+        def spy(*args):
+            alive.append([ref() is not None for ref in refs])
+            return stage(*args)
+        monkeypatch.setattr(sampler, "sample_hsbm", watched)
+        monkeypatch.setattr(pipeline, "spectral_partition_k", spy)
+        params = ModelParams(600, 3, {2: (40, 4), 3: (30, 3)})
+        runner.run_detect_trial(runner.DetectTrial(params, 0.75, 3, 4))
+        assert len(refs) == 2 and alive == [[False, False]]
 
 
 class TestConclabCommand:

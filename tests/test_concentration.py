@@ -1,6 +1,7 @@
 """Concentration trials: operator correctness, determinism, and boundedness."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -123,6 +124,24 @@ class TestConcentrationTrial:
         rec = concentration_trial(p, 1, tau=tau)
         assert rec.kept_fraction < 1.0
         assert len(calls) == 2
+
+    def test_instance_freed_before_the_solves(self, monkeypatch):
+        # a trial reads the sampled edges only to form A and the kept set
+        refs, alive = [], []
+
+        def watched(*args):
+            instance = sample_hsbm(*args)
+            refs.extend(weakref.ref(arr) for arr in instance[0].edges.values())
+            return instance
+
+        def spy(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return spectral_norm(*args, **kwargs)
+        monkeypatch.setattr(concentration, "sample_hsbm", watched)
+        monkeypatch.setattr(concentration, "spectral_norm", spy)
+        rec = concentration_trial(ModelParams(600, 2, {2: (10, 5), 3: (10, 5)}), 1, tau=1.0)
+        assert rec.kept_fraction < 1.0
+        assert len(refs) == 2 and alive == [[False, False], [False, False]]
 
     def test_mask_keeping_every_vertex_gives_the_raw_norm(self):
         # why an untrimmed trial may reuse the raw norm: the solve is bit-identical

@@ -70,3 +70,17 @@ class TestPackageExports:
     def test_exceptions_are_one_class_wherever_imported(self):
         assert pipeline.PartitionFailure is model.PartitionFailure is hyperblock.PartitionFailure
         assert spectral.ConvergenceError is model.ConvergenceError is hyperblock.ConvergenceError
+
+
+def test_benchmark_trace_hook_names_resolve(monkeypatch):
+    # the benchmark's start-up hook wraps these functions by name; a raise
+    # there does not stop the CLI (site prints "Error in sitecustomize" and
+    # the run goes on untraced), so a renamed function would zero every
+    # per-layer metric without failing anything else
+    hook = Path(__file__).resolve().parent.parent / "perfbench" / "tracehook" / "sitecustomize.py"
+    namespace = {"__name__": "benchmark_trace_hook"}
+    monkeypatch.delenv("HYPERBLOCK_BENCH_TRACE", raising=False)
+    exec(compile(hook.read_text(encoding="utf-8"), str(hook), "exec"), namespace)
+    missing = [f"{mod}.{fn}" for mod, fn in namespace["SPANS"]
+               if not callable(getattr(importlib.import_module(f"hyperblock.{mod}"), fn, None))]
+    assert namespace["SPANS"] and missing == []

@@ -9,6 +9,7 @@ import pytest
 
 from hyperblock import pipeline, sampler
 from hyperblock.model import (
+    REGULARIZATION_FACTOR,
     ModelParams,
     ResourceLimitError,
     binary_correction_threshold,
@@ -98,6 +99,17 @@ class TestModelParams:
     def test_order_beyond_float_range_rejected(self, n, k, orders, named):
         with pytest.raises(ValueError, match=named):
             ModelParams(n, k, orders)
+
+    def test_degree_scale_and_threshold_beyond_float_range_rejected(self):
+        # the all-orders values bound every subset's, so checking them covers all
+        with pytest.raises(ValueError, match="the degree scale"):
+            ModelParams(2000, 5, {229: (1e308, 0)})  # clamped to 4.2e306; 228 times that is inf
+        d = 228 * 4e304
+        assert math.isfinite(d) and math.isinf(REGULARIZATION_FACTOR * 229 * d)
+        with pytest.raises(ValueError, match="the regularization threshold"):
+            ModelParams(2000, 5, {229: (4e304, 0)})
+        p = ModelParams(2000, 5, {229: (4e304 / (REGULARIZATION_FACTOR * 229), 0)})
+        assert math.isfinite(regularization_threshold(p, (229,)))
 
     def test_snr_sums_beyond_float_range_rejected(self):
         # comb(n, 2) = 5e199 fits, but the numerator's square does not

@@ -22,7 +22,6 @@ from hyperblock.pipeline import (
     partition,
     spectral_partition_2,
     spectral_partition_k,
-    _bipartite_block,
     _neighbor_scores,
     _sampled_rows,
     _top_positions,
@@ -40,6 +39,8 @@ from hyperblock.sampler import (
     sample_hsbm,
     split_vertices,
 )
+from oracles import regularize_matrix
+
 
 def colored(n, edges, colors):
     earr = {m: np.array(rows, dtype=np.int64).reshape(len(rows), m)
@@ -400,9 +401,14 @@ def assert_same_csr(got, want):
 
 def block_oracle(h_red, split, threshold):
     """The regularized Z x Y1 block through the whole symmetric adjacency."""
-    a, kept = regularize(adjacency(restrict(h_red, np.concatenate([split.z, split.y1]))),
-                         threshold)
+    a, kept = regularize_matrix(adjacency(restrict(h_red, np.concatenate([split.z, split.y1]))),
+                                threshold)
     return bipartite_embed(a, split.z, split.y1), kept
+
+
+def bipartite_block(h_red, z, y1, threshold):
+    """The regularized Z x Y1 block as spectral_partition_k counts it."""
+    return regularize(restrict(h_red, np.concatenate([z, y1])), threshold, z, y1)
 
 
 def rows_oracle(h_red, split, sampled):
@@ -411,7 +417,7 @@ def rows_oracle(h_red, split, sampled):
 
 
 class TestRedBlocks:
-    """The two matrices the spectral stage reads, counted from the red edges."""
+    """The matrices the spectral stages read, counted from the red edges."""
 
     MODELS = [(300, 3, {2: (30, 3)}), (300, 3, {3: (20, 3)}), (200, 4, {2: (20, 3), 4: (10, 2)}),
               (150, 3, {2: (10, 1), 5: (8, 2)}), (400, 4, {2: (30, 2), 3: (20, 2), 4: (8, 1)})]
@@ -422,23 +428,35 @@ class TestRedBlocks:
         h, _ = sample_hsbm(params, seed)
         return params, color_edges(h, seed + 1).red(), split_vertices(n, seed + 2)
 
+    @staticmethod
+    def assert_regularized_adjacency(h_red, threshold):
+        """The k = 2 matrix equals mask_matrix(adjacency(h_red), kept), with the same kept."""
+        reg, kept = regularize(h_red, threshold)
+        want, want_kept = regularize_matrix(adjacency(h_red), threshold)
+        assert_same_csr(reg, want)
+        assert np.array_equal(kept, want_kept)
+
     @pytest.mark.parametrize("n, k, orders", MODELS)
     @pytest.mark.parametrize("threshold", ["model", 10, 3, 0])
     def test_block_equals_masked_adjacency(self, n, k, orders, threshold):
         params, h_red, split = self.red_half(n, k, orders)
         if threshold == "model":
             threshold = model.regularization_threshold(params, tuple(sorted(orders)))
-        block, kept = _bipartite_block(h_red, split.z, split.y1, threshold)
+        block, kept = bipartite_block(h_red, split.z, split.y1, threshold)
         want, want_kept = block_oracle(h_red, split, threshold)
         assert_same_csr(block, want)
         assert np.array_equal(kept, want_kept)
+        self.assert_regularized_adjacency(h_red, threshold)
 
     def test_thresholds_drop_rows(self):
         # the thresholds above exercise the mask: 3 keeps some entries, 0 none
         params, h_red, split = self.red_half(*self.MODELS[0])
-        full = _bipartite_block(h_red, split.z, split.y1, np.inf)[0].nnz
-        assert 0 == _bipartite_block(h_red, split.z, split.y1, 0)[0].nnz
-        assert 0 < _bipartite_block(h_red, split.z, split.y1, 3)[0].nnz < full
+        full = bipartite_block(h_red, split.z, split.y1, np.inf)[0].nnz
+        assert 0 == bipartite_block(h_red, split.z, split.y1, 0)[0].nnz
+        assert 0 < bipartite_block(h_red, split.z, split.y1, 3)[0].nnz < full
+        whole = regularize(h_red, np.inf)[0].nnz
+        assert 0 == regularize(h_red, 0)[0].nnz
+        assert 0 < regularize(h_red, 3)[0].nnz < whole
 
     @pytest.mark.parametrize("n, k, orders", MODELS)
     def test_sampled_rows_equal_adjacency_rows(self, n, k, orders):
@@ -462,10 +480,11 @@ class TestRedBlocks:
         ]
         for h_red in halves:
             for threshold in (0, 10):
-                block, kept = _bipartite_block(h_red, z, y1, threshold)
+                block, kept = bipartite_block(h_red, z, y1, threshold)
                 want, want_kept = block_oracle(h_red, split, threshold)
                 assert_same_csr(block, want)
                 assert np.array_equal(kept, want_kept)
+                self.assert_regularized_adjacency(h_red, threshold)
             assert_same_csr(_sampled_rows(h_red, z, y2, y2[:3]), rows_oracle(h_red, split, y2[:3]))
 
 
@@ -757,6 +776,22 @@ class TestBinaryPipeline:
         labels = spectral_partition_2(hc.red(), params, (2,), PipelineConfig(seed=1))
         assert labels.dtype == np.int64 and set(labels.tolist()) == {0, 1}
         assert np.count_nonzero(labels == 0) == (n + 1) // 2
+
+    def test_memory_at_n_20000(self):
+        # the regularized red adjacency is counted from the edges, in one
+        # CSR, not masked out of a whole one (12.7 MiB when it was)
+        n = 20000
+        params = ModelParams(n, 2, {2: (80, 2)})
+        h, _ = sample_hsbm(params, 1)
+        h_red, _, subset = stage_inputs(color_edges(h, 2), params)
+        del h
+        tracemalloc.start()
+        try:
+            spectral_partition_2(h_red, params, subset, PipelineConfig(seed=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
     def test_correction_2_stay_and_swap(self):
         # vertex 0 has every blue edge crossing: swaps; vertex 3 has none: stays

@@ -14,15 +14,18 @@ from hyperblock.spectral import (
     bipartite_embed,
     mask_matrix,
     regularize,
-    row_sums,
     spectral_norm,
     top_subspace,
 )
+from oracles import row_sums
+
+
+def planted_hypergraph(n=260, k=2, a=40, b=4, seed=0):
+    return sample_hsbm(ModelParams(n, k, {2: (a, b)}), seed)[0]
 
 
 def planted_instance(n=260, k=2, a=40, b=4, seed=0):
-    h, _ = sample_hsbm(ModelParams(n, k, {2: (a, b)}), seed)
-    return adjacency(h).astype(np.float64)
+    return adjacency(planted_hypergraph(n, k, a, b, seed)).astype(np.float64)
 
 
 class TestAdjacency:
@@ -114,16 +117,19 @@ class TestIndexDtype:
     N = 2000
 
     @pytest.fixture(scope="class")
-    def a(self):
-        h, _ = sample_hsbm(ModelParams(self.N, 3, {2: (30, 4), 3: (20, 4)}), 1)
+    def h(self):
+        return sample_hsbm(ModelParams(self.N, 3, {2: (30, 4), 3: (20, 4)}), 1)[0]
+
+    @pytest.fixture(scope="class")
+    def a(self, h):
         return adjacency(h)
 
-    def test_adjacency_and_derived_matrices_are_int32(self, a):
+    def test_adjacency_and_derived_matrices_are_int32(self, h, a):
         split = split_vertices(self.N, 1)
         kept = np.arange(0, self.N, 3)
         f = a.astype(np.float64)
         derived = [a, f, mask_matrix(a, kept), mask_matrix(f, kept),
-                   bipartite_embed(a, split.z, split.y1), regularize(f, 20.0)[0],
+                   bipartite_embed(a, split.z, split.y1), regularize(h, 20.0)[0],
                    adjacency(Hypergraph(5, {}))]
         for m in derived:
             assert (m.indices.dtype, m.indptr.dtype) == (np.int32, np.int32)
@@ -156,38 +162,39 @@ class TestRowSums:
     def test_weighted_edge_count(self):
         h = Hypergraph(4, {3: np.array([[0, 1, 2]])})
         assert row_sums(adjacency(h)).tolist() == [2, 2, 2, 0]
+        assert h.degrees().tolist() == [2, 2, 2, 0]
 
     def test_empty(self):
-        assert row_sums(adjacency(Hypergraph(3, {}))).tolist() == [0, 0, 0]
+        h = Hypergraph(3, {})
+        assert row_sums(adjacency(h)).tolist() == [0, 0, 0]
+        assert h.degrees().tolist() == [0, 0, 0]
 
     def test_matches_dense(self):
         h, _ = sample_hsbm(ModelParams(30, 2, {2: (6, 3), 3: (4, 2)}), 1)
         a = adjacency(h)
         assert (row_sums(a) == a.toarray().sum(axis=1)).all()
+        assert (h.degrees() == a.toarray().sum(axis=1)).all()
 
 
 class TestRegularize:
     def test_identity_below_threshold(self):
-        a = planted_instance(n=60, a=6, b=2)
-        reg, kept = regularize(a, row_sums(a).max())
-        assert (reg != a).nnz == 0
+        h = planted_hypergraph(n=60, a=6, b=2)
+        reg, kept = regularize(h, h.degrees().max())
+        assert (reg != adjacency(h)).nnz == 0
         assert len(kept) == 60
 
     def test_threshold_zero(self):
-        a = planted_instance(n=60, a=6, b=2)
-        reg, kept = regularize(a, 0)
+        h = planted_hypergraph(n=60, a=6, b=2)
+        reg, kept = regularize(h, 0)
         assert reg.nnz == 0
-        assert set(kept) == set(np.flatnonzero(row_sums(a) == 0))
+        assert set(kept) == set(np.flatnonzero(row_sums(adjacency(h)) == 0))
 
     def test_star_vertex_masked(self):
         n = 20
-        rows = np.zeros(n - 1, dtype=int)
-        cols = np.arange(1, n)
-        a = sp.coo_array((np.ones(n - 1), (rows, cols)), shape=(n, n)).tocsr()
-        a = a + a.T
-        reg, kept = regularize(a, 5)
+        h = Hypergraph(n, {2: np.stack([np.zeros(n - 1, dtype=int), np.arange(1, n)], axis=1)})
+        reg, kept = regularize(h, 5)
         assert 0 not in kept
-        dense = a.toarray()
+        dense = adjacency(h).toarray()
         dense[0, :] = 0
         dense[:, 0] = 0
         assert (reg.toarray() == dense).all()
@@ -196,10 +203,10 @@ class TestRegularize:
         rng = np.random.default_rng(0)
         for _ in range(25):
             n = int(rng.integers(20, 80))
-            a = planted_instance(n=n, a=float(rng.uniform(2, 30)),
-                                 b=float(rng.uniform(0, 2)), seed=int(rng.integers(1e6)))
-            thr = float(rng.uniform(0, row_sums(a).max() + 1))
-            reg, _ = regularize(a, thr)
+            h = planted_hypergraph(n=n, a=float(rng.uniform(2, 30)),
+                                   b=float(rng.uniform(0, 2)), seed=int(rng.integers(1e6)))
+            thr = float(rng.uniform(0, h.degrees().max() + 1))
+            reg, _ = regularize(h, thr)
             assert (row_sums(reg) <= thr).all()
 
 
