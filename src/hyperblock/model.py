@@ -25,6 +25,9 @@ Conventions used throughout:
   whose signal-to-noise sums, degree scale or regularization threshold
   over all orders are not finite.  A subset's degree scale and threshold
   are at most the all-orders ones, so they are finite too.
+* A closed form that multiplies a binomial count by a rate and divides by
+  ``comb(n, m-1)`` divides first only where the product overflows
+  (``_ratio_sum``), so its finite values are those of the plain formula.
 """
 
 from __future__ import annotations
@@ -100,6 +103,25 @@ def comb_floor(x: float, j: int) -> int:
     if xi < j:
         return 0
     return math.comb(xi, j)
+
+
+def _ratio_sum(denom: int, *terms: tuple[int, float]) -> float:
+    """sum(count * rate) / denom over the (count, rate) terms, counts being binomials.
+
+    Evaluated left to right as written, so integer rates keep an exact
+    integer sum; only when that is not finite, because a product
+    overflowed, is each count / denom formed first (int / int, correctly
+    rounded), so no finite value moves.
+    """
+    value = 0
+    for count, rate in terms:
+        value += count * rate
+    value /= denom
+    if not math.isfinite(value):
+        value = 0.0
+        for count, rate in terms:
+            value += count / denom * rate
+    return value
 
 
 @dataclass(frozen=True)
@@ -284,8 +306,8 @@ def expected_rates(params: ModelParams) -> ExpectedRates:
         denom = math.comb(n, m - 1)
         same = comb_floor(nk - 2, m - 2)
         allp = comb_floor(n - 2, m - 2)
-        alpha += (same * a + (allp - same) * b) / denom
-        beta += allp * b / denom
+        alpha += _ratio_sum(denom, (same, a), (allp - same, b))
+        beta += _ratio_sum(denom, (allp, b))
     return ExpectedRates(alpha=float(alpha), beta=float(beta))
 
 
@@ -397,13 +419,13 @@ def blue_density_thresholds(
         a, b = params.orders[m]
         denom = math.comb(n, m - 1)
         w = m * (m - 1)
-        noise = comb_floor(n / (2 * k), m) * b / denom
+        noise = _ratio_sum(denom, (comb_floor(n / (2 * k), m), b))
         split1 = comb_floor(nu * n / (2 * k), m) + comb_floor((1.0 - nu) * n / (2 * k), m)
         split2 = comb_floor((1.0 + nu) * n / (4 * k), m) + (k - 1) * comb_floor(
             (1.0 - nu) * n / (4 * k * (k - 1)), m
         )
-        mu1 += w * (split1 * (a - b) / denom + noise)
-        mu2 += w * (split2 * (a - b) / denom + noise)
+        mu1 += w * (_ratio_sum(denom, (split1, a - b)) + noise)
+        mu2 += w * (_ratio_sum(denom, (split2, a - b)) + noise)
     mu1 *= 0.5
     mu2 *= 0.5
     return mu1, mu2, 0.5 * (mu1 + mu2)

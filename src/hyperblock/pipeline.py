@@ -102,8 +102,8 @@ def centering_vector(params: ModelParams, subset: tuple[int, ...], z_set) -> np.
         denom = math.comb(n, m - 1)
         same = model.comb_floor(3 * n / (4 * k) - 2, m - 2)
         allp = model.comb_floor(3 * n / 4 - 2, m - 2)
-        abar += (same * (a - b) + allp * b) / denom
-        bbar += allp * b / denom
+        abar += model._ratio_sum(denom, (same, a - b), (allp, b))
+        bbar += model._ratio_sum(denom, (allp, b))
     return np.where(subset_mask(n, z_set), 0.5 * (abar + bbar), 0.0)
 
 
@@ -222,10 +222,13 @@ def spectral_partition_k(
                                {"z": len(z), "set_size": set_size})
 
     # subspace from the red edges induced on Z u Y1
-    block, kept = regularize(restrict(h_red, np.concatenate([z, y1])),
-                             model.regularization_threshold(params, subset), z, y1)
-    basis = top_subspace(block, k, "left-singular", seed=trial_seed(cfg.seed, 3))
-    del block  # freed before the sampled rows are counted
+    block = list(regularize(restrict(h_red, np.concatenate([z, y1])),
+                            model.regularization_threshold(params, subset), z, y1))
+    kept = block.pop()
+    # top_subspace gets the only reference to the block, so its integer
+    # data is freed once cast, and the whole block before the sampled rows
+    # are counted
+    basis = top_subspace(block.pop(), k, "left-singular", seed=trial_seed(cfg.seed, 3))
     if basis.singular_values[0] == 0.0:
         raise PartitionFailure("red bipartite adjacency carries no signal")
 
@@ -326,8 +329,10 @@ def spectral_partition_2(
     sort of that vector, label 1 to the rest.
     """
     n = params.n
-    a_reg, _ = regularize(h_red, model.regularization_threshold(params, subset))
-    basis = top_subspace(a_reg, 2, "symmetric-eigen", seed=trial_seed(cfg.seed, 3))
+    # top_subspace gets the only reference to the matrix, so its integer
+    # data is freed once cast
+    basis = top_subspace(regularize(h_red, model.regularization_threshold(params, subset))[0],
+                         2, "symmetric-eigen", seed=trial_seed(cfg.seed, 3))
     if basis.singular_values[0] == 0.0:
         raise PartitionFailure("regularized red adjacency is zero")
 

@@ -11,6 +11,13 @@ then colex unranking through the combinatorial number system (Batagelj &
 Brandes 2005, "Efficient generation of large random networks").  Nothing
 is enumerated, rejected or redrawn.
 
+Each order's rows are returned in lexicographic order.  A drawn row is
+kept only as one int64 key, minus the colex rank of its reflection
+n - 1 - c, whose ascending order is the rows' lexicographic one; the keys
+are sorted in place and the rows decoded from them.  Ranks are unranked
+and keys decoded a block at a time, so next to one block the sampler
+holds one stratum's ranks, the keys and the final rows.
+
 All randomness flows through counter-based Philox generators keyed by
 ``(seed, role, ...)`` so samples, colorings, and splits are reproducible
 and independent trials can run in parallel.
@@ -56,6 +63,10 @@ UNASSIGNED = -1
 # the most sets one binomial draw covers; ranks must fit int64, so a
 # stratum is drawn over a range of fewer than 2**63 sets
 _RANK_PART = 2**62
+# the most ranks unranked at once, which bounds the sampler's int64 temporaries
+_BLOCK = 2**13
+# the largest j for which _comb steps from C(c, 2) without per-element limits
+_STEP_MAX = 34
 
 
 def _id_dtype(n: int) -> type:
@@ -168,12 +179,6 @@ def _row_order(rows: np.ndarray) -> np.ndarray | None:
     return np.lexsort(rows.T[::-1])
 
 
-def _sort_rows(rows: np.ndarray) -> np.ndarray:
-    """The rows in lexicographic order: ``rows`` itself when they are in order already."""
-    perm = _row_order(rows)
-    return rows if perm is None else rows[perm]
-
-
 def _has_repeats(rows: np.ndarray) -> bool:
     """Whether a row of lexicographically sorted rows equals the one before it.
 
@@ -210,19 +215,45 @@ def _bernoulli_ranks(rng: np.random.Generator, total: int, p: float) -> np.ndarr
     return np.concatenate(parts)
 
 
-def _comb(c: np.ndarray, j: int) -> np.ndarray:
-    """Elementwise C(c, j) for int64 ``c``, exact whenever the result fits int64.
+def _comb_step(out: np.ndarray, c: np.ndarray, i: int) -> np.ndarray:
+    """Elementwise C(c, i + 1) from out = C(c, i), exact in int64.
 
-    Steps C(c, i + 1) = C(c, i) (c - i) / (i + 1) up to i = min(j, c - j),
-    with the product split as q (c - i) + r (c - i) / (i + 1) for
-    C(c, i) = q (i + 1) + r, so no intermediate exceeds the result.
+    The product C(c, i) (c - i) / (i + 1) is split as
+    q (c - i) + s (c - i) / (i + 1) for C(c, i) = q (i + 1) + s, so no
+    intermediate exceeds the result or (i + 1) c; both quotients are exact.
     """
+    q = out // (i + 1)
+    s = out - q * (i + 1)
+    f = c - i
+    return q * f + s * f // (i + 1)
+
+
+def _comb(c: np.ndarray, j: int) -> np.ndarray:
+    """Elementwise C(c, j) for int64 ``c >= 0`` and ``j >= 1``, exact whenever the result fits int64.
+
+    C(c, 2) is the product of its two halved factors, floor(c / 2) and
+    the odd one of c - 1 and c, and ``_comb_step`` takes it on to C(c, j).
+    An intermediate C(c, i), i < j, exceeds the result only when
+    c <= 2j - 2, and then it is at most C(2j - 2, j - 1), which fits int64
+    up to j = ``_STEP_MAX``.  Beyond it, or when every c is so close to j
+    that C(c, j) = C(c, c - j) takes less than half the steps, each element
+    steps to min(j, c - j) instead.
+    """
+    if j == 1:
+        return c.copy()
+    if j == 2:
+        return (c >> 1) * ((c - 1) | 1)
+    steps = min(j, int(c.max(initial=0)) - j)
+    if j <= _STEP_MAX and 2 * steps >= j - 2:
+        out = (c >> 1) * ((c - 1) | 1)
+        for i in range(2, j):
+            out = _comb_step(out, c, i)
+        return out
     t = np.minimum(j, c - j)
     out = (t >= 0).astype(np.int64)
-    for i in range(int(t.max(initial=0))):
-        f = np.where(i < t, c - i, i + 1)
-        q, r = np.divmod(out, i + 1)
-        out = q * f + r * f // (i + 1)
+    for i in range(steps):
+        # an element past its own t steps by (i + 1) / (i + 1)
+        out = _comb_step(out, np.where(i < t, c, 2 * i + 1), i)
     return out
 
 
@@ -231,26 +262,71 @@ def _unrank(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
 
     A rank is C(c_m, m) + ... + C(c_1, 1) with c_1 < ... < c_m, the row's
     ascending entries.  Each c_j is the largest c with C(c, j) <= the
-    remaining rank, which is below C(c_(j+1), j).  Since
-    (c - j + 1)^j <= j! C(c, j) <= (c - (j-1)/2)^j, a float root clipped to
-    [j - 1, c_(j+1) - 1] lands within about j/2 of c_j, and exact steps
-    finish; every C(c, j) they take is at most C(n, m), so it fits int64.
+    remaining rank r, which is below C(c_(j+1), j).  j! C(c, j) is the
+    product of c - i over i < j, and that is about y^j - (j^3 - j) y^(j-2)
+    / 24 for y = c - (j - 1)/2, so with x the float root of j! r,
+    c_j is about x + (j - 1)/2 + (j^2 - 1) / (24 x) (for j = 2 exactly
+    1/2 + sqrt(2r + 1/4)); clipped to [j - 1, c_(j+1) - 1], its floor is
+    c_j but for rounding or c close to j.  One exact evaluation per level
+    gives C(c, j - 1) and C(c, j), and so C(c + 1, j) = C(c, j) + C(c, j - 1);
+    only the elements these show off take exact steps.  Every C(c, j)
+    taken is at most C(n, m), so it fits int64.
     """
     rows = np.empty((len(ranks), m), dtype=np.int64)
     r = np.array(ranks, dtype=np.int64)
-    hi = np.full(len(r), n - 1, dtype=np.int64)
+    hi = n - 1
     for j in range(m, 1, -1):
-        root = np.exp((np.log(np.maximum(r, 1)) + math.lgamma(j + 1)) / j)
-        c = np.clip(np.floor(root + (j - 1) / 2).astype(np.int64), j - 1, hi)
-        while (up := _comb(c + 1, j) <= r).any():
-            c += up
-        while (down := _comb(c, j) > r).any():
-            c -= down
+        if j == 2:
+            root = np.sqrt(2.0 * r + 0.25) + 0.5
+        else:
+            x = np.exp((np.log(np.maximum(r, 1)) + math.lgamma(j + 1)) / j)
+            root = x + (j - 1) / 2 + (j * j - 1) / (24 * x)
+        c = np.clip(np.floor(root).astype(np.int64), j - 1, hi)
+        below = _comb(c, j - 1)
+        at = _comb_step(below, c, j - 1)
+        off = np.flatnonzero((at > r) | (at + below <= r))
+        if len(off):
+            c_off, r_off = c[off], r[off]
+            while (up := _comb(c_off + 1, j) <= r_off).any():
+                c_off += up
+            while (down := _comb(c_off, j) > r_off).any():
+                c_off -= down
+            c[off] = c_off
+            at[off] = _comb(c_off, j)
         rows[:, j - 1] = c
-        r -= _comb(c, j)
+        r -= at
         hi = c - 1
     rows[:, 0] = r  # C(c, 1) = c
     return rows
+
+
+def _lex_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """One int64 key per ascending row of ids in ``range(n)``: keys ascend as the rows do lexicographically.
+
+    The key is minus the colex rank of the reflected row n - 1 - c, whose
+    largest entry comes from c_1; it lies in (-C(n, m), 0].
+    """
+    m = rows.shape[1]
+    keys = rows[:, -1] - (n - 1)
+    for j in range(2, m + 1):
+        keys -= _comb(n - 1 - rows[:, m - j], j)
+    return keys
+
+
+def _stratum_keys(ranks: np.ndarray, size: int, m: int, start: int, n: int,
+                  labels: np.ndarray | None = None) -> list[np.ndarray]:
+    """``_lex_keys`` of the rows ``start + _unrank(ranks, size, m)``, a block of ranks at a time.
+
+    With ``labels``, the rows that lie inside one block are dropped first.
+    """
+    keys = []
+    for lo in range(0, len(ranks), _BLOCK):
+        rows = start + _unrank(ranks[lo:lo + _BLOCK], size, m)
+        if labels is not None:
+            # blocks are contiguous, so a sorted row lies in one block iff its ends do
+            rows = rows[labels[rows[:, 0]] != labels[rows[:, -1]]]
+        keys.append(_lex_keys(rows, n))
+    return keys
 
 
 def sample_hsbm(params: ModelParams, seed: int) -> tuple[Hypergraph, np.ndarray]:
@@ -270,17 +346,22 @@ def sample_hsbm(params: ModelParams, seed: int) -> tuple[Hypergraph, np.ndarray]
         denom = math.comb(n, m - 1)
         pa, pb = a / denom, b / denom
 
+        # the keys lie above -C(n, m), so they fit int64 once the cross
+        # stratum is drawn; a refused one drops the within-block keys with it
+        keys = [np.empty(0, dtype=np.int64)]
         rng_w = _stream(seed, m, 0)
-        parts = [start + _unrank(_bernoulli_ranks(rng_w, math.comb(size, m), pa), size, m)
-                 for start, size in zip(starts, sizes)]
-
+        for start, size in zip(starts, sizes):
+            keys += _stratum_keys(_bernoulli_ranks(rng_w, math.comb(size, m), pa),
+                                  size, m, start, n)
         rng_c = _stream(seed, m, 1)
-        cross = _unrank(_bernoulli_ranks(rng_c, math.comb(n, m), pb), n, m)
-        # blocks are contiguous, so a sorted row lies in one block iff its ends do
-        parts.append(cross[labels[cross[:, 0]] != labels[cross[:, -1]]])
+        keys += _stratum_keys(_bernoulli_ranks(rng_c, math.comb(n, m), pb), n, m, 0, n, labels)
 
-        # unranking works in int64; casting the rows once changes no drawn id
-        edges[m] = _sort_rows(np.concatenate(parts, dtype=_id_dtype(n)))
+        keys = np.concatenate(keys)
+        keys.sort()
+        rows = np.empty((len(keys), m), dtype=_id_dtype(n))
+        for lo in range(0, len(keys), _BLOCK):
+            rows[lo:lo + _BLOCK] = n - 1 - _unrank(-keys[lo:lo + _BLOCK], n, m)[:, ::-1]
+        edges[m] = rows
     return Hypergraph(n, edges, None), labels
 
 

@@ -9,7 +9,9 @@ straight from the edge arrays.  Subspaces and norms come
 from ARPACK's implicitly restarted Lanczos method (Lehoucq, Sorensen &
 Yang 1998) through ``scipy.sparse.linalg.eigsh``, started from a seeded
 vector so that results are deterministic; degenerate spectra are compared
-through projectors, never through individual vectors.
+through projectors, never through individual vectors.  A solve casts an
+integer CSR's data to float64 once, sharing its index arrays, where scipy
+would cast it again in each of ARPACK's operator applications.
 """
 
 from __future__ import annotations
@@ -83,20 +85,26 @@ def _pair_counts(edges: dict[int, np.ndarray], row_of: np.ndarray, col_of: np.nd
     """CSR whose (i, j) entry counts the edges holding a vertex of row i and another of column j.
 
     ``row_of[v]`` and ``col_of[v]`` give vertex v's row and column, or -1
-    where it has none.  The indices are sorted, int32 unless the shape or
-    the number of counted pairs needs int64, and the data int64, as in a
-    masked ``adjacency``.
+    where it has none.  When ``col_of is row_of`` the counts are
+    symmetric, so each unordered pair is counted once and the counts are
+    added to their transpose, as ``adjacency`` does.  The indices are
+    sorted, int32 unless the shape or the number of counted pairs needs
+    int64, and the data int64, as in a masked ``adjacency``.
     """
+    symmetric = col_of is row_of
+    pairs = itertools.combinations if symmetric else itertools.permutations
     rows, cols = [row_of[:0]], [col_of[:0]]  # typed, for an input without edges
     for m, arr in edges.items():
         r, c = row_of[arr], col_of[arr]
-        for p, q in itertools.permutations(range(m), 2):
+        for p, q in pairs(range(m), 2):
             hit = (r[:, p] >= 0) & (c[:, q] >= 0)
             rows.append(r[hit, p])
             cols.append(c[hit, q])
     r, c = np.concatenate(rows), np.concatenate(cols)
     del rows, cols
-    return sp.coo_array((np.ones(len(r), dtype=np.int64), (r, c)), shape=shape).tocsr()
+    counts = sp.coo_array((np.ones(len(r), dtype=np.int64), (r, c)), shape=shape).tocsr()
+    del r, c
+    return (counts + counts.T).tocsr() if symmetric else counts
 
 
 def _keep_entries(a, in_rows: np.ndarray, in_cols: np.ndarray) -> sp.csr_array:
@@ -149,6 +157,18 @@ def regularize(h: Hypergraph, threshold: float, rows=None,
     row_of = ids if rows is None else np.where(subset_mask(n, rows), ids, -1)
     col_of = ids if cols is None else np.where(subset_mask(n, cols), ids, -1)
     return _pair_counts(h.edges, row_of, col_of, (n, n)), kept
+
+
+def _float_data(a):
+    """An integer CSR ``a`` with its data cast to float64 and its index arrays shared; else ``a``.
+
+    scipy casts integer data to float64 in every sparse product, so a solve
+    that casts once spares ARPACK's every operator application that copy;
+    the products are the same floats.
+    """
+    if isinstance(a, sp.csr_array) and a.dtype.kind in "biu":
+        return sp.csr_array((a.data.astype(np.float64), a.indices, a.indptr), shape=a.shape)
+    return a
 
 
 def _eigsh(op, k: int, tol: float, max_iter: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -215,6 +235,7 @@ def top_subspace(
         raise ValueError(f"k must be in [1, {n}]")
     if mode not in ("left-singular", "symmetric-eigen"):
         raise ValueError(f"unknown mode {mode!r}")
+    a = _float_data(a)
     if mode == "symmetric-eigen":
         theta, u = _eigsh(aslinearoperator(a), k, tol, max_iter, seed)
         return SubspaceBasis(u, np.abs(theta))
@@ -230,4 +251,4 @@ def spectral_norm(a, tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER,
     ``top_subspace``, with the same ``tol``, ``max_iter`` and
     ConvergenceError.
     """
-    return float(_left_singular(a, 1, tol, max_iter, seed).singular_values[0])
+    return float(_left_singular(_float_data(a), 1, tol, max_iter, seed).singular_values[0])

@@ -196,6 +196,14 @@ class TestSampleCommand:
         assert main(["sample", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED[extra, seed]
 
+    def test_pinned_sample_bytes_at_n_20000(self, tmp_path):
+        # the detect benchmark's instance: 320625 edges over many rank blocks
+        cfg = write(tmp_path / "c.cfg", "n = 20000\nk = 3\norders = 2:80,2;3:40,2\n")
+        out = tmp_path / "h.txt"
+        assert main(["sample", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == "66e0b926dd65363c2e8428d938b1fba1e960a57dd9c9a1a7e8771f3e94c8efa7")
+
 
 class TestDetectCommand:
     # sha256 of the labels file and the accuracy row of detect on an inline

@@ -118,32 +118,63 @@ class TestModelParams:
         assert snr_subset(ModelParams(10**100, 2, {3: (1e200, 1e200)}), (3,)) == 0.0
 
 
-def _accepts(n, k, m):
+def _accepts(n, k, m, rates=(5, 1)):
     try:
-        ModelParams(n, k, {m: (5, 1)})
+        ModelParams(n, k, {m: rates})
     except ValueError:
         return False
     return True
 
 
-@pytest.mark.parametrize("n, k", [(40, 2), (1000, 3), (1030, 2), (2000, 5), (10**6, 2)])
-def test_closed_forms_finite_at_the_largest_accepted_orders(n, k):
+def _largest_accepted_orders(n, k, rates=(5, 1)):
+    """The largest order accepted with these rates, and the one below the first rejected."""
     orders = range(2, min(n, 1024) + 1)  # k^(m-1) >= 2^1024 past 1024
-    largest = max(m for m in orders if _accepts(n, k, m))
-    below_first_rejected = next((m - 1 for m in orders if not _accepts(n, k, m)), largest)
-    for m in {largest, below_first_rejected}:
+    largest = max(m for m in orders if _accepts(n, k, m, rates))
+    return {largest, next((m - 1 for m in orders if not _accepts(n, k, m, rates)), largest)}
+
+
+def _assert_closed_forms_finite(p, m):
+    ms, k = (m,), p.k
+    expected = expected_rates(p)
+    values = [snr_subset(p, ms), degree_scale(p, ms), regularization_threshold(p, ms),
+              expected.alpha, expected.beta, *blue_conditional_probs(p, ms)[m],
+              merging_threshold(p, ms, 0.75), binary_correction_threshold(p, ms, 0.75),
+              *blue_density_thresholds(p, ms, 0.75), error_rate_constant(ms, 0.75, k),
+              *pipeline.centering_vector(p, ms, [0, 1])[:2]]
+    if p.n % k == 0:
+        values += expected_eigenvalues(p)
+    assert all(type(v) in (float, np.float64) and math.isfinite(v) for v in values), (p, values)
+
+
+GRID = [(40, 2), (1000, 3), (1030, 2), (2000, 5), (10**6, 2)]
+
+
+@pytest.mark.parametrize("n, k", GRID)
+def test_closed_forms_finite_at_the_largest_accepted_orders(n, k):
+    for m in _largest_accepted_orders(n, k):
         for rates in [(5, 1), (0, 0), (5, 5)]:
-            p = ModelParams(n, k, {m: rates})
-            ms = (m,)
-            expected = expected_rates(p)
-            values = [snr_subset(p, ms), degree_scale(p, ms), regularization_threshold(p, ms),
-                      expected.alpha, expected.beta, *blue_conditional_probs(p, ms)[m],
-                      merging_threshold(p, ms, 0.75), binary_correction_threshold(p, ms, 0.75),
-                      *blue_density_thresholds(p, ms, 0.75), error_rate_constant(ms, 0.75, k),
-                      *pipeline.centering_vector(p, ms, [0, 1])[:2]]
-            if n % k == 0:
-                values += expected_eigenvalues(p)
-            assert all(type(v) in (float, np.float64) and math.isfinite(v) for v in values)
+            _assert_closed_forms_finite(ModelParams(n, k, {m: rates}), m)
+
+
+@pytest.mark.parametrize("n, k", GRID)
+def test_closed_forms_finite_with_rates_at_their_caps(n, k):
+    # ModelParams clamps 1e308 to comb(n, m-1); where a count times a rate
+    # overflows, the closed forms divide the count by comb(n, m-1) first
+    for rates in [(1e308, 1e308), (1e308, 1), (1e308, 0)]:
+        for m in _largest_accepted_orders(n, k, rates):
+            _assert_closed_forms_finite(ModelParams(n, k, {m: rates}), m)
+
+
+def test_closed_forms_beyond_an_overflowing_product():
+    # a = b = comb(1000, 509) ~ 2.3e299: comb(998, 508) a overflows, but
+    # alpha = beta = comb(998, 508) a / comb(1000, 509) = comb(998, 508)
+    p = ModelParams(1000, 3, {510: (1e308, 1e308)})
+    rates = expected_rates(p)
+    assert rates.alpha == rates.beta
+    assert math.isclose(rates.beta, float(math.comb(998, 508)), rel_tol=1e-12)
+    # on Z, (alpha_bar + beta_bar) / 2 = comb(748, 508) a / comb(1000, 509)
+    cv = pipeline.centering_vector(p, (510,), [0])
+    assert math.isclose(cv[0], float(math.comb(748, 508)), rel_tol=1e-12) and cv[1] == 0.0
 
 
 class TestCombFloor:

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hyperblock import sampler
 from hyperblock.model import ModelParams, block_sizes
 from hyperblock.sampler import (
     BLUE,
@@ -17,10 +19,10 @@ from hyperblock.sampler import (
     color_edges,
     ground_truth_labels,
     restrict,
+    _comb,
     _has_repeats,
     _id_dtype,
     _row_order,
-    _sort_rows,
     _unrank,
     restrict_orders,
     sample_hsbm,
@@ -28,7 +30,8 @@ from hyperblock.sampler import (
     subset_mask,
 )
 
-from oracles import validate
+import oracles
+from oracles import sort_rows, validate
 
 
 def edge_set(h, m):
@@ -140,6 +143,96 @@ class TestSampleHsbm:
             sample_hsbm(ModelParams(100_000, 2, {5: (1, 1)}), 0)
 
 
+class TestSampleMatchesOracle:
+    """``sample_hsbm`` against the whole-array colex unranking and ``np.lexsort`` of ``oracles``."""
+
+    MODELS = [
+        ModelParams(60, 2, {2: (20, 5), 3: (300, 40), 4: (2000, 100), 5: (10**4, 600)}),
+        ModelParams(60, 3, {2: (20, 5), 3: (300, 40), 4: (2000, 100), 5: (10**4, 600)}),
+        ModelParams(61, 4, {2: (20, 5), 3: (300, 40), 4: (2000, 100), 5: (10**4, 600)}),
+        ModelParams(12, 3, {2: (11, 11), 3: (55, 55), 4: (165, 165)}),  # probability one
+        ModelParams(40, 2, {2: (40, 3), 5: (91390, 10)}),  # within-block strata whole
+        ModelParams(30, 2, {2: (0, 0), 3: (0, 0)}),
+        ModelParams(3000, 2, {3: (80, 10)}),
+        ModelParams(20000, 3, {2: (80, 2), 3: (40, 2)}),
+    ]
+
+    @staticmethod
+    def assert_equal(params, seed):
+        h, _ = sample_hsbm(params, seed)
+        want = oracles.sample_edges(params, seed)
+        assert list(h.edges) == list(want)
+        for m, rows in want.items():
+            got = h.edges[m]
+            assert got.dtype == rows.dtype and got.shape == rows.shape, m
+            assert np.array_equal(got, rows), m
+
+    @pytest.mark.parametrize("params", MODELS, ids=range(len(MODELS)))
+    def test_arrays_and_dtypes_equal_the_oracle(self, params):
+        for seed in (1, 2):
+            self.assert_equal(params, seed)
+
+    @pytest.mark.parametrize("block", [1, 97, 1000])
+    def test_many_rank_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(sampler, "_BLOCK", block)
+        for params in self.MODELS[3:4] if block == 1 else self.MODELS[:7]:
+            self.assert_equal(params, 3)
+
+    def test_order_4_in_two_rank_parts(self):
+        # comb(105000, 4) > 2**62, so the cross ranks are drawn in two parts
+        params = ModelParams(105_000, 2, {4: (10, 2)})
+        assert math.comb(params.n, 4) > sampler._RANK_PART
+        self.assert_equal(params, 1)
+
+    @pytest.mark.parametrize("n, bound", [(3000, 1.75), (20000, 7)])
+    def test_traced_peak(self, n, bound):
+        # the keys, the final rows and one block of temporaries; 2.05 and
+        # 13.25 MiB when each stratum was unranked whole and lexsorted
+        params = ModelParams(n, 3, {2: (80, 2), 3: (40, 2)})
+        tracemalloc.start()
+        try:
+            sample_hsbm(params, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20
+
+
+class TestComb:
+    @staticmethod
+    def cases(j, top):
+        """c from 0 up past 2j, near ``top``, and spread in between, none above ``top``."""
+        spread = np.random.default_rng(j).integers(j, top, size=200, endpoint=True).tolist()
+        return sorted(set(range(min(3 * j + 3, top))) | set(range(top - 3, top + 1)) | set(spread))
+
+    @staticmethod
+    def largest_fitting(j):
+        """The largest c with C(c, j) < 2**63."""
+        lo, hi = j, 2**63
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if math.comb(mid, j) < 2**63 else (lo, mid)
+        return lo
+
+    @pytest.mark.parametrize("j", range(1, 9))
+    def test_matches_math_comb(self, j):
+        cs = self.cases(j, self.largest_fitting(j))
+        assert j - 1 in cs
+        got = _comb(np.array(cs, dtype=np.int64), j)
+        assert got.dtype == np.int64
+        assert got.tolist() == [math.comb(c, j) for c in cs]
+
+    @pytest.mark.parametrize("j", [20, 33, 34, 35, 40, 66])
+    def test_high_orders_one_element_at_a_time_and_together(self, j):
+        # near j an element needs fewer steps by symmetry, and above 34 the
+        # intermediates of the plain steps would overflow
+        cs = self.cases(j, self.largest_fitting(j))
+        assert _comb(np.array(cs, dtype=np.int64), j).tolist() == [math.comb(c, j) for c in cs]
+        for c in cs[:2 * j] + cs[-3:]:
+            assert _comb(np.array([c], dtype=np.int64), j).tolist() == [math.comb(c, j)], c
+        assert _comb(np.empty(0, dtype=np.int64), j).shape == (0,)
+
+
 class TestUnrank:
     def test_matches_colex_combinations(self):
         for n in range(0, 11):
@@ -168,19 +261,19 @@ class TestRowHelpers:
             for case in (rows, np.concatenate([rows, rows[rng.integers(0, max(num, 1),
                                                                       size=num // 2)]])):
                 distinct = len(np.unique(case, axis=0)) == len(case)
-                assert _has_repeats(_sort_rows(case)) == (not distinct)
+                assert _has_repeats(sort_rows(case)) == (not distinct)
 
     def test_row_order_is_the_stable_lexicographic_order(self):
         rng = np.random.default_rng(0)
         rows = rng.integers(0, 4, size=(500, 3))
         assert np.array_equal(_row_order(rows), np.lexsort(rows.T[::-1]))
-        ordered = _sort_rows(rows)
+        ordered = sort_rows(rows)
         assert np.array_equal(ordered, rows[np.lexsort(rows.T[::-1])])
         # rows already in order, ties included, need no permutation and no copy
-        assert _row_order(ordered) is None and _sort_rows(ordered) is ordered
+        assert _row_order(ordered) is None and sort_rows(ordered) is ordered
         swapped = ordered.copy()
         swapped[[10, 400]] = swapped[[400, 10]]
-        assert np.array_equal(_sort_rows(swapped), ordered)
+        assert np.array_equal(sort_rows(swapped), ordered)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_row_order_equals_lexsort_on_every_shape(self, m):

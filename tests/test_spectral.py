@@ -9,6 +9,7 @@ from hyperblock.model import ModelParams
 from hyperblock.sampler import SIDE_Y1, SIDE_Z, Hypergraph, sample_hsbm, split_vertices
 from hyperblock.spectral import (
     ConvergenceError,
+    _float_data,
     _index_dtype,
     adjacency,
     bipartite_embed,
@@ -250,6 +251,26 @@ class TestTopSubspace:
             assert np.array_equal(direct.vectors, via_operator.vectors)
             assert np.array_equal(direct.singular_values, via_operator.singular_values)
             assert spectral_norm(a) == spectral_norm(aslinearoperator(a))
+
+    @pytest.mark.parametrize("mode", ["left-singular", "symmetric-eigen"])
+    def test_integer_csr_solves_as_its_float64_copy(self, mode):
+        h, _ = sample_hsbm(ModelParams(600, 2, {2: (20, 4), 3: (10, 2)}), 2)
+        a = regularize(h, 60.0)[0]
+        assert a.dtype == np.int64
+        for k in (1, 3):
+            got = top_subspace(a, k, mode, seed=5)
+            want = top_subspace(a.astype(np.float64), k, mode, seed=5)
+            assert np.array_equal(got.vectors, want.vectors)
+            assert np.array_equal(got.singular_values, want.singular_values)
+        assert a.dtype == np.int64  # the input is left as it was
+
+    def test_float_cast_shares_the_index_arrays(self):
+        a = regularize(sample_hsbm(ModelParams(300, 2, {2: (20, 4)}), 1)[0], 40.0)[0]
+        f = _float_data(a)
+        assert f.dtype == np.float64 and np.array_equal(f.data, a.data)
+        assert np.shares_memory(f.indices, a.indices) and np.shares_memory(f.indptr, a.indptr)
+        for other in (a.astype(np.float64), a.toarray(), aslinearoperator(a)):
+            assert _float_data(other) is other
 
     def test_projector_stability_across_solver_seeds(self):
         a = planted_instance()
