@@ -229,7 +229,7 @@ def _comb_step(out: np.ndarray, c: np.ndarray, i: int) -> np.ndarray:
 
 
 def _comb(c: np.ndarray, j: int) -> np.ndarray:
-    """Elementwise C(c, j) for int64 ``c >= 0`` and ``j >= 1``, exact whenever the result fits int64.
+    """Elementwise C(c, j) for int64 ``c >= 0`` and ``j >= 1``, exact when the result fits int64.
 
     C(c, 2) is the product of its two halved factors, floor(c / 2) and
     the odd one of c - 1 and c, and ``_comb_step`` takes it on to C(c, j).
@@ -267,10 +267,11 @@ def _unrank(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
     / 24 for y = c - (j - 1)/2, so with x the float root of j! r,
     c_j is about x + (j - 1)/2 + (j^2 - 1) / (24 x) (for j = 2 exactly
     1/2 + sqrt(2r + 1/4)); clipped to [j - 1, c_(j+1) - 1], its floor is
-    c_j but for rounding or c close to j.  One exact evaluation per level
-    gives C(c, j - 1) and C(c, j), and so C(c + 1, j) = C(c, j) + C(c, j - 1);
-    only the elements these show off take exact steps.  Every C(c, j)
-    taken is at most C(n, m), so it fits int64.
+    c_j except after rounding, or for c close to j, where it can be off by
+    a step.  One exact evaluation per level gives C(c, j - 1) and C(c, j),
+    and so C(c + 1, j) = C(c, j) + C(c, j - 1); only the elements these
+    show off step towards c_j, one at a time, and are evaluated again.
+    Every C(c, j) taken is at most C(n, m), so it fits int64.
     """
     rows = np.empty((len(ranks), m), dtype=np.int64)
     r = np.array(ranks, dtype=np.int64)
@@ -285,14 +286,12 @@ def _unrank(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
         below = _comb(c, j - 1)
         at = _comb_step(below, c, j - 1)
         off = np.flatnonzero((at > r) | (at + below <= r))
-        if len(off):
-            c_off, r_off = c[off], r[off]
-            while (up := _comb(c_off + 1, j) <= r_off).any():
-                c_off += up
-            while (down := _comb(c_off, j) > r_off).any():
-                c_off -= down
-            c[off] = c_off
-            at[off] = _comb(c_off, j)
+        while len(off):
+            # one step towards c_j, down where C(c, j) > r and up where C(c + 1, j) <= r
+            c[off] += 1 - 2 * (at[off] > r[off])
+            below[off] = b = _comb(c[off], j - 1)
+            at[off] = a = _comb_step(b, c[off], j - 1)
+            off = off[(a > r[off]) | (a + b <= r[off])]
         rows[:, j - 1] = c
         r -= at
         hi = c - 1
@@ -301,10 +300,11 @@ def _unrank(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
 
 
 def _lex_keys(rows: np.ndarray, n: int) -> np.ndarray:
-    """One int64 key per ascending row of ids in ``range(n)``: keys ascend as the rows do lexicographically.
+    """One int64 key per ascending row of ids in ``range(n)``, ordered as the rows are.
 
     The key is minus the colex rank of the reflected row n - 1 - c, whose
-    largest entry comes from c_1; it lies in (-C(n, m), 0].
+    largest entry comes from c_1, so the keys ascend as the rows do
+    lexicographically; it lies in (-C(n, m), 0].
     """
     m = rows.shape[1]
     keys = rows[:, -1] - (n - 1)
@@ -346,8 +346,8 @@ def sample_hsbm(params: ModelParams, seed: int) -> tuple[Hypergraph, np.ndarray]
         denom = math.comb(n, m - 1)
         pa, pb = a / denom, b / denom
 
-        # the keys lie above -C(n, m), so they fit int64 once the cross
-        # stratum is drawn; a refused one drops the within-block keys with it
+        # the keys lie in (-C(n, m), 0], which fits int64 whenever the cross
+        # stratum can be drawn; when it is refused, the keys go with the error
         keys = [np.empty(0, dtype=np.int64)]
         rng_w = _stream(seed, m, 0)
         for start, size in zip(starts, sizes):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 
 from hyperblock.model import block_sizes, ground_truth_labels
-from hyperblock.sampler import BLUE, RED, _bernoulli_ranks, _has_repeats, _id_dtype, _row_order, _stream
+from hyperblock.sampler import (BLUE, RED, _bernoulli_ranks, _has_repeats, _id_dtype, _row_order,
+                                _stream)
 from hyperblock.spectral import mask_matrix
 
 
@@ -21,7 +22,7 @@ def comb(c: np.ndarray, j: int) -> np.ndarray:
 
 
 def unrank(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Rows of the m-subsets of ``range(n)`` with the given colex ranks, by exact steps from a float root."""
+    """Rows of the m-subsets of ``range(n)`` with the given colex ranks, by float roots and steps."""
     rows = np.empty((len(ranks), m), dtype=np.int64)
     r = np.array(ranks, dtype=np.int64)
     hi = np.full(len(r), n - 1, dtype=np.int64)
@@ -40,7 +41,7 @@ def unrank(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
 
 
 def sample_edges(params, seed: int) -> dict[int, np.ndarray]:
-    """``sample_hsbm``'s edge arrays drawn from the same ranks, unranked whole and sorted by ``np.lexsort``."""
+    """``sample_hsbm``'s edges from the same ranks, unranked whole and sorted by ``np.lexsort``."""
     n, k = params.n, params.k
     sizes = block_sizes(n, k).tolist()
     starts = [sum(sizes[:b]) for b in range(k)]

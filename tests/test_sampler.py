@@ -155,6 +155,9 @@ class TestSampleMatchesOracle:
         ModelParams(30, 2, {2: (0, 0), 3: (0, 0)}),
         ModelParams(3000, 2, {3: (80, 10)}),
         ModelParams(20000, 3, {2: (80, 2), 3: (40, 2)}),
+        # orders near n, where the float roots are often one off
+        ModelParams(72, 2, {66: (10**4, 10**4)}),
+        ModelParams(42, 2, {35: (44000, 44000), 36: (20000, 20000)}),
     ]
 
     @staticmethod
