@@ -289,7 +289,7 @@ def _unrank(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
         while len(off):
             # one step towards c_j, down where C(c, j) > r and up where C(c + 1, j) <= r
             c[off] += 1 - 2 * (at[off] > r[off])
-            below[off] = b = _comb(c[off], j - 1)
+            b = _comb(c[off], j - 1)
             at[off] = a = _comb_step(b, c[off], j - 1)
             off = off[(a > r[off]) | (a + b <= r[off])]
         rows[:, j - 1] = c
@@ -300,11 +300,10 @@ def _unrank(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
 
 
 def _lex_keys(rows: np.ndarray, n: int) -> np.ndarray:
-    """One int64 key per ascending row of ids in ``range(n)``, ordered as the rows are.
+    """Int64 keys of ascending rows of ids in ``range(n)``, in the rows' lexicographic order.
 
-    The key is minus the colex rank of the reflected row n - 1 - c, whose
-    largest entry comes from c_1, so the keys ascend as the rows do
-    lexicographically; it lies in (-C(n, m), 0].
+    A row's key is minus the colex rank of the reflected row n - 1 - c,
+    whose largest entry comes from c_1; it lies in (-C(n, m), 0].
     """
     m = rows.shape[1]
     keys = rows[:, -1] - (n - 1)

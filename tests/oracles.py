@@ -22,7 +22,7 @@ def comb(c: np.ndarray, j: int) -> np.ndarray:
 
 
 def unrank(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Rows of the m-subsets of ``range(n)`` with the given colex ranks, by float roots and steps."""
+    """Rows of the m-subsets of ``range(n)`` with these colex ranks, by float roots and steps."""
     rows = np.empty((len(ranks), m), dtype=np.int64)
     r = np.array(ranks, dtype=np.int64)
     hi = np.full(len(r), n - 1, dtype=np.int64)
