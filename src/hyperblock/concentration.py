@@ -101,7 +101,7 @@ def concentration_trial(
     h, _ = sample_hsbm(params, seed)
     d = model.degree_scale(params, tuple(params.orders))
     kept = np.flatnonzero(h.degrees() <= tau * d)
-    a = adjacency(h).astype(np.float64)
+    a = adjacency(h)
     del h
     if d == 0.0:
         return ConcentrationRecord(params.n, params.k, d, tau, seed, 0.0, 0.0,

@@ -50,6 +50,7 @@ __all__ = [
 _COLOR_CHAR = {RED: "R", BLUE: "B"}
 _SCAN_BYTES = 1 << 18  # edge-line bytes scanned, checked and parsed at a time
 _LABEL_LINES = 1 << 10  # label lines joined at a time
+_EDGE_LINES = 1 << 15  # edge lines joined at a time
 _MAX_DIGITS = 18  # every run of up to 18 digits fits int64
 _LINE_BREAKS = b"\n\r\v\f\x1c\x1d\x1e"  # the ASCII line breaks of str.splitlines
 _SEPARATORS = b" \t\x1f"  # the rest of the ASCII whitespace of str.split
@@ -66,12 +67,16 @@ _BYTE_KIND[[ord(c) for c in _COLOR_CHAR.values()]] = _LETTER
 
 
 def write_hypergraph(h: Hypergraph, k: int, labels: np.ndarray | None = None) -> str:
-    """Serialize to the text format; edges ordered by (m, tuple)."""
+    """Serialize to the text format; edges ordered by (m, tuple).
+
+    Each order's lines are joined a block at a time, so only one block's
+    cells live next to the text: the peak stays below three times the text.
+    """
     parts = [f"HSBM {h.n} {k} {max(h.edges, default=2)}\n"]
     if labels is not None:
         ids = np.asarray(labels).astype(np.int64).tolist()
         parts.append("LABELS " + " ".join(map(str, ids)) + "\n")
-    # each cell carries the separator that follows it, so one join writes an order
+    # each cell carries the separator that follows it, so one join writes a block
     edges = h.edges
     values = range(max((int(arr.max()) + 1 for arr in edges.values() if len(arr)), default=0))
     if len(values) > sum(arr.size for arr in edges.values()):
@@ -82,11 +87,14 @@ def write_hypergraph(h: Hypergraph, k: int, labels: np.ndarray | None = None) ->
     ended = np.array([f"{v}\n" for v in values], dtype=object)
     color_ended = np.array([f"{_COLOR_CHAR[c]}\n" for c in (RED, BLUE)], dtype=object)
     for m, arr in sorted(edges.items()):
-        cells = np.empty((len(arr), m + 1 + h.is_colored), dtype=object)
-        cells[:, 0] = f"{m} "
-        cells[:, 1:m + 1] = spaced[arr]
-        cells[:, -1] = color_ended[h.colors[m]] if h.is_colored else ended[arr[:, -1]]
-        parts.append("".join(cells.ravel().tolist()))
+        for lo in range(0, len(arr), _EDGE_LINES):
+            rows = arr[lo:lo + _EDGE_LINES]
+            cells = np.empty((len(rows), m + 1 + h.is_colored), dtype=object)
+            cells[:, 0] = f"{m} "
+            cells[:, 1:m + 1] = spaced[rows]
+            cells[:, -1] = (color_ended[h.colors[m][lo:lo + _EDGE_LINES]] if h.is_colored
+                            else ended[rows[:, -1]])
+            parts.append("".join(cells.ravel().tolist()))
     return "".join(parts)
 
 

@@ -222,13 +222,10 @@ def spectral_partition_k(
                                {"z": len(z), "set_size": set_size})
 
     # subspace from the red edges induced on Z u Y1
-    block = list(regularize(restrict(h_red, np.concatenate([z, y1])),
-                            model.regularization_threshold(params, subset), z, y1))
-    kept = block.pop()
-    # top_subspace gets the only reference to the block, so its integer
-    # data is freed once cast, and the whole block before the sampled rows
-    # are counted
-    basis = top_subspace(block.pop(), k, "left-singular", seed=trial_seed(cfg.seed, 3))
+    block, kept = regularize(restrict(h_red, np.concatenate([z, y1])),
+                             model.regularization_threshold(params, subset), z, y1)
+    basis = top_subspace(block, k, "left-singular", seed=trial_seed(cfg.seed, 3))
+    del block  # freed before the sampled rows are counted
     if basis.singular_values[0] == 0.0:
         raise PartitionFailure("red bipartite adjacency carries no signal")
 
@@ -329,8 +326,6 @@ def spectral_partition_2(
     sort of that vector, label 1 to the rest.
     """
     n = params.n
-    # top_subspace gets the only reference to the matrix, so its integer
-    # data is freed once cast
     basis = top_subspace(regularize(h_red, model.regularization_threshold(params, subset))[0],
                          2, "symmetric-eigen", seed=trial_seed(cfg.seed, 3))
     if basis.singular_values[0] == 0.0:

@@ -1,17 +1,17 @@
 """Sparse adjacency construction and truncated spectral decompositions.
 
-Adjacency matrices are scipy CSR with integer weights: entry (i, j) counts
-the hyperedges containing both endpoints, so the i-th row sum equals
-``sum_m (m-1) * #(order-m edges through i)``, the degree
+Adjacency matrices are scipy CSR with float64 data holding integer counts:
+entry (i, j) counts the hyperedges containing both endpoints, so the i-th
+row sum equals ``sum_m (m-1) * #(order-m edges through i)``, the degree
 ``Hypergraph.degrees`` gives.  ``regularize``, the one regularization of
 every pipeline, counts the regularized adjacency, or a rectangle of it,
 straight from the edge arrays.  Subspaces and norms come
 from ARPACK's implicitly restarted Lanczos method (Lehoucq, Sorensen &
 Yang 1998) through ``scipy.sparse.linalg.eigsh``, started from a seeded
 vector so that results are deterministic; degenerate spectra are compared
-through projectors, never through individual vectors.  A solve casts an
-integer CSR's data to float64 once, sharing its index arrays, where scipy
-would cast it again in each of ARPACK's operator applications.
+through projectors, never through individual vectors.  The counts are
+stored as float64, the dtype ARPACK's products read (exact far below
+2**53), so a solve reads the matrices as they are built.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def _index_dtype(n: int, nnz: int) -> type:
 
 
 def adjacency(h: Hypergraph) -> sp.csr_array:
-    """Symmetric integer adjacency: (i, j) counts hyperedges containing both.
+    """Symmetric adjacency: (i, j) counts hyperedges containing both, as float64.
 
     Its indices are int32 unless n or the entry count needs int64; every
     masked copy keeps the index dtype.
@@ -70,12 +70,12 @@ def adjacency(h: Hypergraph) -> sp.csr_array:
             rows.append(arr[:, p])
             cols.append(arr[:, q])
     if not rows:
-        return sp.csr_array((n, n), dtype=np.int64)
+        return sp.csr_array((n, n), dtype=np.float64)
     # the symmetric sum stores at most two entries per pair
     idx = _index_dtype(n, 2 * sum(map(len, rows)))
     r = np.concatenate(rows, dtype=idx)
     c = np.concatenate(cols, dtype=idx)
-    data = np.ones(len(r), dtype=np.int64)
+    data = np.ones(len(r))
     upper = sp.coo_array((data, (r, c)), shape=(n, n)).tocsr()
     return (upper + upper.T).tocsr()
 
@@ -89,7 +89,7 @@ def _pair_counts(edges: dict[int, np.ndarray], row_of: np.ndarray, col_of: np.nd
     symmetric, so each unordered pair is counted once and the counts are
     added to their transpose, as ``adjacency`` does.  The indices are
     sorted, int32 unless the shape or the number of counted pairs needs
-    int64, and the data int64, as in a masked ``adjacency``.
+    int64, and the data float64, as in a masked ``adjacency``.
     """
     symmetric = col_of is row_of
     pairs = itertools.combinations if symmetric else itertools.permutations
@@ -102,7 +102,7 @@ def _pair_counts(edges: dict[int, np.ndarray], row_of: np.ndarray, col_of: np.nd
             cols.append(c[hit, q])
     r, c = np.concatenate(rows), np.concatenate(cols)
     del rows, cols
-    counts = sp.coo_array((np.ones(len(r), dtype=np.int64), (r, c)), shape=shape).tocsr()
+    counts = sp.coo_array((np.ones(len(r)), (r, c)), shape=shape).tocsr()
     del r, c
     return (counts + counts.T).tocsr() if symmetric else counts
 
@@ -143,9 +143,9 @@ def regularize(h: Hypergraph, threshold: float, rows=None,
     """Drop heavy vertices: keep those of degree <= threshold, and count the rest out.
 
     A vertex's degree is its row sum in ``adjacency(h)`` (``h.degrees()``).
-    Entry (i, j) of the n x n result counts the edges holding a kept i of
-    ``rows`` and a kept j of ``cols``; None stands for every vertex, which
-    gives ``mask_matrix(adjacency(h), kept)``.  Returns the matrix and the
+    Entry (i, j) of the n x n float64 result counts the edges holding a
+    kept i of ``rows`` and a kept j of ``cols``; None stands for every
+    vertex, which gives ``mask_matrix(adjacency(h), kept)``.  Returns the matrix and the
     kept index set.  Every row sum of the output is <= threshold by
     construction.
     """
@@ -157,18 +157,6 @@ def regularize(h: Hypergraph, threshold: float, rows=None,
     row_of = ids if rows is None else np.where(subset_mask(n, rows), ids, -1)
     col_of = ids if cols is None else np.where(subset_mask(n, cols), ids, -1)
     return _pair_counts(h.edges, row_of, col_of, (n, n)), kept
-
-
-def _float_data(a):
-    """An integer CSR ``a`` with its data cast to float64 and its index arrays shared; else ``a``.
-
-    scipy casts integer data to float64 in every sparse product, so a solve
-    that casts once spares ARPACK's every operator application that copy;
-    the products are the same floats.
-    """
-    if isinstance(a, sp.csr_array) and a.dtype.kind in "biu":
-        return sp.csr_array((a.data.astype(np.float64), a.indices, a.indptr), shape=a.shape)
-    return a
 
 
 def _eigsh(op, k: int, tol: float, max_iter: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +223,6 @@ def top_subspace(
         raise ValueError(f"k must be in [1, {n}]")
     if mode not in ("left-singular", "symmetric-eigen"):
         raise ValueError(f"unknown mode {mode!r}")
-    a = _float_data(a)
     if mode == "symmetric-eigen":
         theta, u = _eigsh(aslinearoperator(a), k, tol, max_iter, seed)
         return SubspaceBasis(u, np.abs(theta))
@@ -251,4 +238,4 @@ def spectral_norm(a, tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER,
     ``top_subspace``, with the same ``tol``, ``max_iter`` and
     ConvergenceError.
     """
-    return float(_left_singular(_float_data(a), 1, tol, max_iter, seed).singular_values[0])
+    return float(_left_singular(a, 1, tol, max_iter, seed).singular_values[0])

@@ -485,6 +485,16 @@ class TestConclabCommand:
         assert main(["conclab", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED[seed]
 
+    def test_pinned_trimmed_conclab_bytes(self, tmp_path):
+        # at tau = 1 every trial zeroes some rows, so each regularized norm
+        # is solved on mask_matrix's copy of the adjacency
+        cfg = write(tmp_path / "c.cfg", self.PIN + "tau = 1\n")
+        out = tmp_path / "c.csv"
+        assert main(["conclab", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+        assert all(float(r.split(",")[7]) < 1.0 for r in out.read_text().splitlines()[1:])
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == "3ebe3f42036365f5a8d59ec591ffab7b04d945180db14ddb8874667be7005554")
+
     def test_debug_log_line_per_trial_same_bytes(self, tmp_path):
         # at tau = 1 two trials trim rows and two keep every vertex
         cfg = write(tmp_path / "c.cfg", self.CFG + "tau = 1\n")

@@ -1,9 +1,12 @@
-"""The package's lazy re-exports, and every module's ``__all__``."""
+"""The package's lazy re-exports, every module's ``__all__``, and its declared floors."""
 
 import ast
 import importlib
+import importlib.metadata
 import inspect
 import pkgutil
+import re
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -84,3 +87,21 @@ def test_benchmark_trace_hook_names_resolve(monkeypatch):
     missing = [f"{mod}.{fn}" for mod, fn in namespace["SPANS"]
                if not callable(getattr(importlib.import_module(f"hyperblock.{mod}"), fn, None))]
     assert namespace["SPANS"] and missing == []
+
+
+def _floor(spec: str) -> tuple[int, ...]:
+    """The version after ``>=`` in a requirement specifier, as a tuple of ints."""
+    return tuple(map(int, re.search(r">=\s*([\d.]+)", spec).group(1).split(".")))
+
+
+def test_declared_floors_admit_the_installed_scipy():
+    # a floor below what the required scipy itself needs declares an
+    # environment that cannot be installed
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    ours = {re.match(r"[\w-]+", dep).group(0): _floor(dep) for dep in project["dependencies"]}
+    scipy_numpy = next(r for r in importlib.metadata.requires("scipy")
+                       if re.match(r"numpy\b", r) and "extra ==" not in r)
+    assert _floor(project["requires-python"]) >= _floor(
+        importlib.metadata.metadata("scipy")["Requires-Python"])
+    assert ours["numpy"] >= _floor(scipy_numpy)

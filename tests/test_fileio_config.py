@@ -183,6 +183,26 @@ class TestHypergraphFormat:
             assert_same_hypergraph(h_read, hh)
             assert_same_hypergraph(h_shuffled, hh)
 
+    @pytest.mark.parametrize("lines", [1, 7, 10**6])
+    def test_edge_blocks_join_to_the_same_text(self, monkeypatch, lines):
+        # block sizes that split every order anywhere, or not at all
+        h, labels = sample_hsbm(ModelParams(600, 3, {2: (40, 4), 3: (30, 3)}), 3)
+        want = [write_hypergraph(hh, 3, labels) for hh in (h, color_edges(h, 5))]
+        monkeypatch.setattr(fileio, "_EDGE_LINES", lines)
+        assert [write_hypergraph(hh, 3, labels) for hh in (h, color_edges(h, 5))] == want
+
+    def test_write_hypergraph_memory_below_three_times_the_text(self):
+        # one block of cells lives next to the text, not an E x (m + 1) object
+        # array of them with its list copy (18.6 MiB on this instance)
+        h = sample_hsbm(ModelParams(20000, 3, {2: (80, 2), 3: (40, 2)}), 1)[0]
+        tracemalloc.start()
+        try:
+            text = write_hypergraph(h, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12.5 * 2**20 and peak < 3 * len(text)
+
     def test_labels_round_trip(self):
         labels = np.array([0, 2, 1, 1, 0])
         assert (read_labels(write_labels(labels)) == labels).all()

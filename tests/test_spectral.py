@@ -6,10 +6,11 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from hyperblock.model import ModelParams
-from hyperblock.sampler import SIDE_Y1, SIDE_Z, Hypergraph, sample_hsbm, split_vertices
+from hyperblock.pipeline import _sampled_rows
+from hyperblock.sampler import (SIDE_Y1, SIDE_Z, Hypergraph, restrict, sample_hsbm,
+                                split_vertices, subset_mask)
 from hyperblock.spectral import (
     ConvergenceError,
-    _float_data,
     _index_dtype,
     adjacency,
     bipartite_embed,
@@ -98,13 +99,42 @@ class TestMaskingMatchesSelectorProduct:
         kept = np.flatnonzero(row_sums(a) <= np.median(row_sums(a)))
         in_kept = np.zeros(n, dtype=bool)
         in_kept[kept] = True
-        for b in (a, a.astype(np.float64)):
+        for b in (a, a.astype(np.int64)):
             pairs = [(bipartite_embed(b, split.z, split.y1), selector_product(b, in_z, in_y1)),
                      (mask_matrix(b, kept), selector_product(b, in_kept, in_kept))]
             for got, want in pairs:
                 assert got.dtype == want.dtype
                 for field in ("indptr", "indices", "data"):
                     assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_builders_count_in_float64_on_int32_indices():
+    # ARPACK reads float64, so the counts are stored that way where they are
+    # built; the row sums are the integer ones of the degree or a selector product
+    n = 2000
+    h = sample_hsbm(ModelParams(n, 3, {2: (30, 4), 3: (20, 4)}), 1)[0]
+    split = split_vertices(n, 1)
+    in_z, in_y1 = split.side == SIDE_Z, split.side == SIDE_Y1
+    a = adjacency(h)
+    every, kept = regularize(h, 20.0)
+    in_kept = subset_mask(n, kept)
+    sampled = split.y2[:50]
+    zy2 = adjacency(restrict(h, np.concatenate([split.z, split.y2])))
+    built = [
+        (a, h.degrees()),
+        (every, row_sums(selector_product(a, in_kept, in_kept))),
+        (regularize(h, 20.0, split.z, split.y1)[0],
+         row_sums(selector_product(a, in_kept & in_z, in_kept & in_y1))),
+        (mask_matrix(a, kept), row_sums(selector_product(a, in_kept, in_kept))),
+        (bipartite_embed(a, split.z, split.y1), row_sums(selector_product(a, in_z, in_y1))),
+        (_sampled_rows(h, split.z, split.y2, sampled), row_sums(zy2[sampled][:, split.z])),
+    ]
+    for m, want in built:
+        assert m.dtype == np.float64
+        assert (m.indices.dtype, m.indptr.dtype) == (np.int32, np.int32)
+        sums = row_sums(m)
+        assert np.array_equal(sums, np.round(sums)) and np.array_equal(sums, want)
+    assert every.nnz > 0 and len(kept) < n
 
 
 def with_int64_indices(a):
@@ -128,8 +158,8 @@ class TestIndexDtype:
     def test_adjacency_and_derived_matrices_are_int32(self, h, a):
         split = split_vertices(self.N, 1)
         kept = np.arange(0, self.N, 3)
-        f = a.astype(np.float64)
-        derived = [a, f, mask_matrix(a, kept), mask_matrix(f, kept),
+        counts = a.astype(np.int64)
+        derived = [a, counts, mask_matrix(a, kept), mask_matrix(counts, kept),
                    bipartite_embed(a, split.z, split.y1), regularize(h, 20.0)[0],
                    adjacency(Hypergraph(5, {}))]
         for m in derived:
@@ -255,22 +285,13 @@ class TestTopSubspace:
     @pytest.mark.parametrize("mode", ["left-singular", "symmetric-eigen"])
     def test_integer_csr_solves_as_its_float64_copy(self, mode):
         h, _ = sample_hsbm(ModelParams(600, 2, {2: (20, 4), 3: (10, 2)}), 2)
-        a = regularize(h, 60.0)[0]
-        assert a.dtype == np.int64
+        a = regularize(h, 60.0)[0].astype(np.int64)
         for k in (1, 3):
             got = top_subspace(a, k, mode, seed=5)
             want = top_subspace(a.astype(np.float64), k, mode, seed=5)
             assert np.array_equal(got.vectors, want.vectors)
             assert np.array_equal(got.singular_values, want.singular_values)
         assert a.dtype == np.int64  # the input is left as it was
-
-    def test_float_cast_shares_the_index_arrays(self):
-        a = regularize(sample_hsbm(ModelParams(300, 2, {2: (20, 4)}), 1)[0], 40.0)[0]
-        f = _float_data(a)
-        assert f.dtype == np.float64 and np.array_equal(f.data, a.data)
-        assert np.shares_memory(f.indices, a.indices) and np.shares_memory(f.indptr, a.indptr)
-        for other in (a.astype(np.float64), a.toarray(), aslinearoperator(a)):
-            assert _float_data(other) is other
 
     def test_projector_stability_across_solver_seeds(self):
         a = planted_instance()
