@@ -3,7 +3,9 @@
 One trial samples an instance, forms the centered adjacency A - E[A] as a
 sparse-plus-low-rank operator (E[A] is block-constant: rank k plus a
 diagonal correction), and records the spectral-norm ratios before and
-after zeroing heavy rows, serialized as one CSV row per trial.
+after zeroing heavy rows, serialized as one CSV row per trial.  Heavy rows
+are zeroed by masking the operator's input and output vectors, so both
+norms read the one adjacency the trial builds.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from scipy.sparse.linalg import LinearOperator
 from . import model
 from .model import ModelParams
 from .sampler import sample_hsbm
-from .spectral import adjacency, mask_matrix, spectral_norm
+from .spectral import adjacency, spectral_norm
 
 __all__ = [
     "ConcentrationRecord",
@@ -59,6 +61,10 @@ def centered_operator(params: ModelParams, a, kept: np.ndarray | None = None) ->
 
     E[A] is applied as (alpha - beta) P P^T + beta 1 1^T - alpha I, with P
     the n x k block indicator matrix, which matches the dense construction.
+    With ``kept``, the operator is M (A - E[A]) M for the 0/1 diagonal M of
+    the kept set: it masks the vectors going in and coming out, never A
+    itself.  A zeroed input entry only adds exact zeros to a row's sum, so
+    the kept rows equal those of the masked matrix bit for bit.
     """
     n, k = params.n, params.k
     rates = model.expected_rates(params)
@@ -66,7 +72,6 @@ def centered_operator(params: ModelParams, a, kept: np.ndarray | None = None) ->
     indicators = (model.ground_truth_labels(n, k)[:, None] == np.arange(k)).astype(np.float64)
     mask = None
     if kept is not None:
-        a = mask_matrix(a, kept)
         mask = np.zeros((n, 1))
         mask[kept] = 1.0
 
@@ -96,8 +101,11 @@ def concentration_trial(
     all orders of the model; a degree is a row sum of A.  When it holds
     every vertex, the regularized operator does the raw one's arithmetic,
     so its norm is the raw norm and is not solved again.  The sampled
-    edges are dropped once A is formed.
+    edges are dropped once A is formed.  A negative or NaN ``tau`` is
+    rejected, as in the configuration.
     """
+    if not tau >= 0:
+        raise ValueError(f"tau must be a nonnegative number, got {tau}")
     h, _ = sample_hsbm(params, seed)
     d = model.degree_scale(params, tuple(params.orders))
     kept = np.flatnonzero(h.degrees() <= tau * d)

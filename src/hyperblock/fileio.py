@@ -71,11 +71,20 @@ def write_hypergraph(h: Hypergraph, k: int, labels: np.ndarray | None = None) ->
 
     Each order's lines are joined a block at a time, so only one block's
     cells live next to the text: the peak stays below three times the text.
+    A header or labels that ``read_hypergraph`` would reject (n < 1, k < 1,
+    not n labels, a label outside [0, k)) raise ValueError first.
     """
+    if h.n < 1 or k < 1:
+        raise ValueError(f"the header needs n >= 1 and k >= 1, got n = {h.n}, k = {k}")
     parts = [f"HSBM {h.n} {k} {max(h.edges, default=2)}\n"]
     if labels is not None:
-        ids = np.asarray(labels).astype(np.int64).tolist()
-        parts.append("LABELS " + " ".join(map(str, ids)) + "\n")
+        ids = np.asarray(labels).astype(np.int64)
+        if ids.shape != (h.n,):
+            raise ValueError(f"labels have shape {ids.shape}, expected ({h.n},)")
+        outside = ids[(ids < 0) | (ids >= k)]
+        if len(outside):
+            raise ValueError(f"label {outside[0]} outside [0, {k})")
+        parts.append("LABELS " + " ".join(map(str, ids.tolist())) + "\n")
     # each cell carries the separator that follows it, so one join writes a block
     edges = h.edges
     values = range(max((int(arr.max()) + 1 for arr in edges.values() if len(arr)), default=0))

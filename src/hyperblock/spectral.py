@@ -3,9 +3,12 @@
 Adjacency matrices are scipy CSR with float64 data holding integer counts:
 entry (i, j) counts the hyperedges containing both endpoints, so the i-th
 row sum equals ``sum_m (m-1) * #(order-m edges through i)``, the degree
-``Hypergraph.degrees`` gives.  ``regularize``, the one regularization of
-every pipeline, counts the regularized adjacency, or a rectangle of it,
-straight from the edge arrays.  Subspaces and norms come
+``Hypergraph.degrees`` gives.  One builder counts every matrix a solve
+reads straight from the edge arrays: ``adjacency``, ``regularize`` (the
+one regularization of every pipeline, which counts the regularized
+adjacency or a rectangle of it) and the pipeline's sampled rows.
+``mask_matrix`` and ``bipartite_embed`` copy entries of a built matrix
+instead; no solve of the package calls them.  Subspaces and norms come
 from ARPACK's implicitly restarted Lanczos method (Lehoucq, Sorensen &
 Yang 1998) through ``scipy.sparse.linalg.eigsh``, started from a seeded
 vector so that results are deterministic; degenerate spectra are compared
@@ -50,34 +53,14 @@ class SubspaceBasis:
     singular_values: np.ndarray
 
 
-def _index_dtype(n: int, nnz: int) -> type:
-    """CSR index dtype of an n x n matrix with nnz stored entries: int32 when both fit."""
-    return _id_dtype(max(n, nnz))
-
-
 def adjacency(h: Hypergraph) -> sp.csr_array:
     """Symmetric adjacency: (i, j) counts hyperedges containing both, as float64.
 
-    Its indices are int32 unless n or the entry count needs int64; every
-    masked copy keeps the index dtype.
+    It is ``_pair_counts`` with every vertex its own row and column, the
+    builder of every matrix a solve reads.
     """
-    n = h.n
-    rows, cols = [], []
-    for m, arr in h.edges.items():
-        if len(arr) == 0:
-            continue
-        for p, q in itertools.combinations(range(m), 2):
-            rows.append(arr[:, p])
-            cols.append(arr[:, q])
-    if not rows:
-        return sp.csr_array((n, n), dtype=np.float64)
-    # the symmetric sum stores at most two entries per pair
-    idx = _index_dtype(n, 2 * sum(map(len, rows)))
-    r = np.concatenate(rows, dtype=idx)
-    c = np.concatenate(cols, dtype=idx)
-    data = np.ones(len(r))
-    upper = sp.coo_array((data, (r, c)), shape=(n, n)).tocsr()
-    return (upper + upper.T).tocsr()
+    ids = np.arange(h.n, dtype=_id_dtype(h.n))
+    return _pair_counts(h.edges, ids, ids, (h.n, h.n))
 
 
 def _pair_counts(edges: dict[int, np.ndarray], row_of: np.ndarray, col_of: np.ndarray,
@@ -87,9 +70,8 @@ def _pair_counts(edges: dict[int, np.ndarray], row_of: np.ndarray, col_of: np.nd
     ``row_of[v]`` and ``col_of[v]`` give vertex v's row and column, or -1
     where it has none.  When ``col_of is row_of`` the counts are
     symmetric, so each unordered pair is counted once and the counts are
-    added to their transpose, as ``adjacency`` does.  The indices are
-    sorted, int32 unless the shape or the number of counted pairs needs
-    int64, and the data float64, as in a masked ``adjacency``.
+    added to their transpose.  The indices are sorted, int32 unless the
+    shape or the number of counted pairs needs int64, and the data float64.
     """
     symmetric = col_of is row_of
     pairs = itertools.combinations if symmetric else itertools.permutations
@@ -147,10 +129,10 @@ def regularize(h: Hypergraph, threshold: float, rows=None,
     kept i of ``rows`` and a kept j of ``cols``; None stands for every
     vertex, which gives ``mask_matrix(adjacency(h), kept)``.  Returns the matrix and the
     kept index set.  Every row sum of the output is <= threshold by
-    construction.
+    construction.  A NaN threshold, which would keep no vertex, is rejected.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be a nonnegative number, got {threshold}")
     n = h.n
     kept = np.flatnonzero(h.degrees() <= threshold)
     ids = np.where(subset_mask(n, kept), np.arange(n, dtype=_id_dtype(n)), -1)

@@ -1,5 +1,6 @@
 """Checkers the tests use as oracles; the package itself never calls them."""
 
+import itertools
 import math
 
 import numpy as np
@@ -87,6 +88,15 @@ def validate(h) -> None:
                 raise ValueError(f"order {m}: colors out of sync with edges")
             if not np.isin(h.colors[m], (RED, BLUE)).all():
                 raise ValueError(f"order {m}: colors must be RED ({RED}) or BLUE ({BLUE})")
+
+
+def dense_adjacency(h) -> np.ndarray:
+    """Dense n x n pair counts: ``np.add.at`` over each pair of edge columns, plus the transpose."""
+    a = np.zeros((h.n, h.n))
+    for m, arr in h.edges.items():
+        for p, q in itertools.combinations(range(m), 2):
+            np.add.at(a, (arr[:, p], arr[:, q]), 1.0)
+    return a + a.T
 
 
 def row_sums(a) -> np.ndarray:

@@ -487,13 +487,25 @@ class TestConclabCommand:
 
     def test_pinned_trimmed_conclab_bytes(self, tmp_path):
         # at tau = 1 every trial zeroes some rows, so each regularized norm
-        # is solved on mask_matrix's copy of the adjacency
+        # is solved on the operator that masks its vectors
         cfg = write(tmp_path / "c.cfg", self.PIN + "tau = 1\n")
         out = tmp_path / "c.csv"
         assert main(["conclab", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
         assert all(float(r.split(",")[7]) < 1.0 for r in out.read_text().splitlines()[1:])
         assert (hashlib.sha256(out.read_bytes()).hexdigest()
                 == "3ebe3f42036365f5a8d59ec591ffab7b04d945180db14ddb8874667be7005554")
+
+    def test_pinned_heavily_trimmed_conclab_bytes(self, tmp_path):
+        # at tau = 0.5 every trial zeroes 40-48 % of its rows; the digest was
+        # recorded when the regularized norm read a masked copy of the
+        # adjacency, so it also pins masking the vectors to the same bits
+        cfg = write(tmp_path / "c.cfg", "n = 2000\nk = 2\norders = 3:30,10\n"
+                    "sizes = 1000,2000\ntrials = 5\ntau = 0.5\n")
+        out = tmp_path / "c.csv"
+        assert main(["conclab", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+        assert all(0.5 < float(r.split(",")[7]) < 0.61 for r in out.read_text().splitlines()[1:])
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == "7695ff63c4b8cc176f0a89f4ce1ace2e0c5c5ddbd81a84f9a35cedb6d259c970")
 
     def test_debug_log_line_per_trial_same_bytes(self, tmp_path):
         # at tau = 1 two trials trim rows and two keep every vertex

@@ -56,6 +56,12 @@ class TestCenteredOperator:
 
 
 class TestConcentrationTrial:
+    @pytest.mark.parametrize("tau", [-1.0, math.nan])
+    def test_bad_tau_rejected(self, tau):
+        # as the configuration rejects it; before, the trial kept no vertex
+        with pytest.raises(ValueError, match=f"tau must be a nonnegative number, got {tau}"):
+            concentration_trial(ModelParams(200, 2, {2: (10, 5)}), 0, tau)
+
     def test_zero_rates(self):
         rec = concentration_trial(ModelParams(100, 2, {2: (0, 0)}), 0, tau=60.0)
         assert rec.raw_ratio == 0.0 and rec.reg_ratio == 0.0

@@ -170,6 +170,20 @@ class TestHypergraphFormat:
         with pytest.raises(ValueError, match=re.escape(named)):
             read_hypergraph(text)
 
+    @pytest.mark.parametrize("n, k, labels, named", [
+        (4, 2, [0, 1, 0], "labels have shape (3,), expected (4,)"),
+        (4, 2, [[0, 1], [0, 1]], "labels have shape (2, 2), expected (4,)"),
+        (4, 2, [0, 1, 5, 0], "label 5 outside [0, 2)"),
+        (4, 2, [0, -1, 1, 0], "label -1 outside [0, 2)"),
+        (4, 0, None, "n >= 1 and k >= 1, got n = 4, k = 0"),
+        (0, 2, None, "n >= 1 and k >= 1, got n = 0, k = 2"),
+    ])
+    def test_writer_rejects_what_the_reader_rejects(self, n, k, labels, named):
+        # each of these was written before, and read_hypergraph refused the text
+        h = Hypergraph(n, {2: np.array([[0, 1]])} if n else {})
+        with pytest.raises(ValueError, match=re.escape(named)):
+            write_hypergraph(h, k, labels)
+
     def test_m_above_every_order_accepted(self):
         h, k, _ = read_hypergraph("HSBM 6 1 4\n2 0 1\n")
         assert h.n == 6 and k == 1 and h.edges[2].tolist() == [[0, 1]]

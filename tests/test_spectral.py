@@ -1,5 +1,7 @@
 """Sparse linear algebra against dense references and exact postconditions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,7 +13,6 @@ from hyperblock.sampler import (SIDE_Y1, SIDE_Z, Hypergraph, restrict, sample_hs
                                 split_vertices, subset_mask)
 from hyperblock.spectral import (
     ConvergenceError,
-    _index_dtype,
     adjacency,
     bipartite_embed,
     mask_matrix,
@@ -19,7 +20,7 @@ from hyperblock.spectral import (
     spectral_norm,
     top_subspace,
 )
-from oracles import row_sums
+from oracles import dense_adjacency, row_sums
 
 
 def planted_hypergraph(n=260, k=2, a=40, b=4, seed=0):
@@ -27,7 +28,7 @@ def planted_hypergraph(n=260, k=2, a=40, b=4, seed=0):
 
 
 def planted_instance(n=260, k=2, a=40, b=4, seed=0):
-    return adjacency(planted_hypergraph(n, k, a, b, seed)).astype(np.float64)
+    return adjacency(planted_hypergraph(n, k, a, b, seed))
 
 
 class TestAdjacency:
@@ -54,6 +55,60 @@ class TestAdjacency:
             a = adjacency(h)
             assert (a != a.T).nnz == 0
             assert a.diagonal().sum() == 0
+
+
+class TestPairCountsMatchDenseOracle:
+    """Every builder against ``np.add.at`` pair counts on sampled instances."""
+
+    @pytest.fixture(scope="class", params=[1, 2, 3])
+    def case(self, request):
+        seed = request.param
+        n = 300
+        h = sample_hsbm(ModelParams(n, 3, {2: (12, 3), 3: (10, 3), 4: (4, 1)}), seed)[0]
+        return h, split_vertices(n, seed), dense_adjacency(h)
+
+    @staticmethod
+    def same(got, want):
+        assert got.dtype == np.float64 and got.has_canonical_format
+        assert np.array_equal(got.toarray(), want)
+
+    def test_adjacency(self, case):
+        h, _, dense = case
+        self.same(adjacency(h), dense)
+
+    def test_regularize_every_vertex(self, case):
+        h, _, dense = case
+        for threshold in (0.0, np.median(h.degrees()), np.inf):
+            reg, kept = regularize(h, threshold)
+            in_kept = subset_mask(h.n, kept)
+            assert np.array_equal(in_kept, dense.sum(axis=1) <= threshold)
+            self.same(reg, dense * np.outer(in_kept, in_kept))
+
+    def test_regularize_rectangle(self, case):
+        h, split, dense = case
+        reg, kept = regularize(h, np.median(h.degrees()), split.z, split.y1)
+        in_kept = subset_mask(h.n, kept)
+        want = selector_product(sp.csr_array(dense), in_kept & (split.side == SIDE_Z),
+                                in_kept & (split.side == SIDE_Y1))
+        self.same(reg, want.toarray())
+
+    def test_sampled_rows(self, case):
+        h, split, _ = case
+        sampled = split.y2[::3]
+        induced = dense_adjacency(restrict(h, np.concatenate([split.z, split.y2])))
+        self.same(_sampled_rows(h, split.z, split.y2, sampled), induced[np.ix_(sampled, split.z)])
+
+
+def test_adjacency_peak_near_its_csr():
+    # the pair arrays are freed once counted, before the sum with the transpose
+    h = sample_hsbm(ModelParams(20000, 3, {2: (80, 2), 3: (40, 2)}), 1)[0]
+    tracemalloc.start()
+    try:
+        a = adjacency(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * (a.data.nbytes + a.indices.nbytes + a.indptr.nbytes)
 
 
 class TestBipartiteEmbed:
@@ -179,15 +234,6 @@ class TestIndexDtype:
         assert np.array_equal(f @ v, wide @ v)
         assert np.array_equal(f.T @ block, wide.T @ block)
 
-    @pytest.mark.parametrize("n, nnz, want", [
-        (10, 0, np.int32),
-        (2**31 - 1, 2**31 - 1, np.int32),
-        (2**31, 10, np.int64),
-        (10, 2**31, np.int64),
-    ])
-    def test_index_dtype_widens_past_int32(self, n, nnz, want):
-        assert _index_dtype(n, nnz) == want
-
 
 class TestRowSums:
     def test_weighted_edge_count(self):
@@ -229,6 +275,12 @@ class TestRegularize:
         dense[0, :] = 0
         dense[:, 0] = 0
         assert (reg.toarray() == dense).all()
+
+    @pytest.mark.parametrize("threshold", [-1.0, np.nan])
+    def test_bad_threshold_rejected(self, threshold):
+        h = planted_hypergraph(n=60, a=6, b=2)
+        with pytest.raises(ValueError, match="threshold must be a nonnegative number"):
+            regularize(h, threshold)
 
     def test_postcondition_exact(self):
         rng = np.random.default_rng(0)
