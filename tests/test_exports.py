@@ -55,10 +55,14 @@ def test_masked_copies_called_only_in_spectral():
         if path.name == "spectral.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            names = ([node.id] if isinstance(node, ast.Name)
-                     else [node.attr] if isinstance(node, ast.Attribute)
-                     else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
-                     else [])
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
             named += [f"{path.name}: {x}" for x in names if x in ("mask_matrix", "bipartite_embed")]
     assert named == []
 
