@@ -66,16 +66,42 @@ _BYTE_KIND[ord("0"):ord("9") + 1] = _DIGIT
 _BYTE_KIND[[ord(c) for c in _COLOR_CHAR.values()]] = _LETTER
 
 
+def _check_edges(h: Hypergraph) -> None:
+    """Raise ValueError for an order whose edges would be written as lines the reader refuses.
+
+    Each order with edges is checked for an (E, m) array with m >= 2, ids
+    in [0, n) by their min and max, strictly ascending rows a column pair
+    at a time, and distinct rows once sorted.
+    """
+    for m, arr in sorted(h.edges.items()):
+        if not len(arr):
+            continue
+        if m < 2 or arr.ndim != 2 or arr.shape[1] != m:
+            raise ValueError(f"order {m}: edge array of shape {arr.shape}; an order m >= 2 "
+                             f"needs shape (E, m)")
+        if arr.min() < 0 or arr.max() >= h.n:
+            raise ValueError(f"order {m}: vertex id out of range [0, {h.n})")
+        if any((arr[:, p] >= arr[:, p + 1]).any() for p in range(m - 1)):
+            raise ValueError(f"order {m}: vertices must be strictly ascending in every edge")
+        perm = _row_order(arr)
+        if _has_repeats(arr if perm is None else arr[perm]):
+            raise ValueError(f"order {m}: duplicate edge tuples")
+
+
 def write_hypergraph(h: Hypergraph, k: int, labels: np.ndarray | None = None) -> str:
     """Serialize to the text format; edges ordered by (m, tuple).
 
     Each order's lines are joined a block at a time, so only one block's
     cells live next to the text: the peak stays below three times the text.
-    A header or labels that ``read_hypergraph`` would reject (n < 1, k < 1,
-    not n labels, a label outside [0, k)) raise ValueError first.
+    What ``read_hypergraph`` would reject raises ValueError first: a
+    header whose n or k is not an integer of at least 1, labels that are
+    not n values in [0, k), and edges that ``_check_edges`` refuses.
     """
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (h.n, k)):
+        raise ValueError(f"the header needs integers n and k, got n = {h.n!r}, k = {k!r}")
     if h.n < 1 or k < 1:
         raise ValueError(f"the header needs n >= 1 and k >= 1, got n = {h.n}, k = {k}")
+    _check_edges(h)
     parts = [f"HSBM {h.n} {k} {max(h.edges, default=2)}\n"]
     if labels is not None:
         ids = np.asarray(labels).astype(np.int64)

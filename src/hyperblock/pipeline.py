@@ -19,8 +19,12 @@ and the s sampled Y2 rows against Z are counted the same way.  The
 projection goes through the k x s subspace coordinates of the s sampled
 columns, never an n x s float block.  The s candidate sets are held
 once, bit-packed: row v of an n x ceil(s/8) byte matrix says which sets
-hold v; the k accepted ones leave as an n x k membership matrix, which
-only merging turns into labels.  The two-block
+hold v, and the k accepted ones leave packed the same way.  A partition
+is a label vector, -1 marking an unassigned vertex: correction labels Z,
+and merging labels Y.  Both ask of each edge whether its other endpoints
+lie in a set, which is one AND of packed rows (``_shared_sets``, the
+kernel of the blue density count too), so they pack labels into that
+form.  The two-block
 pipeline (k = 2) takes the regularized red adjacency from
 ``spectral.regularize`` too, splits the vertices into 0/1 labels and swaps
 suspicious vertices by a blue cross-neighbor test.
@@ -107,13 +111,28 @@ def centering_vector(params: ModelParams, subset: tuple[int, ...], z_set) -> np.
     return np.where(subset_mask(n, z_set), 0.5 * (abar + bbar), 0.0)
 
 
+def _shared_sets(packed: np.ndarray, rows: np.ndarray, skip: int | None = None) -> np.ndarray:
+    """Per edge, the AND of its endpoints' rows of ``packed``, endpoint ``skip`` left out.
+
+    ``rows`` is an (E, m) edge array and ``packed`` an n x ceil(s/8) byte
+    matrix of sets in ``np.packbits`` order.  Row e of the E x ceil(s/8)
+    result has bit j set when every endpoint of edge e, but the one in
+    column ``skip``, lies in set j.
+    """
+    ends = [v for j, v in enumerate(rows.T) if j != skip]
+    shared = packed[ends[0]]
+    for v in ends[1:]:
+        shared &= packed[v]
+    return shared
+
+
 def blue_weighted_count(h_blue: Hypergraph, packed: np.ndarray, s: int) -> np.ndarray:
     """Weighted count of blue edges fully inside each set: sum of m(m-1) each.
 
     Row v of the n x ceil(s/8) byte matrix ``packed`` holds the sets of
     vertex v in ``np.packbits`` order: bit j says v lies in set j.  Returns
     one count per set.  An edge lies inside exactly the sets whose bits
-    survive the AND of its endpoints' rows.
+    survive the AND of its endpoints' rows (``_shared_sets``).
     """
     in_union = packed.any(axis=1)
     total = np.zeros(s, dtype=np.int64)
@@ -123,10 +142,7 @@ def blue_weighted_count(h_blue: Hypergraph, packed: np.ndarray, s: int) -> np.nd
         for lo in range(0, len(rows), step):
             block = rows[lo:lo + step]
             # an edge inside one of the sets lies inside their union; drop the rest
-            ends = block[in_union[block].all(axis=1)].T
-            inside = packed[ends[0]]
-            for other in ends[1:]:
-                inside &= packed[other]
+            inside = _shared_sets(packed, block[in_union[block].all(axis=1)])
             # a block has at most _COUNT_BLOCK edges, so int32 sums are exact
             count += np.unpackbits(inside, axis=1, count=s).sum(axis=0, dtype=np.int32)
         total += m * (m - 1) * count
@@ -146,25 +162,20 @@ def _top_positions(scores: np.ndarray, size: int) -> np.ndarray:
     return keep
 
 
-def _neighbor_scores(h: Hypergraph, members: np.ndarray) -> np.ndarray:
+def _neighbor_scores(h: Hypergraph, packed: np.ndarray, s: int) -> np.ndarray:
     """S[v, i] = sum of (m_e - 1) over edges e through v with the rest in set i.
 
-    ``members`` is the n x s membership matrix of the sets.  For each order
-    m, ``inside`` counts every edge's endpoints in every set; an endpoint v
-    has the other m - 1 in set i when that count, less v's own membership,
-    is m - 1.
+    ``packed`` holds the s sets as ``blue_weighted_count`` reads them.  For
+    the endpoint in each column of an order's edges, ``_shared_sets`` gives
+    the sets holding the other m - 1 endpoints, and each set's edges are
+    counted at that endpoint.
     """
-    n, s = members.shape
-    scores = np.zeros((n, s), dtype=np.int64)
+    scores = np.zeros((h.n, s), dtype=np.int64)
     for m, rows in h.edges.items():
-        # at most m endpoints per set, so int32 counts are exact
-        inside = np.zeros((len(rows), s), dtype=np.int32)
-        for v in rows.T:
-            inside += members[v]
-        for v in rows.T:
-            hit = inside - members[v] == m - 1
+        for j, v in enumerate(rows.T):
+            rest = np.unpackbits(_shared_sets(packed, rows, skip=j), axis=1, count=s).view(bool)
             for i in range(s):
-                scores[:, i] += (m - 1) * np.bincount(v[hit[:, i]], minlength=n)
+                scores[:, i] += (m - 1) * np.bincount(v[rest[:, i]], minlength=h.n)
     return scores
 
 
@@ -207,10 +218,11 @@ def spectral_partition_k(
     floor(n/2k) largest Z coordinates: every vertex strictly above the cut
     value, then the lowest ids equal to it.
 
-    Reads the halves of the instance restricted to ``subset``.  Returns the
-    n x k membership matrix of k candidate sets of size floor(n/2k) drawn
-    from Z, with pairwise overlaps below ceil((1-nu) n / k).  Raises
-    PartitionFailure when fewer than k sufficiently distinct sets survive.
+    Reads the halves of the instance restricted to ``subset``.  Returns k
+    candidate sets of size floor(n/2k) drawn from Z, with pairwise overlaps
+    below ceil((1-nu) n / k), packed as ``blue_weighted_count`` reads them:
+    an n x ceil(k/8) byte matrix.  Raises PartitionFailure when fewer than
+    k sufficiently distinct sets survive.
     """
     n, k = params.n, params.k
     if n < 4 * k:
@@ -278,35 +290,37 @@ def spectral_partition_k(
     if len(accepted) < k:
         raise PartitionFailure(
             f"only {len(accepted)} of {k} sufficiently distinct candidate sets found", diag)
-    return np.stack(accepted, axis=1)
+    return np.packbits(np.stack(accepted, axis=1), axis=1)
 
 
-def correction_k(h_red: Hypergraph, z_set, candidates: np.ndarray) -> np.ndarray:
+def correction_k(h_red: Hypergraph, z_set, candidates: np.ndarray, k: int) -> np.ndarray:
     """Reassign every Z vertex to the candidate set holding most red neighbors.
 
-    ``candidates`` is the n x k membership matrix of the candidate sets.
-    Neighbor counts are weighted by (m-1); ties go to the lowest set index.
-    Returns the n x k membership matrix of the resulting partition of Z.
+    ``candidates`` holds the k candidate sets packed, as
+    ``spectral_partition_k`` returns them.  Neighbor counts are weighted by
+    (m-1); ties go to the lowest set index.  Returns labels: the chosen set
+    on Z, -1 elsewhere.
     """
-    in_z = subset_mask(h_red.n, z_set)
-    choice = np.argmax(_neighbor_scores(h_red, candidates), axis=1)
-    return in_z[:, None] & (choice[:, None] == np.arange(candidates.shape[1]))
+    choice = np.argmax(_neighbor_scores(h_red, candidates, k), axis=1)
+    return np.where(subset_mask(h_red.n, z_set), choice, -1)
 
 
-def merging(h_blue: Hypergraph, y_set, corrected: np.ndarray, mu_m: float) -> np.ndarray:
-    """Attach every Y vertex to corrected sets by the blue-neighbor test.
+def merging(h_blue: Hypergraph, y_set, labels: np.ndarray, k: int, mu_m: float) -> np.ndarray:
+    """Attach every Y vertex to the labeled sets by the blue-neighbor test.
 
-    ``corrected`` is the n x k membership matrix of disjoint sets, which
-    keep their vertices.  A vertex of Y joins each set whose weighted
-    blue-neighbor count reaches mu_m; conflicts and vertices qualifying
-    nowhere fall back to the argmax count with lowest-index ties.  Returns
-    a full labeling.
+    ``labels`` puts vertices in k disjoint sets, -1 marking none, and the
+    labeled vertices keep their sets.  A vertex of Y joins each set whose
+    weighted blue-neighbor count reaches mu_m; conflicts and vertices
+    qualifying nowhere fall back to the argmax count with lowest-index
+    ties.  Returns a new labeling, full when every vertex outside Y is
+    labeled.
     """
     in_y = subset_mask(h_blue.n, y_set)
-    labels = np.where(corrected.any(axis=1), np.argmax(corrected, axis=1), -1)
-    scores = _neighbor_scores(h_blue, corrected)[in_y]
+    sets = np.packbits(labels[:, None] == np.arange(k), axis=1)
+    scores = _neighbor_scores(h_blue, sets, k)[in_y]
     qualify = scores >= mu_m
     unique = qualify.sum(axis=1) == 1
+    labels = labels.copy()
     labels[in_y] = np.where(unique, np.argmax(qualify, axis=1), np.argmax(scores, axis=1))
     return labels
 
@@ -354,9 +368,8 @@ def correction_2(h_blue: Hypergraph, labels: np.ndarray, threshold: float) -> np
     ``labels`` gives every vertex its side, 0 or 1; returns the corrected
     labels.
     """
-    sides = labels[:, None] == np.arange(2)
-    scores = _neighbor_scores(h_blue, sides)
-    cross = np.where(sides[:, 0], scores[:, 1], scores[:, 0])
+    scores = _neighbor_scores(h_blue, np.packbits(labels[:, None] == np.arange(2), axis=1), 2)
+    cross = np.where(labels == 0, scores[:, 1], scores[:, 0])
     return np.where(cross >= threshold, 1 - labels, labels)
 
 
@@ -382,8 +395,8 @@ def partition(params: ModelParams, h: Hypergraph, cfg: PipelineConfig) -> np.nda
     del h  # each edge is held once from here: the caller hands h over
     split = split_vertices(params.n, trial_seed(cfg.seed, 2))
     candidates = spectral_partition_k(h_red, h_blue, split, params, subset, cfg)
-    corrected = correction_k(h_red, split.z, candidates)
+    labels = correction_k(h_red, split.z, candidates, params.k)
     mu_m = model.merging_threshold(params, subset, cfg.nu)
-    labels = merging(h_blue, split.members(SIDE_Y1, SIDE_Y2), corrected, mu_m)
+    labels = merging(h_blue, split.members(SIDE_Y1, SIDE_Y2), labels, params.k, mu_m)
     log.debug("partition: subset=%s mu_m=%.4f", subset, mu_m)
     return labels

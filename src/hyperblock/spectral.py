@@ -68,18 +68,20 @@ def _pair_counts(edges: dict[int, np.ndarray], row_of: np.ndarray, col_of: np.nd
     """CSR whose (i, j) entry counts the edges holding a vertex of row i and another of column j.
 
     ``row_of[v]`` and ``col_of[v]`` give vertex v's row and column, or -1
-    where it has none.  When ``col_of is row_of`` the counts are
-    symmetric, so each unordered pair is counted once and the counts are
-    added to their transpose.  The indices are sorted, int32 unless the
-    shape or the number of counted pairs needs int64, and the data float64.
+    where it has none; pairs are filtered only when a map holds a -1.
+    When ``col_of is row_of`` the counts are symmetric, so each unordered
+    pair is counted once and the counts are added to their transpose.  The
+    indices are sorted, int32 unless the shape or the number of counted
+    pairs needs int64, and the data float64.
     """
     symmetric = col_of is row_of
     pairs = itertools.combinations if symmetric else itertools.permutations
+    partial = min(row_of.min(initial=0), col_of.min(initial=0)) < 0
     rows, cols = [row_of[:0]], [col_of[:0]]  # typed, for an input without edges
     for m, arr in edges.items():
         r, c = row_of[arr], col_of[arr]
         for p, q in pairs(range(m), 2):
-            hit = (r[:, p] >= 0) & (c[:, q] >= 0)
+            hit = (r[:, p] >= 0) & (c[:, q] >= 0) if partial else slice(None)
             rows.append(r[hit, p])
             cols.append(c[hit, q])
     r, c = np.concatenate(rows), np.concatenate(cols)

@@ -221,6 +221,14 @@ class TestDetectCommand:
         (BASE, 5): (
             "e431448523c5740a66446ed8e5fb08b5a7f8f9261c593f9a6626ae68b6102cf9",
             "1.0,1.0,0.0"),
+        # weak signal: many Y vertices qualify for two sets in merging (269
+        # of 1542 at seed 1), which then falls back to their argmax
+        ("n = 3000\nk = 3\norders = 2:30,5;3:20,5\n", 1): (
+            "31e1cf37997c2053513b51cb8685a27a6be1953b8b6e4dcc530228cf6f3b1076",
+            "0.171,0.36633333333333334,0.6336666666666667"),
+        ("n = 3000\nk = 3\norders = 2:30,5;3:20,5\n", 2): (
+            "647d86c6c077b97414bfaf0918e03f98b9ffe34073393e8a59e48e02a446aa08",
+            "0.184,0.43566666666666665,0.5643333333333334"),
     }
 
     @pytest.mark.parametrize("model, seed", list(PINNED))

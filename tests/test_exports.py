@@ -67,6 +67,37 @@ def test_masked_copies_called_only_in_spectral():
     assert named == []
 
 
+def test_one_pipeline_function_ands_packed_rows():
+    # the stages hold their sets in one packed form, and one kernel ANDs an
+    # edge's endpoint rows of it for the density count and the neighbor votes
+    tree = ast.parse(Path(pipeline.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def ands_packed_rows(fn):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
+                operands = (node.left, node.right)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitAnd):
+                operands = (node.target, node.value)
+            else:
+                continue
+            # packed[ids] gathers rows; packed[:, j], a column, is no row
+            if any(isinstance(x, ast.Subscript) and isinstance(x.value, ast.Name)
+                   and x.value.id == "packed" and not isinstance(x.slice, ast.Tuple)
+                   for x in operands):
+                return True
+        return False
+
+    def called(fn):
+        return {node.func.id for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+    kernels = [name for name, fn in functions.items() if ands_packed_rows(fn)]
+    assert len(kernels) == 1, kernels
+    for caller in ("blue_weighted_count", "_neighbor_scores"):
+        assert kernels[0] in called(functions[caller]), caller
+
+
 class TestPackageExports:
     def test_all_has_no_duplicates_and_dir_lists_it(self):
         exported = hyperblock.__all__

@@ -184,6 +184,34 @@ class TestHypergraphFormat:
         with pytest.raises(ValueError, match=re.escape(named)):
             write_hypergraph(h, k, labels)
 
+    @pytest.mark.parametrize("edges, k, named", [
+        ({2: [[0, 5]]}, 2, "order 2: vertex id out of range [0, 3)"),
+        ({2: [[-1, 2]]}, 2, "order 2: vertex id out of range [0, 3)"),
+        ({2: [[1, 0]]}, 2, "order 2: vertices must be strictly ascending"),
+        ({3: [[0, 2, 2]]}, 2, "order 3: vertices must be strictly ascending"),
+        ({2: [[1, 2], [0, 2], [1, 2]]}, 2, "order 2: duplicate edge tuples"),
+        ({2: [[0, 1, 2]]}, 2, "order 2: edge array of shape (1, 3)"),
+        ({3: [[0, 1]]}, 2, "order 3: edge array of shape (1, 2)"),
+        ({2: [[0, 1]]}, 2.0, "integers n and k, got n = 3, k = 2.0"),
+        ({2: [[0, 1]]}, True, "integers n and k, got n = 3, k = True"),
+    ])
+    def test_writer_rejects_edges_the_reader_rejects(self, edges, k, named):
+        # each of these was written before, and read_hypergraph refused the text
+        h = Hypergraph(3, {m: np.array(rows) for m, rows in edges.items()})
+        with pytest.raises(ValueError, match=re.escape(named)):
+            write_hypergraph(h, k)
+        text = f"HSBM 3 {k} {max(edges)}\n" + "".join(
+            f"{m} {' '.join(map(str, row))}\n" for m, rows in edges.items() for row in rows)
+        with pytest.raises(ValueError):
+            read_hypergraph(text)
+
+    def test_writer_takes_unsorted_rows_and_empty_orders(self):
+        # the reader sorts distinct rows itself, and an order without edges writes nothing
+        h = Hypergraph(3, {2: np.array([[1, 2], [0, 1]]), 3: np.empty((0, 2), dtype=np.int64)})
+        text = write_hypergraph(h, np.int64(2))
+        assert text == "HSBM 3 2 3\n2 1 2\n2 0 1\n"
+        assert read_hypergraph(text)[0].edges[2].tolist() == [[0, 1], [1, 2]]
+
     def test_m_above_every_order_accepted(self):
         h, k, _ = read_hypergraph("HSBM 6 1 4\n2 0 1\n")
         assert h.n == 6 and k == 1 and h.edges[2].tolist() == [[0, 1]]

@@ -59,6 +59,24 @@ def columns(members):
     return [np.flatnonzero(col) for col in members.T]
 
 
+def packed_sets(n, sets):
+    """The sets in the stages' packed form: n x ceil(s/8) bytes, np.packbits order."""
+    return np.packbits(membership(n, sets), axis=1)
+
+
+def unpacked(packed, s):
+    """The n x s membership matrix of s packed sets."""
+    return np.unpackbits(packed, axis=1, count=s).astype(bool)
+
+
+def labeling(n, sets):
+    """Labels putting the ids of the disjoint sets[i] in set i, -1 elsewhere."""
+    labels = np.full(n, -1, dtype=np.int64)
+    for i, ids in enumerate(sets):
+        labels[ids] = i
+    return labels
+
+
 def count(h_blue, members):
     """blue_weighted_count of the sets of an n x s membership matrix."""
     return blue_weighted_count(h_blue, np.packbits(members, axis=1), members.shape[1])
@@ -216,7 +234,7 @@ class TestBlueWeightedCount:
 
 
 def neighbor_scores(h, sets):
-    return _neighbor_scores(h, membership(h.n, sets))
+    return _neighbor_scores(h, packed_sets(h.n, sets), len(sets))
 
 
 class TestWeightedRedNeighbors:
@@ -267,7 +285,7 @@ class TestWeightedRedNeighbors:
         without_v = inc.T @ (weight * (inside == order[:, None] - 1))
         return np.where(members, with_v, without_v)
 
-    @pytest.mark.parametrize("s", [1, 2, 3, 7])
+    @pytest.mark.parametrize("s", [1, 2, 3, 7, 9, 16])
     def test_equals_incidence_oracle(self, s):
         rng = np.random.default_rng(s)
         params = ModelParams(40, 2, {2: (12, 4), 3: (10, 3), 4: (8, 2), 5: (6, 2)})
@@ -278,7 +296,7 @@ class TestWeightedRedNeighbors:
                 h = Hypergraph(40, {**h.edges, 3: np.empty((0, 3), dtype=np.int64)})
             members = rng.random((40, s)) < rng.uniform(0.2, 0.9, size=s)
             members[:, rng.permutation(s)[:min(trial, s)]] = False  # empty sets
-            got = _neighbor_scores(h, members)
+            got = _neighbor_scores(h, np.packbits(members, axis=1), s)
             want = self.incidence_oracle(h, members)
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)
@@ -286,18 +304,35 @@ class TestWeightedRedNeighbors:
     def test_peak_memory_bounded_by_one_order(self):
         n, s = 6000, 3
         h, _ = sample_hsbm(ModelParams(n, 3, {2: (60, 4), 3: (40, 4)}), 8)
-        members = np.random.default_rng(3).random((n, s)) < 0.4
+        packed = np.packbits(np.random.default_rng(3).random((n, s)) < 0.4, axis=1)
         tracemalloc.start()
         try:
-            _neighbor_scores(h, members)
+            _neighbor_scores(h, packed, s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the int64 scores; for the order with most edges, its int32 counts
-        # and one int32 difference, two boolean edge x set arrays and one
-        # set's int64 edge ids; and two int64 bincounts
+        # the int64 scores; for the order with most edges, the packed AND of
+        # one endpoint column and its operand, their unpacked edge x set
+        # bits and one set's edge ids; and two int64 bincounts.  No edge x
+        # set count is made
         most = max(len(rows) for rows in h.edges.values())
-        assert peak < 8 * n * s + most * (4 * s + 4 * s + 2 * s + 8) + 2 * 8 * n + (1 << 16)
+        assert peak < 8 * n * s + most * (2 * math.ceil(s / 8) + s + 8) + 2 * 8 * n + (1 << 16)
+
+    def test_memory_at_n_20000(self):
+        # 4.5 MiB when the scores summed an E x s int32 count of endpoints
+        n = 20000
+        params = ModelParams(n, 3, {2: (80, 2), 3: (40, 2)})
+        h, _ = sample_hsbm(params, 1)
+        red = stage_inputs(color_edges(h, 2), params)[0]
+        del h
+        packed = np.packbits(np.random.default_rng(0).random((n, 3)) < 0.3, axis=1)
+        tracemalloc.start()
+        try:
+            _neighbor_scores(red, packed, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 def planted_k3(n=900, seed=0):
@@ -346,7 +381,7 @@ def scored_and_dense_sets(monkeypatch, hcol, split, params, cfg):
         pass
     monkeypatch.undo()
     _, packed, s = seen["blue_weighted_count"][0][0]
-    got = columns(np.unpackbits(packed, axis=1, count=s).astype(bool))
+    got = columns(unpacked(packed, s))
     h_red = stage_inputs(hcol, params)[0]
     a2 = bipartite_embed(adjacency(restrict(h_red, np.concatenate([split.z, split.y2]))),
                          split.z, split.y2)
@@ -567,12 +602,12 @@ class TestSpectralPartitionK:
         for seed in range(5):
             params, hcol, split, truth, cfg = planted_k3(seed=seed)
             candidates = partition_k(hcol, split, params, cfg)
-            sets = columns(candidates)
             n, k = params.n, params.k
+            sets = columns(unpacked(candidates, k))
             size = n // (2 * k)
             cap = math.ceil((1 - cfg.nu) * n / k)
             z = set(split.z.tolist())
-            assert candidates.shape == (n, k) and candidates.dtype == bool
+            assert candidates.shape == (n, math.ceil(k / 8)) and candidates.dtype == np.uint8
             for ids in sets:
                 assert len(ids) == size
                 assert set(ids.tolist()) <= z
@@ -629,31 +664,34 @@ class TestSpectralPartitionK:
 class TestCorrectionK:
     def test_unanimous_vertex(self):
         h = colored(8, {2: [[0, 4], [0, 5]]}, {2: [RED, RED]})
-        out = correction_k(h.red(), [0, 1], membership(8, [[2, 3], [4, 5]]))
-        assert [ids.tolist() for ids in columns(out)] == [[1], [0]]  # 1: no edges, lowest index
+        out = correction_k(h.red(), [0, 1], packed_sets(8, [[2, 3], [4, 5]]), 2)
+        assert out.tolist() == [1, 0] + [-1] * 6  # 1: no edges, lowest index
+
+    def test_overlapping_candidates(self):
+        # a vertex in two candidate sets counts its neighbors in each
+        h = colored(6, {2: [[0, 2], [0, 3], [1, 4]]}, {2: [RED] * 3})
+        out = correction_k(h.red(), [0, 1], packed_sets(6, [[2, 4], [2, 3]]), 2)
+        assert out.tolist() == [1, 0, -1, -1, -1, -1]
 
     def test_partition_of_z(self):
         params, hcol, split, _, cfg = planted_k3(seed=1)
         sets = partition_k(hcol, split, params, cfg)
-        out = correction_k(hcol.red(), split.z, sets)
-        assert out.shape == (params.n, params.k)
-        assert np.array_equal(np.flatnonzero(out.sum(axis=1)), np.sort(split.z))
-        assert out.sum(axis=1).max() == 1
+        out = correction_k(hcol.red(), split.z, sets, params.k)
+        assert out.shape == (params.n,) and out.dtype == np.int64
+        assert np.array_equal(np.flatnonzero(out >= 0), np.sort(split.z))
+        assert set(out[split.z].tolist()) <= set(range(params.k))
 
     def test_improves_candidate_labeling(self):
         improved = 0
         for seed in range(8):
             params, hcol, split, truth, cfg = planted_k3(seed=seed + 100)
             sets = partition_k(hcol, split, params, cfg)
-            n = params.n
+            n, k = params.n, params.k
             pre = np.full(n, -1, dtype=np.int64)
-            for i, ids in enumerate(columns(sets)):
+            for i, ids in enumerate(columns(unpacked(sets, k))):
                 free = ids[pre[ids] == -1]
                 pre[free] = i
-            out = correction_k(hcol.red(), split.z, sets)
-            post = np.full(n, -1, dtype=np.int64)
-            for i, ids in enumerate(columns(out)):
-                post[ids] = i
+            post = correction_k(hcol.red(), split.z, sets, k)
             z = split.z
             improved += (matched_accuracy(truth[z], post[z])
                          >= matched_accuracy(truth[z], pre[z]))
@@ -663,23 +701,32 @@ class TestCorrectionK:
 class TestMerging:
     def test_unique_qualifier(self):
         h = colored(6, {3: [[0, 1, 4]]}, {3: [BLUE]})
-        labels = merging(h.blue(), [4, 5], membership(6, [[0, 1], [2, 3]]), 1.0)
+        given = labeling(6, [[0, 1], [2, 3]])
+        labels = merging(h.blue(), [4, 5], given, 2, 1.0)
         assert labels[4] == 0
         assert labels[5] == 0  # no counts anywhere: lowest index
-        assert labels[0] == 0 and labels[2] == 1
+        assert labels.tolist()[:4] == [0, 0, 1, 1]
+        assert given.tolist() == [0, 0, 1, 1, -1, -1]  # the input is not changed
 
     def test_fallback_argmax(self):
         h = colored(8, {2: [[2, 6], [3, 6], [0, 6]]}, {2: [BLUE] * 3})
-        labels = merging(h.blue(), [6, 7], membership(8, [[0, 1], [2, 3]]), 100.0)
+        labels = merging(h.blue(), [6, 7], labeling(8, [[0, 1], [2, 3]]), 2, 100.0)
         assert labels[6] == 1  # two blue neighbors in set 1, one in set 0
+
+    def test_conflict_falls_back_to_argmax(self):
+        # vertex 6 qualifies for both sets (2 >= mu in each), so the larger count wins
+        h = colored(8, {2: [[0, 6], [1, 6], [2, 6], [3, 6], [4, 6]]}, {2: [BLUE] * 5})
+        labels = merging(h.blue(), [6], labeling(8, [[0, 1], [2, 3, 4]]), 2, 2.0)
+        assert labels[6] == 1 and labels[7] == -1
 
     def test_full_labeling(self):
         params, hcol, split, _, cfg = planted_k3(seed=2)
         sets = partition_k(hcol, split, params, cfg)
-        out = correction_k(hcol.red(), split.z, sets)
+        out = correction_k(hcol.red(), split.z, sets, params.k)
         mu = merging_threshold(params, (2, 3), cfg.nu)
-        labels = merging(hcol.blue(), split.members(SIDE_Y1, SIDE_Y2), out, mu)
-        assert (labels >= 0).all()
+        labels = merging(hcol.blue(), split.members(SIDE_Y1, SIDE_Y2), out, params.k, mu)
+        assert (labels >= 0).all() and labels.max() < params.k
+        assert np.array_equal(labels[split.z], out[split.z])
 
 
 class TestPartitionK:
