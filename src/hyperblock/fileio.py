@@ -67,11 +67,13 @@ _BYTE_KIND[[ord(c) for c in _COLOR_CHAR.values()]] = _LETTER
 
 
 def _check_edges(h: Hypergraph) -> None:
-    """Raise ValueError for an order whose edges would be written as lines the reader refuses.
+    """Raise ValueError for an order whose edges would not be read back as they are.
 
     Each order with edges is checked for an (E, m) array with m >= 2, ids
     in [0, n) by their min and max, strictly ascending rows a column pair
-    at a time, and distinct rows once sorted.
+    at a time, and distinct rows once sorted; in a colored hypergraph, for
+    one RED or BLUE color per edge, which the writer would otherwise
+    broadcast or fail on.
     """
     for m, arr in sorted(h.edges.items()):
         if not len(arr):
@@ -86,6 +88,9 @@ def _check_edges(h: Hypergraph) -> None:
         perm = _row_order(arr)
         if _has_repeats(arr if perm is None else arr[perm]):
             raise ValueError(f"order {m}: duplicate edge tuples")
+        if h.is_colored and (np.shape(h.colors.get(m)) != (len(arr),)
+                             or not np.isin(h.colors[m], (RED, BLUE)).all()):
+            raise ValueError(f"order {m}: a colored hypergraph needs one RED or BLUE per edge")
 
 
 def write_hypergraph(h: Hypergraph, k: int, labels: np.ndarray | None = None) -> str:

@@ -205,6 +205,15 @@ class TestHypergraphFormat:
         with pytest.raises(ValueError):
             read_hypergraph(text)
 
+    @pytest.mark.parametrize("colors", [{2: [RED]}, {2: [RED, 7]}, {2: [RED, BLUE, RED]}, {}])
+    def test_writer_rejects_colors_that_do_not_fit_the_edges(self, colors):
+        # a short array was broadcast, giving every line the first color
+        h = Hypergraph(3, {2: np.array([[0, 1], [1, 2]])},
+                       {m: np.array(c, dtype=np.uint8) for m, c in colors.items()})
+        with pytest.raises(ValueError, match="order 2: a colored hypergraph needs one RED or "
+                                             "BLUE per edge"):
+            write_hypergraph(h, 2)
+
     def test_writer_takes_unsorted_rows_and_empty_orders(self):
         # the reader sorts distinct rows itself, and an order without edges writes nothing
         h = Hypergraph(3, {2: np.array([[1, 2], [0, 1]]), 3: np.empty((0, 2), dtype=np.int64)})
