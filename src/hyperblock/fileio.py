@@ -10,7 +10,9 @@ Hypergraph format (line oriented, diff-able):
 
 Edge lines may come in any order; the reader puts each order's rows in
 canonical (lexicographic) order, so a file's line order never changes
-the hypergraph it describes.  The writer emits that order.  The reader's
+the hypergraph it describes.  The writer emits the orders ascending and
+each order's rows as its array holds them, which is that order for the
+sampler's and the reader's arrays.  The reader's
 edge arrays are int32 when the header's n < 2**31 and int64 otherwise,
 the rule ``sample_hsbm`` follows too.
 
@@ -94,7 +96,7 @@ def _check_edges(h: Hypergraph) -> None:
 
 
 def write_hypergraph(h: Hypergraph, k: int, labels: np.ndarray | None = None) -> str:
-    """Serialize to the text format; edges ordered by (m, tuple).
+    """Serialize to the text format: orders ascending, each order's rows as given.
 
     Each order's lines are joined a block at a time, so only one block's
     cells live next to the text: the peak stays below three times the text.
