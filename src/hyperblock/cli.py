@@ -3,15 +3,24 @@
 Commands: ``snr | sample | detect | experiment | conclab``, each driven by
 a flat key=value config file (see ``hyperblock.config``).  Shared flags:
 ``--config <path>``, ``--seed <u64>`` (overrides the config seed),
-``--jobs <int >= 1>``, ``--out <path>``.  Set ``HYPERBLOCK_LOG`` to a level
-name (debug, info, ...) for diagnostics on stderr.
+``--jobs <int >= 1>``, ``--out <path>`` (stdout by default, and
+``experiment.csv`` for ``experiment``; ``-`` is stdout).  Set
+``HYPERBLOCK_LOG`` to a level name (debug, info, ...) for diagnostics on
+stderr.
 
 Exit codes: 0 success, 2 invalid argument, 3 I/O failure, 4 partition
 failure.
 
-Each command imports what it runs: ``snr`` and ``sample`` load only
-numpy, and the scipy-backed modules load inside the commands that use
-them.
+Each command imports what it runs.  Importing this module loads
+``model``, ``sampler`` and ``config``, which need numpy alone:
+
+- ``snr`` needs nothing more; ``sample`` adds ``fileio``.
+- ``detect`` adds ``fileio`` and ``pipeline``, and ``metrics`` (with
+  scipy's csgraph) only when there is a truth to score.
+- ``experiment`` adds ``runner``, which loads ``pipeline`` and
+  ``metrics``; ``conclab`` adds ``runner`` and ``concentration``, and
+  neither ``pipeline`` nor ``metrics``.
+- Only ``--jobs`` above 1 loads the process pool.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import logging
 import os
 import sys
 
-from . import fileio, model, sampler
+from . import model, sampler
 from .config import ExperimentConfig, parse_config
 from .model import ConvergenceError, PartitionFailure
 
@@ -72,6 +81,8 @@ def cmd_snr(cfg: ExperimentConfig, args) -> int:
 
 def cmd_sample(cfg: ExperimentConfig, args) -> int:
     """Sample one instance and write it in the hypergraph text format."""
+    from . import fileio
+
     params = cfg.params
     h, labels = sampler.sample_hsbm(params, cfg.seed)
     if cfg.colors:
@@ -91,6 +102,8 @@ def _instance(cfg: ExperimentConfig) -> list:
     params = cfg.params
     if cfg.input is None:
         return list(sampler.sample_hsbm(params, sampler.trial_seed(cfg.seed, 0)))
+    from . import fileio
+
     with open(cfg.input, "rb") as fh:
         h, file_k, truth = fileio.read_hypergraph(fh.read())
     if h.n != params.n or file_k != params.k:
@@ -101,7 +114,7 @@ def _instance(cfg: ExperimentConfig) -> list:
 
 def cmd_detect(cfg: ExperimentConfig, args) -> int:
     """Partition an instance (from file or sampled inline) and write labels."""
-    from . import metrics, pipeline
+    from . import fileio, pipeline
 
     params = cfg.params
     instance = _instance(cfg)
@@ -112,6 +125,8 @@ def cmd_detect(cfg: ExperimentConfig, args) -> int:
     labels = pipeline.partition(params, instance.pop(), pcfg)
     _emit(fileio.write_labels(labels), args.out)
     if truth is not None:
+        from . import metrics
+
         report = metrics.accuracy_report(truth, labels)
         sys.stdout.write("gamma,matched_accuracy,misclassified_fraction\n")
         sys.stdout.write(",".join([
@@ -123,11 +138,10 @@ def cmd_detect(cfg: ExperimentConfig, args) -> int:
 
 def cmd_experiment(cfg: ExperimentConfig, args) -> int:
     """Run the rate-gap ladder and write trial and summary tables."""
-    # imported before pmap starts the pool, so forked workers inherit scipy
     from . import runner
 
     rows, summary = runner.experiment_rows(cfg, jobs=args.jobs)
-    out = args.out or "experiment.csv"
+    out = args.out or _OUT_DEFAULT["experiment"]
     _emit("\n".join([runner.EXPERIMENT_HEADER] + rows) + "\n", out)
     summary_path = None if out in (None, "-") else out + ".summary"
     _emit("\n".join(summary) + "\n", summary_path)
@@ -142,6 +156,9 @@ def cmd_conclab(cfg: ExperimentConfig, args) -> int:
     _emit(concentration.records_to_csv(records), args.out)
     return 0
 
+
+# --out when it is not given, for the commands that do not write to stdout
+_OUT_DEFAULT = {"experiment": "experiment.csv"}
 
 _COMMANDS = {
     "snr": cmd_snr,
@@ -187,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
         p.add_argument("--jobs", type=_jobs, default=1, help="worker processes for trials")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--out", default=None, help="output path, - for stdout (default %s)"
+                       % _OUT_DEFAULT.get(name, "stdout"))
     return parser
 
 

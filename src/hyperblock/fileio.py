@@ -370,6 +370,8 @@ def _parse_edges(data: bytes, lo: int, line: Callable[[int], str], n: int,
             for col in range(order):  # a column at a time bounds the index temporaries
                 rows[:, col] = values[first[lines] + 1 + col]
             parts.setdefault(order, []).append((rows, color[lines]))
+        # the block's arrays would otherwise live beside the next block's
+        del width, color, colored, values, ok, count, first, m, lines, rows
     if 0 < colored_lines < lines_before:
         raise ValueError("edge colors must be given on every line or none")
 

@@ -3,16 +3,26 @@
 Each trial derives its own seed from (base seed, structured indices)
 through ``sampler.trial_seed``, so results are identical however many
 workers execute them; rows are always collected in submission order.
+
+Importing this module loads numpy alone.  Each sweep imports the modules
+its trials run before ``pmap`` starts a pool, so forked workers inherit
+them: ``conclab_records`` loads ``concentration`` (and with it the
+spectral solvers), ``experiment_rows`` loads ``pipeline``, ``metrics``
+and ``statistics``.  ``pmap`` loads the process pool only for
+``jobs > 1``.
 """
 
 from __future__ import annotations
 
-import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from . import concentration, metrics, model, pipeline, sampler
+from . import model, sampler
 from .config import ExperimentConfig
+
+if TYPE_CHECKING:
+    from .concentration import ConcentrationRecord
+    from .metrics import AccuracyReport
 
 __all__ = [
     "pmap",
@@ -35,6 +45,8 @@ def pmap(fn, items, jobs: int = 1) -> list:
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
@@ -49,8 +61,10 @@ class DetectTrial:
     pipeline_seed: int
 
 
-def run_detect_trial(spec: DetectTrial) -> metrics.AccuracyReport:
+def run_detect_trial(spec: DetectTrial) -> AccuracyReport:
     """Sample an instance, run the matching pipeline, and score it."""
+    from . import metrics, pipeline
+
     instance = list(sampler.sample_hsbm(spec.params, spec.instance_seed))
     truth = instance.pop()
     cfg = pipeline.PipelineConfig(nu=spec.nu, seed=spec.pipeline_seed)
@@ -66,6 +80,11 @@ def experiment_rows(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[str], li
     The summary holds one ``snr<TAB>median misclassified fraction`` line
     per rung, sorted by ascending signal-to-noise ratio.
     """
+    import statistics
+
+    # imported before pmap starts the pool, so forked workers inherit them
+    from . import metrics, pipeline
+
     specs = []
     meta = []
     for rung, (gap, params) in enumerate(zip(cfg.ladder, cfg.rung_params)):
@@ -92,13 +111,18 @@ def experiment_rows(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[str], li
     return rows, summary_rows
 
 
-def _conclab_trial(args) -> concentration.ConcentrationRecord:
+def _conclab_trial(args) -> ConcentrationRecord:
+    from . import concentration
+
     params, seed, tau = args
     return concentration.concentration_trial(params, seed, tau)
 
 
-def conclab_records(cfg: ExperimentConfig, jobs: int = 1) -> list[concentration.ConcentrationRecord]:
+def conclab_records(cfg: ExperimentConfig, jobs: int = 1) -> list[ConcentrationRecord]:
     """Concentration sweep over the configured sizes x trial seeds."""
+    # imported before pmap starts the pool, so forked workers inherit it
+    from . import concentration
+
     tau = cfg.resolved_tau()
     tasks = []
     for gi, params in enumerate(cfg.size_params or (cfg.params,)):

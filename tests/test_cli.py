@@ -1,5 +1,6 @@
 """CLI behavior: outputs, reproducibility, exit codes."""
 
+import concurrent.futures
 import hashlib
 import json
 import logging
@@ -416,6 +417,18 @@ class TestExperimentCommand:
         snrs = [float(ln.split("\t")[0]) for ln in summary]
         assert snrs == sorted(snrs)
 
+    def test_out_defaults_to_experiment_csv_as_help_says(self, tmp_path, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--help"])
+        assert exc.value.code == 0
+        assert "(default experiment.csv)" in " ".join(capsys.readouterr().out.split())
+        cfg = write(tmp_path / "c.cfg", self.CFG)
+        monkeypatch.chdir(tmp_path)
+        assert main(["experiment", "--config", cfg]) == 0
+        assert capsys.readouterr().out == ""
+        assert len((tmp_path / "experiment.csv").read_text().splitlines()) == 1 + 4
+        assert len((tmp_path / "experiment.csv.summary").read_text().splitlines()) == 2
+
     def test_jobs_do_not_change_bytes(self, tmp_path):
         cfg = write(tmp_path / "c.cfg", self.CFG)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -545,6 +558,10 @@ class TestConclabCommand:
         assert [(r[6], r[7]) for r in rows] == [("0.0", "0.002"), ("0.0", "0.0")]
 
 
+# a small config of each command that runs its trials through runner.pmap
+SWEEPS = {"experiment": TestExperimentCommand.CFG, "conclab": TestConclabCommand.CFG}
+
+
 class TestJobs:
     @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
     def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
@@ -573,9 +590,24 @@ class TestJobs:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        # pmap imports the pool class from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert runner.pmap(abs, [-1, -2, 3], jobs=jobs) == [1, 2, 3]
         assert sizes == [workers]
+
+    @pytest.mark.parametrize("command", ["experiment", "conclab"])
+    def test_pool_in_a_clean_process_gives_the_serial_bytes(self, tmp_path, command):
+        # this process has imported every module already, so only a fresh one
+        # shows a pool worker that misses a module its command loads lazily
+        cfg = write(tmp_path / "c.cfg", SWEEPS[command])
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"{jobs}.csv"
+            _run_clean(["-m", "hyperblock.cli", command, "--config", cfg, "--jobs", jobs,
+                        "--out", str(out)], tmp_path)
+            outputs.append([p.read_bytes() for p in sorted(tmp_path.glob(f"{jobs}.csv*"))])
+        assert len(outputs[0]) == (2 if command == "experiment" else 1)
+        assert outputs[0] == outputs[1]
 
 
 class TestSeedFlag:
@@ -608,8 +640,50 @@ def _scipy_modules_after(code, cwd):
     return _run_clean(["-c", code], cwd).stdout.splitlines()[-1]
 
 
+def _modules_after(code, cwd):
+    """The names of the modules loaded once ``code`` has run in a clean process."""
+    code += "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
+    return set(_run_clean(["-c", code], cwd).stdout.splitlines()[-1].split())
+
+
+def _main_code(argv):
+    """Python source that runs the CLI on ``argv`` and checks that it exits 0."""
+    return f"from hyperblock.cli import main\nassert main({argv!r}) == 0"
+
+
 class TestImportSurface:
     """A command loads only what it runs; scipy only where a stage needs it."""
+
+    def test_cli_import_loads_no_fileio(self, tmp_path):
+        loaded = _modules_after("import hyperblock.cli", tmp_path)
+        assert "hyperblock.cli" in loaded and "hyperblock.fileio" not in loaded
+
+    def test_conclab_loads_no_pipeline_metrics_or_csgraph(self, tmp_path):
+        cfg = write(tmp_path / "c.cfg", TestConclabCommand.CFG)
+        loaded = _modules_after(_main_code(["conclab", "--config", cfg, "--out", "o.csv"]),
+                                tmp_path)
+        assert "hyperblock.concentration" in loaded
+        assert loaded & {"hyperblock.pipeline", "hyperblock.metrics",
+                         "scipy.sparse.csgraph"} == set()
+
+    @pytest.mark.parametrize("command", ["experiment", "conclab"])
+    def test_one_job_loads_no_process_pool(self, tmp_path, command):
+        cfg = write(tmp_path / "c.cfg", SWEEPS[command])
+        loaded = _modules_after(
+            _main_code([command, "--config", cfg, "--jobs", "1", "--out", "o.csv"]), tmp_path)
+        assert "hyperblock.runner" in loaded
+        assert "concurrent.futures.process" not in loaded
+
+    @pytest.mark.parametrize("labels", [False, True])
+    def test_detect_loads_csgraph_only_to_score_a_truth(self, tmp_path, labels):
+        model = "n = 600\nk = 3\norders = 2:40,4;3:30,3\n"
+        sample_cfg = write(tmp_path / "s.cfg", model + f"labels = {str(labels).lower()}\n")
+        assert main(["sample", "--config", sample_cfg, "--out", str(tmp_path / "g.txt")]) == 0
+        cfg = write(tmp_path / "d.cfg", model + "input = g.txt\n")
+        loaded = _modules_after(_main_code(["detect", "--config", cfg, "--out", "l.tsv"]),
+                                tmp_path)
+        assert "hyperblock.pipeline" in loaded
+        assert ("scipy.sparse.csgraph" in loaded) == labels
 
     @pytest.mark.parametrize("command", ["sample", "snr"])
     def test_numpy_only_commands_never_import_scipy(self, tmp_path, command):
