@@ -634,16 +634,15 @@ def _run_clean(args, cwd, **extra):
                           capture_output=True, text=True, timeout=300)
 
 
-def _scipy_modules_after(code, cwd):
-    """The scipy modules loaded once ``code`` has run in a clean process."""
-    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    return _run_clean(["-c", code], cwd).stdout.splitlines()[-1]
-
-
 def _modules_after(code, cwd):
     """The names of the modules loaded once ``code`` has run in a clean process."""
     code += "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
     return set(_run_clean(["-c", code], cwd).stdout.splitlines()[-1].split())
+
+
+def _scipy_modules_after(code, cwd):
+    """The scipy modules loaded once ``code`` has run in a clean process, as a list's str."""
+    return str(sorted(m for m in _modules_after(code, cwd) if m.split(".")[0] == "scipy"))
 
 
 def _main_code(argv):
