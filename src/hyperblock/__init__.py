@@ -46,7 +46,6 @@ _EXPORTS = {
         "RED",
         "UNASSIGNED",
         "Hypergraph",
-        "SplitAssignment",
         "color_edges",
         "restrict",
         "sample_hsbm",

@@ -7,7 +7,7 @@ uncolored hypergraph red or blue at random and splits it into its red and
 blue halves.  The stages take the subset and the halves, and read the
 halves through their per-order edge arrays ``h.edges``.
 
-For k >= 3 the pipeline splits the vertices into Z / Y1 / Y2, extracts a
+For k >= 3 the pipeline tags each vertex Z, Y1 or Y2, extracts a
 singular subspace from the regularized red bipartite adjacency between Z
 and Y1, reads candidate sets off projected red columns between Z and Y2,
 filters them by blue-edge density, corrects Z by a weighted red-neighbor
@@ -20,14 +20,15 @@ projection goes through the k x s subspace coordinates of the s sampled
 columns, never an n x s float block.  The s candidate sets are held
 once, bit-packed: row v of an n x ceil(s/8) byte matrix says which sets
 hold v, and the k accepted ones leave packed the same way.  A partition
-is a label vector, -1 marking an unassigned vertex: correction labels Z,
-and merging labels Y.  Both ask of each edge whether its other endpoints
-lie in a set, which is one AND of packed rows (``_shared_sets``, the
-kernel of the blue density count too), so they pack labels into that
-form.  The two-block
-pipeline (k = 2) takes the regularized red adjacency from
-``spectral.regularize`` too, splits the vertices into 0/1 labels and swaps
-suspicious vertices by a blue cross-neighbor test.
+is a label vector, -1 marking an unassigned vertex: the Z / Y1 / Y2 split
+is one (``sampler.split_vertices``), whose id arrays each stage reads off
+once; correction labels Z, and merging labels Y.  Both ask of each edge
+whether its other endpoints lie in a set, which is one AND of packed rows
+(``_shared_sets``, the kernel of the blue density count too), so they pack
+labels into that form.  The two-block pipeline (k = 2) takes the
+regularized red adjacency from ``spectral.regularize`` too, splits the
+vertices into 0/1 labels and swaps suspicious vertices by a blue
+cross-neighbor test.
 
 Every stage is deterministic given the pipeline seed, from which each
 draw takes its own stream through ``sampler.trial_seed``; independent
@@ -48,8 +49,8 @@ from .model import ModelParams, PartitionFailure
 from .sampler import (
     SIDE_Y1,
     SIDE_Y2,
+    SIDE_Z,
     Hypergraph,
-    SplitAssignment,
     _id_dtype,
     _stream,
     color_edges,
@@ -201,7 +202,7 @@ def _sampled_rows(h_red: Hypergraph, z: np.ndarray, y2: np.ndarray,
 def spectral_partition_k(
     h_red: Hypergraph,
     h_blue: Hypergraph,
-    split: SplitAssignment,
+    side: np.ndarray,
     params: ModelParams,
     subset: tuple[int, ...],
     cfg: PipelineConfig,
@@ -218,7 +219,8 @@ def spectral_partition_k(
     floor(n/2k) largest Z coordinates: every vertex strictly above the cut
     value, then the lowest ids equal to it.
 
-    Reads the halves of the instance restricted to ``subset``.  Returns k
+    Reads the halves of the instance restricted to ``subset``, and the Z,
+    Y1 and Y2 ids off the ``split_vertices`` labels ``side``.  Returns k
     candidate sets of size floor(n/2k) drawn from Z, with pairwise overlaps
     below ceil((1-nu) n / k), packed as ``blue_weighted_count`` reads them:
     an n x ceil(k/8) byte matrix.  Raises PartitionFailure when fewer than
@@ -227,7 +229,7 @@ def spectral_partition_k(
     n, k = params.n, params.k
     if n < 4 * k:
         raise ValueError("n must be at least 4k")
-    z, y1, y2 = split.z, split.y1, split.y2
+    z, y1, y2 = (np.flatnonzero(side == t) for t in (SIDE_Z, SIDE_Y1, SIDE_Y2))
     set_size = n // (2 * k)
     if len(z) < set_size:
         raise PartitionFailure("side Z is too small for candidate sets",
@@ -393,10 +395,10 @@ def partition(params: ModelParams, h: Hypergraph, cfg: PipelineConfig) -> np.nda
         return labels
     h_red, h_blue = h.red(), h.blue()
     del h  # each edge is held once from here: the caller hands h over
-    split = split_vertices(params.n, trial_seed(cfg.seed, 2))
-    candidates = spectral_partition_k(h_red, h_blue, split, params, subset, cfg)
-    labels = correction_k(h_red, split.z, candidates, params.k)
+    side = split_vertices(params.n, trial_seed(cfg.seed, 2))
+    candidates = spectral_partition_k(h_red, h_blue, side, params, subset, cfg)
+    labels = correction_k(h_red, np.flatnonzero(side == SIDE_Z), candidates, params.k)
     mu_m = model.merging_threshold(params, subset, cfg.nu)
-    labels = merging(h_blue, split.members(SIDE_Y1, SIDE_Y2), labels, params.k, mu_m)
+    labels = merging(h_blue, np.flatnonzero(side != SIDE_Z), labels, params.k, mu_m)
     log.debug("partition: subset=%s mu_m=%.4f", subset, mu_m)
     return labels

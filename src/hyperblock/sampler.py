@@ -41,7 +41,6 @@ __all__ = [
     "UNASSIGNED",
     "trial_seed",
     "Hypergraph",
-    "SplitAssignment",
     "ground_truth_labels",
     "sample_hsbm",
     "color_edges",
@@ -141,28 +140,6 @@ class Hypergraph:
 
     def blue(self) -> "Hypergraph":
         return self.only_color(BLUE)
-
-
-@dataclass(frozen=True)
-class SplitAssignment:
-    """Per-vertex side tags in {Z, Y1, Y2} from two rounds of fair coins."""
-
-    side: np.ndarray
-
-    def members(self, *sides: int) -> np.ndarray:
-        return np.flatnonzero(np.isin(self.side, sides))
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.members(SIDE_Z)
-
-    @property
-    def y1(self) -> np.ndarray:
-        return self.members(SIDE_Y1)
-
-    @property
-    def y2(self) -> np.ndarray:
-        return self.members(SIDE_Y2)
 
 
 def _row_order(rows: np.ndarray) -> np.ndarray | None:
@@ -375,15 +352,19 @@ def color_edges(h: Hypergraph, seed: int) -> Hypergraph:
     return Hypergraph(h.n, dict(h.edges), colors)
 
 
-def split_vertices(n: int, seed: int) -> SplitAssignment:
-    """Assign each vertex Z vs Y by a fair coin, then Y1 vs Y2 inside Y."""
+def split_vertices(n: int, seed: int) -> np.ndarray:
+    """Int8 side labels in {SIDE_Z, SIDE_Y1, SIDE_Y2}, one per vertex.
+
+    A fair coin puts each vertex in Z or Y, and a second one puts each
+    vertex of Y in Y1 or Y2.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = _stream(seed, 202)
     in_z = rng.random(n) < 0.5
     in_y1 = rng.random(n) < 0.5
     side = np.where(in_z, SIDE_Z, np.where(in_y1, SIDE_Y1, SIDE_Y2))
-    return SplitAssignment(side.astype(np.int8))
+    return side.astype(np.int8)
 
 
 def subset_mask(n: int, vertex_set) -> np.ndarray:

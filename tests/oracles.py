@@ -6,8 +6,8 @@ import math
 import numpy as np
 
 from hyperblock.model import block_sizes, ground_truth_labels
-from hyperblock.sampler import (BLUE, RED, _bernoulli_ranks, _has_repeats, _id_dtype, _row_order,
-                                _stream)
+from hyperblock.sampler import (BLUE, RED, SIDE_Y1, SIDE_Y2, SIDE_Z, _bernoulli_ranks, _has_repeats,
+                                _id_dtype, _row_order, _stream)
 from hyperblock.spectral import mask_matrix
 
 
@@ -59,6 +59,11 @@ def sample_edges(params, seed: int) -> dict[int, np.ndarray]:
         rows = np.concatenate(parts, dtype=_id_dtype(n))
         edges[m] = rows[np.lexsort(rows.T[::-1])]
     return edges
+
+
+def side_ids(side: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Z, Y1 and Y2 ids of ``split_vertices`` labels, each ascending."""
+    return tuple(np.flatnonzero(side == t) for t in (SIDE_Z, SIDE_Y1, SIDE_Y2))
 
 
 def sort_rows(rows: np.ndarray) -> np.ndarray:

@@ -30,8 +30,6 @@ from hyperblock.spectral import adjacency, bipartite_embed, regularize
 from hyperblock.sampler import (
     BLUE,
     RED,
-    SIDE_Y1,
-    SIDE_Y2,
     Hypergraph,
     color_edges,
     restrict,
@@ -39,7 +37,7 @@ from hyperblock.sampler import (
     sample_hsbm,
     split_vertices,
 )
-from oracles import regularize_matrix
+from oracles import regularize_matrix, side_ids
 
 
 def colored(n, edges, colors):
@@ -90,9 +88,9 @@ def stage_inputs(hcol, params):
     return h.red(), h.blue(), subset
 
 
-def partition_k(hcol, split, params, cfg):
+def partition_k(hcol, side, params, cfg):
     h_red, h_blue, subset = stage_inputs(hcol, params)
-    return spectral_partition_k(h_red, h_blue, split, params, subset, cfg)
+    return spectral_partition_k(h_red, h_blue, side, params, subset, cfg)
 
 
 def incidence(h):
@@ -340,15 +338,15 @@ def planted_k3(n=900, seed=0):
     h, truth = sample_hsbm(params, seed)
     cfg = PipelineConfig(nu=0.75, seed=seed + 1000)
     hcol = color_edges(h, seed + 2000)
-    split = split_vertices(n, seed + 3000)
-    return params, hcol, split, truth, cfg
+    side = split_vertices(n, seed + 3000)
+    return params, hcol, side, truth, cfg
 
 
-def dense_candidate_sets(a2, basis, split, params, cfg):
+def dense_candidate_sets(a2, basis, side, params, cfg):
     """Candidate sets by the n x s formula: centered sampled columns projected
     onto the basis, each ranked over Z by a stable descending argsort."""
     n, k = params.n, params.k
-    z, y2 = split.z, split.y2
+    z, _, y2 = side_ids(side)
     s = min(math.ceil(2 * k * math.log(n) ** 2), len(y2))
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(4,))))
@@ -360,7 +358,7 @@ def dense_candidate_sets(a2, basis, split, params, cfg):
     return [np.sort(z[np.argsort(-proj_z[:, j], kind="stable")[:size]]) for j in range(s)]
 
 
-def scored_and_dense_sets(monkeypatch, hcol, split, params, cfg):
+def scored_and_dense_sets(monkeypatch, hcol, side, params, cfg):
     """The sets spectral_partition_k scores, and dense_candidate_sets on its
     own subspace and the red Z x Y2 adjacency."""
     seen = {}
@@ -376,16 +374,16 @@ def scored_and_dense_sets(monkeypatch, hcol, split, params, cfg):
     for name in ("top_subspace", "blue_weighted_count"):
         spy(name)
     try:
-        partition_k(hcol, split, params, cfg)
+        partition_k(hcol, side, params, cfg)
     except PartitionFailure:
         pass
     monkeypatch.undo()
     _, packed, s = seen["blue_weighted_count"][0][0]
     got = columns(unpacked(packed, s))
     h_red = stage_inputs(hcol, params)[0]
-    a2 = bipartite_embed(adjacency(restrict(h_red, np.concatenate([split.z, split.y2]))),
-                         split.z, split.y2)
-    return got, dense_candidate_sets(a2, seen["top_subspace"][0][1], split, params, cfg)
+    z, _, y2 = side_ids(side)
+    a2 = bipartite_embed(adjacency(restrict(h_red, np.concatenate([z, y2]))), z, y2)
+    return got, dense_candidate_sets(a2, seen["top_subspace"][0][1], side, params, cfg)
 
 
 class TestTopPositions:
@@ -434,11 +432,11 @@ def assert_same_csr(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
-def block_oracle(h_red, split, threshold):
+def block_oracle(h_red, side, threshold):
     """The regularized Z x Y1 block through the whole symmetric adjacency."""
-    a, kept = regularize_matrix(adjacency(restrict(h_red, np.concatenate([split.z, split.y1]))),
-                                threshold)
-    return bipartite_embed(a, split.z, split.y1), kept
+    z, y1, _ = side_ids(side)
+    a, kept = regularize_matrix(adjacency(restrict(h_red, np.concatenate([z, y1]))), threshold)
+    return bipartite_embed(a, z, y1), kept
 
 
 def bipartite_block(h_red, z, y1, threshold):
@@ -446,9 +444,10 @@ def bipartite_block(h_red, z, y1, threshold):
     return regularize(restrict(h_red, np.concatenate([z, y1])), threshold, z, y1)
 
 
-def rows_oracle(h_red, split, sampled):
+def rows_oracle(h_red, side, sampled):
     """The sampled rows, Z columns, of the whole red adjacency induced on Z u Y2."""
-    return adjacency(restrict(h_red, np.concatenate([split.z, split.y2])))[sampled][:, split.z]
+    z, _, y2 = side_ids(side)
+    return adjacency(restrict(h_red, np.concatenate([z, y2])))[sampled][:, z]
 
 
 class TestRedBlocks:
@@ -474,38 +473,41 @@ class TestRedBlocks:
     @pytest.mark.parametrize("n, k, orders", MODELS)
     @pytest.mark.parametrize("threshold", ["model", 10, 3, 0])
     def test_block_equals_masked_adjacency(self, n, k, orders, threshold):
-        params, h_red, split = self.red_half(n, k, orders)
+        params, h_red, side = self.red_half(n, k, orders)
         if threshold == "model":
             threshold = model.regularization_threshold(params, tuple(sorted(orders)))
-        block, kept = bipartite_block(h_red, split.z, split.y1, threshold)
-        want, want_kept = block_oracle(h_red, split, threshold)
+        z, y1, _ = side_ids(side)
+        block, kept = bipartite_block(h_red, z, y1, threshold)
+        want, want_kept = block_oracle(h_red, side, threshold)
         assert_same_csr(block, want)
         assert np.array_equal(kept, want_kept)
         self.assert_regularized_adjacency(h_red, threshold)
 
     def test_thresholds_drop_rows(self):
         # the thresholds above exercise the mask: 3 keeps some entries, 0 none
-        params, h_red, split = self.red_half(*self.MODELS[0])
-        full = bipartite_block(h_red, split.z, split.y1, np.inf)[0].nnz
-        assert 0 == bipartite_block(h_red, split.z, split.y1, 0)[0].nnz
-        assert 0 < bipartite_block(h_red, split.z, split.y1, 3)[0].nnz < full
+        params, h_red, side = self.red_half(*self.MODELS[0])
+        z, y1, _ = side_ids(side)
+        full = bipartite_block(h_red, z, y1, np.inf)[0].nnz
+        assert 0 == bipartite_block(h_red, z, y1, 0)[0].nnz
+        assert 0 < bipartite_block(h_red, z, y1, 3)[0].nnz < full
         whole = regularize(h_red, np.inf)[0].nnz
         assert 0 == regularize(h_red, 0)[0].nnz
         assert 0 < regularize(h_red, 3)[0].nnz < whole
 
     @pytest.mark.parametrize("n, k, orders", MODELS)
     def test_sampled_rows_equal_adjacency_rows(self, n, k, orders):
-        _, h_red, split = self.red_half(n, k, orders)
-        for s in (1, 7, len(split.y2)):
-            sampled = np.random.default_rng(s).choice(split.y2, size=s, replace=False)
-            rows = _sampled_rows(h_red, split.z, split.y2, sampled)
-            assert_same_csr(rows, rows_oracle(h_red, split, sampled))
+        _, h_red, side = self.red_half(n, k, orders)
+        z, _, y2 = side_ids(side)
+        for s in (1, 7, len(y2)):
+            sampled = np.random.default_rng(s).choice(y2, size=s, replace=False)
+            rows = _sampled_rows(h_red, z, y2, sampled)
+            assert_same_csr(rows, rows_oracle(h_red, side, sampled))
             assert rows.nnz > 0 or s == 1
 
     def test_empty_red_half_and_order_without_induced_edge(self):
         n = 60
-        split = split_vertices(n, 2)
-        z, y1, y2 = split.z, split.y1, split.y2
+        side = split_vertices(n, 2)
+        z, y1, y2 = side_ids(side)
         cross = np.array([[z[0], y1[0], y2[0]]])  # inside neither Z u Y1 nor Z u Y2
         halves = [
             Hypergraph(n, {}),
@@ -516,11 +518,11 @@ class TestRedBlocks:
         for h_red in halves:
             for threshold in (0, 10):
                 block, kept = bipartite_block(h_red, z, y1, threshold)
-                want, want_kept = block_oracle(h_red, split, threshold)
+                want, want_kept = block_oracle(h_red, side, threshold)
                 assert_same_csr(block, want)
                 assert np.array_equal(kept, want_kept)
                 self.assert_regularized_adjacency(h_red, threshold)
-            assert_same_csr(_sampled_rows(h_red, z, y2, y2[:3]), rows_oracle(h_red, split, y2[:3]))
+            assert_same_csr(_sampled_rows(h_red, z, y2, y2[:3]), rows_oracle(h_red, side, y2[:3]))
 
 
 class TestSpectralPartitionK:
@@ -544,11 +546,11 @@ class TestSpectralPartitionK:
         params = ModelParams(n, k, {2: (80, 2), 3: (40, 2)})
         h, _ = sample_hsbm(params, 1)
         h_red, h_blue, subset = stage_inputs(color_edges(h, 2), params)
-        split = split_vertices(n, 3)
-        s = min(math.ceil(2 * k * math.log(n) ** 2), len(split.y2))
+        side = split_vertices(n, 3)
+        s = min(math.ceil(2 * k * math.log(n) ** 2), len(side_ids(side)[2]))
         tracemalloc.start()
         try:
-            spectral_partition_k(h_red, h_blue, split, params, subset, PipelineConfig(seed=4))
+            spectral_partition_k(h_red, h_blue, side, params, subset, PipelineConfig(seed=4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -562,8 +564,9 @@ class TestSpectralPartitionK:
         params = ModelParams(n, k, {2: (80, 2), 3: (40, 2)})
         h, _ = sample_hsbm(params, 1)
         h_red, h_blue, subset = stage_inputs(color_edges(h, 2), params)
-        split = split_vertices(n, 3)
-        s = min(math.ceil(2 * k * math.log(n) ** 2), len(split.y2))
+        side = split_vertices(n, 3)
+        z, _, y2 = side_ids(side)
+        s = min(math.ceil(2 * k * math.log(n) ** 2), len(y2))
 
         def spy(*args):
             tracemalloc.reset_peak()  # the peak from here on includes what is held
@@ -572,12 +575,12 @@ class TestSpectralPartitionK:
         monkeypatch.setattr(pipeline, "blue_weighted_count", spy)
         tracemalloc.start()
         try:
-            spectral_partition_k(h_red, h_blue, split, params, subset, PipelineConfig(seed=4))
+            spectral_partition_k(h_red, h_blue, side, params, subset, PipelineConfig(seed=4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         packed = n * math.ceil(s / 8)
-        assert 2 * packed < s * len(split.z)
+        assert 2 * packed < s * len(z)
         assert peak < 2 * packed
 
     def test_memory_at_n_20000(self):
@@ -588,10 +591,10 @@ class TestSpectralPartitionK:
         h, _ = sample_hsbm(params, 1)
         h_red, h_blue, subset = stage_inputs(color_edges(h, 2), params)
         del h
-        split = split_vertices(n, 3)
+        side = split_vertices(n, 3)
         tracemalloc.start()
         try:
-            spectral_partition_k(h_red, h_blue, split, params, subset, PipelineConfig(seed=4))
+            spectral_partition_k(h_red, h_blue, side, params, subset, PipelineConfig(seed=4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -600,13 +603,13 @@ class TestSpectralPartitionK:
     def test_postconditions_and_alignment(self):
         good_seeds = 0
         for seed in range(5):
-            params, hcol, split, truth, cfg = planted_k3(seed=seed)
-            candidates = partition_k(hcol, split, params, cfg)
+            params, hcol, side, truth, cfg = planted_k3(seed=seed)
+            candidates = partition_k(hcol, side, params, cfg)
             n, k = params.n, params.k
             sets = columns(unpacked(candidates, k))
             size = n // (2 * k)
             cap = math.ceil((1 - cfg.nu) * n / k)
-            z = set(split.z.tolist())
+            z = set(side_ids(side)[0].tolist())
             assert candidates.shape == (n, math.ceil(k / 8)) and candidates.dtype == np.uint8
             for ids in sets:
                 assert len(ids) == size
@@ -623,9 +626,9 @@ class TestSpectralPartitionK:
     def test_zero_hypergraph_fails(self):
         params = ModelParams(120, 3, {2: (60, 2)})
         h = colored(120, {2: []}, {2: []})
-        split = split_vertices(120, 0)
+        side = split_vertices(120, 0)
         with pytest.raises(PartitionFailure):
-            partition_k(h, split, params, PipelineConfig(seed=0))
+            partition_k(h, side, params, PipelineConfig(seed=0))
 
     def test_information_isolation(self, monkeypatch):
         densities = []
@@ -636,12 +639,10 @@ class TestSpectralPartitionK:
         weighted_count = pipeline.blue_weighted_count
         monkeypatch.setattr(pipeline, "blue_weighted_count", spy)
 
-        params, hcol, split, _, cfg = planted_k3(seed=3)
-        sets_full = partition_k(hcol, split, params, cfg)
+        params, hcol, side, _, cfg = planted_k3(seed=3)
+        sets_full = partition_k(hcol, side, params, cfg)
 
-        z = set(split.z.tolist())
-        y1 = set(split.y1.tolist())
-        y2 = set(split.y2.tolist())
+        z, y1, y2 = (set(ids.tolist()) for ids in side_ids(side))
         edges, colors = {}, {}
         for m, arr in hcol.edges.items():
             keep = []
@@ -656,7 +657,7 @@ class TestSpectralPartitionK:
             edges[m] = arr[keep]
             colors[m] = hcol.colors[m][keep]
         pruned = Hypergraph(hcol.n, edges, colors)
-        sets_pruned = partition_k(pruned, split, params, cfg)
+        sets_pruned = partition_k(pruned, side, params, cfg)
         assert np.array_equal(sets_full, sets_pruned)
         assert np.array_equal(densities[0], densities[1])
 
@@ -674,25 +675,26 @@ class TestCorrectionK:
         assert out.tolist() == [1, 0, -1, -1, -1, -1]
 
     def test_partition_of_z(self):
-        params, hcol, split, _, cfg = planted_k3(seed=1)
-        sets = partition_k(hcol, split, params, cfg)
-        out = correction_k(hcol.red(), split.z, sets, params.k)
+        params, hcol, side, _, cfg = planted_k3(seed=1)
+        sets = partition_k(hcol, side, params, cfg)
+        z = side_ids(side)[0]
+        out = correction_k(hcol.red(), z, sets, params.k)
         assert out.shape == (params.n,) and out.dtype == np.int64
-        assert np.array_equal(np.flatnonzero(out >= 0), np.sort(split.z))
-        assert set(out[split.z].tolist()) <= set(range(params.k))
+        assert np.array_equal(np.flatnonzero(out >= 0), np.sort(z))
+        assert set(out[z].tolist()) <= set(range(params.k))
 
     def test_improves_candidate_labeling(self):
         improved = 0
         for seed in range(8):
-            params, hcol, split, truth, cfg = planted_k3(seed=seed + 100)
-            sets = partition_k(hcol, split, params, cfg)
+            params, hcol, side, truth, cfg = planted_k3(seed=seed + 100)
+            sets = partition_k(hcol, side, params, cfg)
             n, k = params.n, params.k
             pre = np.full(n, -1, dtype=np.int64)
             for i, ids in enumerate(columns(unpacked(sets, k))):
                 free = ids[pre[ids] == -1]
                 pre[free] = i
-            post = correction_k(hcol.red(), split.z, sets, k)
-            z = split.z
+            z = side_ids(side)[0]
+            post = correction_k(hcol.red(), z, sets, k)
             improved += (matched_accuracy(truth[z], post[z])
                          >= matched_accuracy(truth[z], pre[z]))
         assert improved >= 6
@@ -720,13 +722,14 @@ class TestMerging:
         assert labels[6] == 1 and labels[7] == -1
 
     def test_full_labeling(self):
-        params, hcol, split, _, cfg = planted_k3(seed=2)
-        sets = partition_k(hcol, split, params, cfg)
-        out = correction_k(hcol.red(), split.z, sets, params.k)
+        params, hcol, side, _, cfg = planted_k3(seed=2)
+        sets = partition_k(hcol, side, params, cfg)
+        z, y1, y2 = side_ids(side)
+        out = correction_k(hcol.red(), z, sets, params.k)
         mu = merging_threshold(params, (2, 3), cfg.nu)
-        labels = merging(hcol.blue(), split.members(SIDE_Y1, SIDE_Y2), out, params.k, mu)
+        labels = merging(hcol.blue(), np.union1d(y1, y2), out, params.k, mu)
         assert (labels >= 0).all() and labels.max() < params.k
-        assert np.array_equal(labels[split.z], out[split.z])
+        assert np.array_equal(labels[z], out[z])
 
 
 class TestPartitionK:

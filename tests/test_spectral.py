@@ -20,7 +20,7 @@ from hyperblock.spectral import (
     spectral_norm,
     top_subspace,
 )
-from oracles import dense_adjacency, row_sums
+from oracles import dense_adjacency, row_sums, side_ids
 
 
 def planted_hypergraph(n=260, k=2, a=40, b=4, seed=0):
@@ -85,18 +85,20 @@ class TestPairCountsMatchDenseOracle:
             self.same(reg, dense * np.outer(in_kept, in_kept))
 
     def test_regularize_rectangle(self, case):
-        h, split, dense = case
-        reg, kept = regularize(h, np.median(h.degrees()), split.z, split.y1)
+        h, side, dense = case
+        z, y1, _ = side_ids(side)
+        reg, kept = regularize(h, np.median(h.degrees()), z, y1)
         in_kept = subset_mask(h.n, kept)
-        want = selector_product(sp.csr_array(dense), in_kept & (split.side == SIDE_Z),
-                                in_kept & (split.side == SIDE_Y1))
+        want = selector_product(sp.csr_array(dense), in_kept & (side == SIDE_Z),
+                                in_kept & (side == SIDE_Y1))
         self.same(reg, want.toarray())
 
     def test_sampled_rows(self, case):
-        h, split, _ = case
-        sampled = split.y2[::3]
-        induced = dense_adjacency(restrict(h, np.concatenate([split.z, split.y2])))
-        self.same(_sampled_rows(h, split.z, split.y2, sampled), induced[np.ix_(sampled, split.z)])
+        h, side, _ = case
+        z, _, y2 = side_ids(side)
+        sampled = y2[::3]
+        induced = dense_adjacency(restrict(h, np.concatenate([z, y2])))
+        self.same(_sampled_rows(h, z, y2, sampled), induced[np.ix_(sampled, z)])
 
 
 def test_adjacency_peak_near_its_csr():
@@ -148,14 +150,15 @@ class TestMaskingMatchesSelectorProduct:
     def test_same_csr_arrays(self, seed):
         n = 2000
         h, _ = sample_hsbm(ModelParams(n, 3, {2: (30, 4), 3: (20, 4)}), seed)
-        split = split_vertices(n, seed)
-        in_z, in_y1 = split.side == SIDE_Z, split.side == SIDE_Y1
+        side = split_vertices(n, seed)
+        z, y1, _ = side_ids(side)
+        in_z, in_y1 = side == SIDE_Z, side == SIDE_Y1
         a = adjacency(h)
         kept = np.flatnonzero(row_sums(a) <= np.median(row_sums(a)))
         in_kept = np.zeros(n, dtype=bool)
         in_kept[kept] = True
         for b in (a, a.astype(np.int64)):
-            pairs = [(bipartite_embed(b, split.z, split.y1), selector_product(b, in_z, in_y1)),
+            pairs = [(bipartite_embed(b, z, y1), selector_product(b, in_z, in_y1)),
                      (mask_matrix(b, kept), selector_product(b, in_kept, in_kept))]
             for got, want in pairs:
                 assert got.dtype == want.dtype
@@ -168,21 +171,22 @@ def test_builders_count_in_float64_on_int32_indices():
     # built; the row sums are the integer ones of the degree or a selector product
     n = 2000
     h = sample_hsbm(ModelParams(n, 3, {2: (30, 4), 3: (20, 4)}), 1)[0]
-    split = split_vertices(n, 1)
-    in_z, in_y1 = split.side == SIDE_Z, split.side == SIDE_Y1
+    side = split_vertices(n, 1)
+    z, y1, y2 = side_ids(side)
+    in_z, in_y1 = side == SIDE_Z, side == SIDE_Y1
     a = adjacency(h)
     every, kept = regularize(h, 20.0)
     in_kept = subset_mask(n, kept)
-    sampled = split.y2[:50]
-    zy2 = adjacency(restrict(h, np.concatenate([split.z, split.y2])))
+    sampled = y2[:50]
+    zy2 = adjacency(restrict(h, np.concatenate([z, y2])))
     built = [
         (a, h.degrees()),
         (every, row_sums(selector_product(a, in_kept, in_kept))),
-        (regularize(h, 20.0, split.z, split.y1)[0],
+        (regularize(h, 20.0, z, y1)[0],
          row_sums(selector_product(a, in_kept & in_z, in_kept & in_y1))),
         (mask_matrix(a, kept), row_sums(selector_product(a, in_kept, in_kept))),
-        (bipartite_embed(a, split.z, split.y1), row_sums(selector_product(a, in_z, in_y1))),
-        (_sampled_rows(h, split.z, split.y2, sampled), row_sums(zy2[sampled][:, split.z])),
+        (bipartite_embed(a, z, y1), row_sums(selector_product(a, in_z, in_y1))),
+        (_sampled_rows(h, z, y2, sampled), row_sums(zy2[sampled][:, z])),
     ]
     for m, want in built:
         assert m.dtype == np.float64
@@ -211,11 +215,11 @@ class TestIndexDtype:
         return adjacency(h)
 
     def test_adjacency_and_derived_matrices_are_int32(self, h, a):
-        split = split_vertices(self.N, 1)
+        z, y1, _ = side_ids(split_vertices(self.N, 1))
         kept = np.arange(0, self.N, 3)
         counts = a.astype(np.int64)
         derived = [a, counts, mask_matrix(a, kept), mask_matrix(counts, kept),
-                   bipartite_embed(a, split.z, split.y1), regularize(h, 20.0)[0],
+                   bipartite_embed(a, z, y1), regularize(h, 20.0)[0],
                    adjacency(Hypergraph(5, {}))]
         for m in derived:
             assert (m.indices.dtype, m.indptr.dtype) == (np.int32, np.int32)
