@@ -74,11 +74,11 @@ def _gamma(counts: np.ndarray, sizes: np.ndarray) -> float:
     """Bottleneck assignment on the contingency table, given the true block sizes.
 
     Binary search on the candidate ratio values with a perfect-matching
-    feasibility test.
+    feasibility test.  A block with no vertices meets its overlap condition
+    for every gamma, so its ratio row is 1 and never binds.
     """
-    sizes = sizes.astype(np.float64)
-    sizes[sizes == 0] = 1.0
-    ratio = counts / sizes[:, None]
+    ratio = counts / np.maximum(sizes, 1)[:, None]
+    ratio[sizes == 0] = 1.0
     values = np.unique(ratio)
     lo, hi = 0, len(values) - 1
     # invariant: values[lo] is feasible (0 always is), values above hi are not

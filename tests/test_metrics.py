@@ -15,11 +15,12 @@ from hyperblock.sampler import UNASSIGNED
 
 
 def brute_gamma(truth, estimate, k):
+    """An empty block meets its overlap condition for every gamma: it is skipped."""
     best = 0.0
     sizes = np.bincount(truth, minlength=k)
     for perm in itertools.permutations(range(k)):
         worst = min(
-            np.sum((truth == i) & (estimate == perm[i])) / sizes[i] for i in range(k)
+            np.sum((truth == i) & (estimate == perm[i])) / sizes[i] for i in range(k) if sizes[i]
         )
         best = max(best, worst)
     return best
@@ -47,6 +48,12 @@ class TestGamma:
         t = np.array([0, 0, 1, 1])
         e = np.array([1, 1, 0, 0])
         assert gamma_correctness(t, e) == 1.0
+
+    def test_empty_block_does_not_bind(self):
+        t = np.array([0, 0, 2, 2])
+        rep = accuracy_report(t, t)
+        assert (rep.gamma, rep.matched_accuracy) == (1.0, 1.0)
+        assert gamma_correctness(t, np.array([0, 1, 2, 2])) == 0.5
 
     def test_extra_estimate_labels(self):
         t = np.array([0, 0, 1, 1])
@@ -87,6 +94,21 @@ class TestAgainstBruteForce:
             t = rng.integers(0, k, size=n)
             t[:k] = np.arange(k)  # every block nonempty
             e = rng.integers(0, k, size=n)
+            assert gamma_correctness(t, e) == pytest.approx(brute_gamma(t, e, k))
+            assert matched_accuracy(t, e) == pytest.approx(brute_matched(t, e, k))
+
+    def test_both_metrics_with_empty_truth_blocks(self):
+        # labels below the truth's largest that no vertex carries, as a
+        # labeled file whose LABELS skip a block gives them
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            k = int(rng.integers(3, 6))
+            n = int(rng.integers(k, 40))
+            gap = int(rng.integers(0, k - 1))
+            t = rng.choice(np.delete(np.arange(k), gap), size=n)
+            t[-1] = k - 1  # the largest label is used, the lower label gap is not
+            e = rng.integers(0, k, size=n)
+            assert np.bincount(t, minlength=k).min() == 0
             assert gamma_correctness(t, e) == pytest.approx(brute_gamma(t, e, k))
             assert matched_accuracy(t, e) == pytest.approx(brute_matched(t, e, k))
 
