@@ -68,6 +68,17 @@ _BYTE_KIND[ord("0"):ord("9") + 1] = _DIGIT
 _BYTE_KIND[[ord(c) for c in _COLOR_CHAR.values()]] = _LETTER
 
 
+def _integer_labels(labels) -> np.ndarray:
+    """Labels as an array, refused with ValueError unless its dtype is integer.
+
+    A cast would write float labels truncated and bools as 0/1.
+    """
+    ids = np.asarray(labels)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got dtype {ids.dtype}")
+    return ids
+
+
 def _check_edges(h: Hypergraph) -> None:
     """Raise ValueError for an order whose edges would not be read back as they are.
 
@@ -102,7 +113,7 @@ def write_hypergraph(h: Hypergraph, k: int, labels: np.ndarray | None = None) ->
     cells live next to the text: the peak stays below three times the text.
     What ``read_hypergraph`` would reject raises ValueError first: a
     header whose n or k is not an integer of at least 1, labels that are
-    not n values in [0, k), and edges that ``_check_edges`` refuses.
+    not n integers in [0, k), and edges that ``_check_edges`` refuses.
     """
     if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (h.n, k)):
         raise ValueError(f"the header needs integers n and k, got n = {h.n!r}, k = {k!r}")
@@ -111,7 +122,7 @@ def write_hypergraph(h: Hypergraph, k: int, labels: np.ndarray | None = None) ->
     _check_edges(h)
     parts = [f"HSBM {h.n} {k} {max(h.edges, default=2)}\n"]
     if labels is not None:
-        ids = np.asarray(labels).astype(np.int64)
+        ids = _integer_labels(labels).astype(np.int64)
         if ids.shape != (h.n,):
             raise ValueError(f"labels have shape {ids.shape}, expected ({h.n},)")
         outside = ids[(ids < 0) | (ids >= k)]
@@ -426,7 +437,9 @@ def write_labels(labels: np.ndarray) -> str:
 
     The lines are joined a chunk at a time, so only one chunk's per-line
     strings live next to the joined text: the peak stays near twice the text.
+    Labels whose dtype is not integer raise ValueError.
     """
+    labels = _integer_labels(labels)
     return "".join("".join(f"{i}\t{int(b)}\n"
                            for i, b in enumerate(labels[lo:lo + _LABEL_LINES], lo))
                    for lo in range(0, len(labels), _LABEL_LINES))

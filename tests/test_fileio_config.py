@@ -265,6 +265,27 @@ class TestHypergraphFormat:
         assert isinstance(text, str)
         assert text == "".join(f"{i}\t{int(b)}\n" for i, b in enumerate(labels))
 
+    @pytest.mark.parametrize("labels, dtype", [([0.5, 1.7, 0.0, 1.0], "float64"),
+                                                ([1.0, 0.0, 0.0, 1.0], "float64"),
+                                                ([True, False, False, True], "bool")])
+    def test_writers_refuse_labels_that_are_not_integers(self, labels, dtype):
+        # a cast wrote 0.5, 1.7 and True as 0, 1 and 1: read back, other labels
+        h = Hypergraph(4, {2: np.array([[0, 1]])})
+        named = f"labels must be integers, got dtype {dtype}"
+        for given in (labels, np.array(labels)):
+            with pytest.raises(ValueError, match=named):
+                write_hypergraph(h, 2, given)
+            with pytest.raises(ValueError, match=named):
+                write_labels(given)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.int64])
+    def test_integer_labels_of_any_width_write_the_same_text(self, dtype):
+        labels = np.array([0, 2, 1, 1, 0])
+        h = Hypergraph(5, {2: np.array([[0, 1], [1, 4]])})
+        assert write_labels(labels.astype(dtype)) == "0\t0\n1\t2\n2\t1\n3\t1\n4\t0\n"
+        assert write_hypergraph(h, 3, labels.astype(dtype)) == write_hypergraph(h, 3, labels)
+        assert "LABELS 0 2 1 1 0\n" in write_hypergraph(h, 3, labels.astype(dtype))
+
     def test_write_labels_memory_near_twice_the_text(self):
         # chunks of lines are joined, so the per-line strings of one chunk
         # are alive at a time, not one Python string per vertex
