@@ -49,7 +49,8 @@ def _setup_logging() -> None:
 
 
 def _load_config(path: str, command: str, seed_override: int | None) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark some editors save before line 1
+    with open(path, "r", encoding="utf-8-sig") as fh:
         cfg = parse_config(fh.read(), command)
     if seed_override is not None:
         cfg.seed = seed_override

@@ -71,6 +71,17 @@ class TestSnrCommand:
             "{2,3,4}\t0.9009009009009008\t\n"
             "# error-rate constant at nu=0.8: 0.00017578125000000005\n")
 
+    def test_config_with_byte_order_mark(self, tmp_path, capsys):
+        # a UTF-8 byte-order mark read as text made line 1's key '\ufeffn'
+        text = "n = 60\nk = 3\norders = 2:4,1;3:8,1;4:9,2\nnu = 0.8\n"
+        plain = write(tmp_path / "plain.cfg", text)
+        marked = tmp_path / "marked.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert main(["snr", "--config", plain]) == 0
+        want = capsys.readouterr()
+        assert main(["snr", "--config", str(marked)]) == 0
+        assert capsys.readouterr() == want
+
     def test_all_zero_exit_2(self, tmp_path):
         cfg = write(tmp_path / "c.cfg", "n = 40\nk = 2\norders = 2:0,0\n")
         assert main(["snr", "--config", cfg]) == 2
