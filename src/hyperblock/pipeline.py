@@ -190,8 +190,8 @@ def _sampled_rows(h_red: Hypergraph, z: np.ndarray, y2: np.ndarray,
     n = h_red.n
     inside = subset_mask(n, np.concatenate([z, y2]))
     is_sampled = subset_mask(n, sampled)
-    edges = {m: arr[inside[arr].all(axis=1) & is_sampled[arr].any(axis=1)]
-             for m, arr in h_red.edges.items()}
+    edges = h_red._select({m: inside[arr].all(axis=1) & is_sampled[arr].any(axis=1)
+                           for m, arr in h_red.edges.items()}).edges
     rows = np.full(n, -1, dtype=_id_dtype(n))
     rows[sampled] = np.arange(len(sampled))
     cols = np.full(n, -1, dtype=_id_dtype(n))

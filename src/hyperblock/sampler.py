@@ -120,20 +120,29 @@ class Hypergraph:
             deg += (m - 1) * np.bincount(arr.ravel(), minlength=self.n)
         return deg
 
+    def _select(self, keep: dict) -> "Hypergraph":
+        """Sub-hypergraph of the rows ``keep[m]`` selects of each order m in ``keep``.
+
+        ``keep[m]`` is a boolean mask over order m's edges or a slice; the
+        colors come along, and orders not in ``keep`` are dropped.  Every
+        sub-hypergraph a stage reads is made here.
+        """
+        edges = {m: self.edges[m][rows] for m, rows in keep.items()}
+        colors = None if self.colors is None else {m: self.colors[m][rows]
+                                                    for m, rows in keep.items()}
+        return Hypergraph(self.n, edges, colors)
+
     def only_color(self, color: int) -> "Hypergraph":
         """Uncolored sub-hypergraph holding just the edges of one color.
 
-        Each call copies that color's edges, so a caller that reads a half
-        more than once splits it once and passes it on.
+        An order with no edge of that color is left out.  Each call copies
+        that color's edges, so a caller that reads a half more than once
+        splits it once and passes it on.
         """
         if self.colors is None:
             raise ValueError("hypergraph is not colored")
-        kept = {}
-        for m, arr in self.edges.items():
-            mask = self.colors[m] == color
-            if mask.any():
-                kept[m] = arr[mask]
-        return Hypergraph(self.n, kept, None)
+        masks = ((m, self.colors[m] == color) for m in self.edges)
+        return Hypergraph(self.n, self.edges)._select({m: mask for m, mask in masks if mask.any()})
 
     def red(self) -> "Hypergraph":
         return self.only_color(RED)
@@ -390,26 +399,17 @@ def restrict(h: Hypergraph, vertex_set) -> Hypergraph:
     Vertex ids are preserved (no re-indexing); colors ride with edges.
     """
     mask = subset_mask(h.n, vertex_set)
-    edges = {}
-    colors = {} if h.is_colored else None
-    for m, arr in h.edges.items():
-        keep = mask[arr].all(axis=1) if len(arr) else np.zeros(0, dtype=bool)
-        edges[m] = arr[keep]
-        if colors is not None:
-            colors[m] = h.colors[m][keep]
-    return Hypergraph(h.n, edges, colors)
+    return h._select({m: mask[arr].all(axis=1) if len(arr) else np.zeros(0, dtype=bool)
+                      for m, arr in h.edges.items()})
 
 
 def restrict_orders(h: Hypergraph, subset) -> Hypergraph:
     """Keep only the edges whose order lies in ``subset``.
 
-    A hypergraph with no edge array of another order is returned as it is.
+    A hypergraph with no edge array of another order is returned as it is;
+    otherwise the kept arrays are views of h's, not copies.
     """
     wanted = set(int(m) for m in subset)
     if wanted.issuperset(h.edges):
         return h
-    edges = {m: arr for m, arr in h.edges.items() if m in wanted}
-    colors = None
-    if h.is_colored:
-        colors = {m: h.colors[m] for m in edges}
-    return Hypergraph(h.n, edges, colors)
+    return h._select({m: slice(None) for m in h.edges if m in wanted})

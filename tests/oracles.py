@@ -6,8 +6,8 @@ import math
 import numpy as np
 
 from hyperblock.model import block_sizes, ground_truth_labels
-from hyperblock.sampler import (BLUE, RED, SIDE_Y1, SIDE_Y2, SIDE_Z, _bernoulli_ranks, _has_repeats,
-                                _id_dtype, _row_order, _stream)
+from hyperblock.sampler import (BLUE, RED, SIDE_Y1, SIDE_Y2, SIDE_Z, Hypergraph, _bernoulli_ranks,
+                                _has_repeats, _id_dtype, _row_order, _stream)
 from hyperblock.spectral import mask_matrix
 
 
@@ -70,6 +70,49 @@ def sort_rows(rows: np.ndarray) -> np.ndarray:
     """The rows in lexicographic order: ``rows`` itself when they are in order already."""
     perm = _row_order(rows)
     return rows if perm is None else rows[perm]
+
+
+def kept_rows(h, keep, drop_empty: bool = False) -> Hypergraph:
+    """Per order of h, by a loop over its rows, the rows ``keep(row, color)`` accepts.
+
+    ``row`` is a list of ids and ``color`` the row's color, None when h is
+    uncolored.  Orders and rows keep h's order and the colors come along;
+    an order left with no row stays unless ``drop_empty``.
+    """
+    edges, colors = {}, {}
+    for m, arr in h.edges.items():
+        at = np.array([i for i, row in enumerate(arr.tolist())
+                       if keep(row, None if h.colors is None else int(h.colors[m][i]))],
+                      dtype=np.intp)
+        if len(at) or not drop_empty:
+            edges[m] = arr[at]
+            if h.colors is not None:
+                colors[m] = h.colors[m][at]
+    return Hypergraph(h.n, edges, None if h.colors is None else colors)
+
+
+def half(h, color: int) -> Hypergraph:
+    """``h.only_color(color)`` by a loop: the uncolored edges of that color, no empty order."""
+    return Hypergraph(h.n, kept_rows(h, lambda row, c: c == color, drop_empty=True).edges)
+
+
+def induced(h, vertex_set) -> Hypergraph:
+    """``restrict(h, vertex_set)`` by a loop: the edges with every id in the set, every order."""
+    ids = {int(v) for v in vertex_set}
+    return kept_rows(h, lambda row, c: ids.issuperset(row))
+
+
+def assert_same_hypergraph(got, want) -> None:
+    """Equal n, orders in the same order, and per order equal rows and colors, dtypes included."""
+    assert got.n == want.n and list(got.edges) == list(want.edges)
+    assert got.is_colored == want.is_colored
+    for m, rows in want.edges.items():
+        assert got.edges[m].dtype == rows.dtype and got.edges[m].shape == rows.shape, m
+        assert np.array_equal(got.edges[m], rows), m
+    if want.is_colored:
+        assert list(got.colors) == list(want.colors)
+        for m, color in want.colors.items():
+            assert got.colors[m].dtype == color.dtype and np.array_equal(got.colors[m], color), m
 
 
 def validate(h) -> None:

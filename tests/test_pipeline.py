@@ -37,7 +37,7 @@ from hyperblock.sampler import (
     sample_hsbm,
     split_vertices,
 )
-from oracles import regularize_matrix, side_ids
+from oracles import induced, regularize_matrix, side_ids
 
 
 def colored(n, edges, colors):
@@ -447,7 +447,7 @@ def bipartite_block(h_red, z, y1, threshold):
 def rows_oracle(h_red, side, sampled):
     """The sampled rows, Z columns, of the whole red adjacency induced on Z u Y2."""
     z, _, y2 = side_ids(side)
-    return adjacency(restrict(h_red, np.concatenate([z, y2])))[sampled][:, z]
+    return adjacency(induced(h_red, np.concatenate([z, y2])))[sampled][:, z]
 
 
 class TestRedBlocks:

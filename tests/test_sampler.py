@@ -442,6 +442,54 @@ class TestRestrict:
         assert restrict_orders(h, [2, 3, 4]) is h  # nothing to drop
 
 
+class TestSelectionAgainstLoops:
+    """Each sub-hypergraph against a loop over the rows: orders, rows, dtypes and colors."""
+
+    @staticmethod
+    def instance(colored):
+        h, _ = sample_hsbm(ModelParams(60, 3, {2: (10, 5), 3: (8, 2), 4: (2, 1)}), 6)
+        assert all(len(rows) for rows in h.edges.values())
+        if not colored:
+            return h
+        colors = color_edges(h, 2).colors
+        # order 4 has no red edge, so the red half leaves it out
+        return Hypergraph(h.n, h.edges, {**colors, 4: np.full(len(h.edges[4]), BLUE, np.uint8)})
+
+    @pytest.mark.parametrize("color", [RED, BLUE])
+    def test_halves(self, color):
+        hc = self.instance(colored=True)
+        want = oracles.half(hc, color)
+        assert (4 in want.edges) == (color == BLUE)
+        for got in (hc.only_color(color), hc.red() if color == RED else hc.blue()):
+            oracles.assert_same_hypergraph(got, want)
+
+    @pytest.mark.parametrize("colored", [True, False])
+    @pytest.mark.parametrize("ids", ["all", "first half", "odd", "one order-3 edge", "none"])
+    def test_restrict(self, colored, ids):
+        h = self.instance(colored)
+        vertex_set = {"all": np.arange(h.n), "first half": np.arange(h.n // 2),
+                      "odd": np.arange(1, h.n, 2), "one order-3 edge": h.edges[3][0],
+                      "none": np.array([], dtype=np.int64)}[ids]
+        got = restrict(h, vertex_set)
+        oracles.assert_same_hypergraph(got, oracles.induced(h, vertex_set))
+        if ids == "one order-3 edge":  # order 4 is left empty, and kept
+            assert len(got.edges[4]) == 0 and len(got.edges[3]) >= 1
+
+    @pytest.mark.parametrize("colored", [True, False])
+    @pytest.mark.parametrize("subset", [[2], [4, 3], [2, 3, 4], [2, 3, 4, 5], [5], []])
+    def test_restrict_orders(self, colored, subset):
+        h = self.instance(colored)
+        got = restrict_orders(h, subset)
+        want = Hypergraph(h.n, {m: rows for m, rows in h.edges.items() if m in subset},
+                          {m: c for m, c in h.colors.items() if m in subset} if colored else None)
+        oracles.assert_same_hypergraph(got, want)
+        if set(subset) >= set(h.edges):
+            assert got is h
+        for m in got.edges:  # views, not copies
+            assert np.shares_memory(got.edges[m], h.edges[m])
+            assert not colored or np.shares_memory(got.colors[m], h.colors[m])
+
+
 class TestVertexIdDtype:
     def test_rule(self):
         assert _id_dtype(1) == _id_dtype(2**31 - 1) == np.int32

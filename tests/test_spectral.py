@@ -20,7 +20,7 @@ from hyperblock.spectral import (
     spectral_norm,
     top_subspace,
 )
-from oracles import dense_adjacency, row_sums, side_ids
+from oracles import dense_adjacency, induced, row_sums, side_ids
 
 
 def planted_hypergraph(n=260, k=2, a=40, b=4, seed=0):
@@ -97,8 +97,8 @@ class TestPairCountsMatchDenseOracle:
         h, side, _ = case
         z, _, y2 = side_ids(side)
         sampled = y2[::3]
-        induced = dense_adjacency(restrict(h, np.concatenate([z, y2])))
-        self.same(_sampled_rows(h, z, y2, sampled), induced[np.ix_(sampled, z)])
+        inside = dense_adjacency(induced(h, np.concatenate([z, y2])))
+        self.same(_sampled_rows(h, z, y2, sampled), inside[np.ix_(sampled, z)])
 
 
 def test_adjacency_peak_near_its_csr():
