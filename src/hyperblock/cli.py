@@ -97,7 +97,9 @@ def _instance(cfg: ExperimentConfig) -> list:
     """The instance to partition and its true labels, as the list ``[h, truth]``.
 
     ``h`` is read from ``input`` or sampled inline; ``truth`` is None when
-    the file has no labels.  A list, so that the caller can hand ``h`` over
+    the file has no labels.  A file whose n or k differs from the config's,
+    or that has edges of an order the config gives no rates for, raises
+    ValueError.  A list, so that the caller can hand ``h`` over
     with ``pop``.
     """
     params = cfg.params
@@ -110,6 +112,10 @@ def _instance(cfg: ExperimentConfig) -> list:
     if h.n != params.n or file_k != params.k:
         raise ValueError(
             f"config says n={params.n} k={params.k}, file says n={h.n} k={file_k}")
+    unrated = [f"order {m} ({len(rows)} edges)" for m, rows in sorted(h.edges.items())
+               if len(rows) and m not in params.orders]
+    if unrated:
+        raise ValueError("the config gives no rates for edges in the file: " + ", ".join(unrated))
     return [h, truth]
 
 

@@ -31,16 +31,21 @@ token it touches, so a line that splits tokens with it is malformed.
 Label files are ``vertex_id<TAB>block`` lines, one per vertex id from 0
 to n-1 in any order, with blocks >= -1 (unassigned).  Floats in CSV
 output are serialized with repr so reruns are byte-identical.
+
+The writers refuse what the reader would: ``write_hypergraph`` checks the
+edges with ``sampler._check_edges``, and both writers refuse labels that
+are not integers with ``sampler._integer_labels``; the checks live in
+``sampler`` because ``pipeline`` and ``metrics`` make them too.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable
 
 import numpy as np
 
-from .sampler import BLUE, RED, UNASSIGNED, Hypergraph, _has_repeats, _id_dtype, _row_order
+from .sampler import (BLUE, RED, UNASSIGNED, Hypergraph, _check_edges, _has_repeats,
+                      _id_dtype, _integer_labels, _row_order)
 
 __all__ = [
     "write_hypergraph",
@@ -66,44 +71,6 @@ _BYTE_KIND[list(_SEPARATORS)] = _SEPARATOR
 _BYTE_KIND[list(_LINE_BREAKS)] = _BREAK
 _BYTE_KIND[ord("0"):ord("9") + 1] = _DIGIT
 _BYTE_KIND[[ord(c) for c in _COLOR_CHAR.values()]] = _LETTER
-
-
-def _integer_labels(labels) -> np.ndarray:
-    """Labels as an array, refused with ValueError unless its dtype is integer.
-
-    A cast would write float labels truncated and bools as 0/1.
-    """
-    ids = np.asarray(labels)
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise ValueError(f"labels must be integers, got dtype {ids.dtype}")
-    return ids
-
-
-def _check_edges(h: Hypergraph) -> None:
-    """Raise ValueError for an order whose edges would not be read back as they are.
-
-    Each order with edges is checked for an (E, m) array with m >= 2, ids
-    in [0, n) by their min and max, strictly ascending rows a column pair
-    at a time, and distinct rows once sorted; in a colored hypergraph, for
-    one RED or BLUE color per edge, which the writer would otherwise
-    broadcast or fail on.
-    """
-    for m, arr in sorted(h.edges.items()):
-        if not len(arr):
-            continue
-        if m < 2 or arr.ndim != 2 or arr.shape[1] != m:
-            raise ValueError(f"order {m}: edge array of shape {arr.shape}; an order m >= 2 "
-                             f"needs shape (E, m)")
-        if arr.min() < 0 or arr.max() >= h.n:
-            raise ValueError(f"order {m}: vertex id out of range [0, {h.n})")
-        if any((arr[:, p] >= arr[:, p + 1]).any() for p in range(m - 1)):
-            raise ValueError(f"order {m}: vertices must be strictly ascending in every edge")
-        perm = _row_order(arr)
-        if _has_repeats(arr if perm is None else arr[perm]):
-            raise ValueError(f"order {m}: duplicate edge tuples")
-        if h.is_colored and (np.shape(h.colors.get(m)) != (len(arr),)
-                             or not np.isin(h.colors[m], (RED, BLUE)).all()):
-            raise ValueError(f"order {m}: a colored hypergraph needs one RED or BLUE per edge")
 
 
 def write_hypergraph(h: Hypergraph, k: int, labels: np.ndarray | None = None) -> str:
@@ -305,15 +272,15 @@ def _parse_labels(line: str, n: int, k: int) -> np.ndarray:
 
 
 def _check_lines(values: np.ndarray, ok: np.ndarray, count: np.ndarray, first: np.ndarray,
-                 line: Callable[[int], str], n: int, m_max: int) -> None:
-    """Raise ValueError for the first edge line that fails a check.
+                 buf: np.ndarray, n: int, m_max: int) -> None:
+    """Raise ValueError for the first edge line of the scan block ``buf`` that fails a check.
 
     Each line's ``count`` numeric tokens start at ``values[first]``: its
     order, then its ids.  Every line is checked for an integer order,
     order >= 2, the vertex count, integer ids, ids in [0, n), strict
     ascent and order <= m_max, in that order.  The first failing line in
-    file order raises its first failing check, quoting ``line(i)``, the
-    i-th non-blank edge line.
+    file order raises its first failing check, quoting the line, the i-th
+    non-blank one of the block, which is split only then.
     """
     m = values[first]
     is_id = np.ones(len(values), dtype=bool)
@@ -340,7 +307,7 @@ def _check_lines(values: np.ndarray, ok: np.ndarray, count: np.ndarray, first: n
     if bad.any():
         i = int(np.argmax(bad))
         message = next(msg for mask, msg in checks if mask[i])
-        ln = line(i)
+        ln = _text([ln for ln in _LINE_BREAK.split(buf.tobytes()) if ln.strip(_SEPARATORS)][i])
         toks = _TOKEN.findall(ln)[:count[i]]  # the numeric ones: order, then ids
         if message is None:
             lo = int(first[i])
@@ -349,29 +316,28 @@ def _check_lines(values: np.ndarray, ok: np.ndarray, count: np.ndarray, first: n
                                         top=m_max))
 
 
-def _parse_edges(data: bytes, lo: int, line: Callable[[int], str], n: int,
-                 m_max: int) -> tuple[dict, dict | None]:
+def _parse_edges(data: bytes, lo: int, n: int, m_max: int) -> tuple[dict, dict | None]:
     """Per-order edge arrays (rows sorted) and colors (or None) of the edge lines in ``data[lo:]``.
 
     Each scan block's lines are checked and turned into rows before the
-    next block is read; ``line(i)`` is the i-th edge line, and
-    ``_check_lines`` names the first malformed one.  Only the rows of an
-    order are put together, once; they must be distinct.  Orders keep the
-    order in which they first appear in the file.
+    next block is read, and ``_check_lines`` names the first malformed
+    line of the block.  Only the rows of an order are put together, once;
+    they must be distinct.  Orders keep the order in which they first
+    appear in the file.
     """
     dtype = _id_dtype(n)
     parts: dict[int, list] = {}  # order -> (rows, colors) of each block
-    lines_before = colored_lines = 0
+    edge_lines = colored_lines = 0
     for block_lo, block_hi in _scan_blocks(data, lo):
-        width, color, values, ok = _scan_block(np.frombuffer(data, np.uint8, block_hi - block_lo,
-                                                             block_lo))
+        buf = np.frombuffer(data, np.uint8, block_hi - block_lo, block_lo)
+        width, color, values, ok = _scan_block(buf)
         if not len(width):
             continue
         colored = color >= 0
         count = width - colored  # numeric tokens per line: the order, then the ids
         first = np.cumsum(count) - count
-        _check_lines(values, ok, count, first, lambda i, at=lines_before: line(at + i), n, m_max)
-        lines_before += len(width)
+        _check_lines(values, ok, count, first, buf, n, m_max)
+        edge_lines += len(width)
         colored_lines += int(np.count_nonzero(colored))
         m = values[first]
         orders, first_line = np.unique(m, return_index=True)
@@ -382,8 +348,8 @@ def _parse_edges(data: bytes, lo: int, line: Callable[[int], str], n: int,
                 rows[:, col] = values[first[lines] + 1 + col]
             parts.setdefault(order, []).append((rows, color[lines]))
         # the block's arrays would otherwise live beside the next block's
-        del width, color, colored, values, ok, count, first, m, lines, rows
-    if 0 < colored_lines < lines_before:
+        del buf, width, color, colored, values, ok, count, first, m, lines, rows
+    if 0 < colored_lines < edge_lines:
         raise ValueError("edge colors must be given on every line or none")
 
     edges, colors = {}, {}
@@ -424,12 +390,9 @@ def read_hypergraph(text: str | bytes) -> tuple[Hypergraph, int, np.ndarray | No
         lo = after
     else:
         labels_line = None
-
-    def line(i):  # split only once a check fails
-        return _text([ln for ln in _LINE_BREAK.split(data[lo:]) if ln.strip(_SEPARATORS)][i])
     n, k, m_max = _parse_header(header)
     labels = None if labels_line is None else _parse_labels(labels_line, n, k)
-    return Hypergraph(n, *_parse_edges(data, lo, line, n, m_max)), k, labels
+    return Hypergraph(n, *_parse_edges(data, lo, n, m_max)), k, labels
 
 
 def write_labels(labels: np.ndarray) -> str:

@@ -5,6 +5,8 @@ maximizes the total agreement (an assignment problem), while the
 min-block overlap score maximizes the worst per-block overlap ratio (a
 bottleneck assignment, solved by thresholding plus bipartite matching).
 Unassigned estimates count as misclassified under every relabeling.
+Every scorer takes labels of any integer dtype and refuses float or bool
+labels with ValueError, which a cast would truncate or read as 0/1.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import maximum_bipartite_matching, min_weight_full_bipartite_matching
 
-from .sampler import UNASSIGNED
+from .sampler import UNASSIGNED, _integer_labels
 
 __all__ = [
     "AccuracyReport",
@@ -37,8 +39,8 @@ class AccuracyReport:
 
 
 def _check_pair(truth: np.ndarray, estimate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    truth = np.asarray(truth, dtype=np.int64)
-    estimate = np.asarray(estimate, dtype=np.int64)
+    truth = np.asarray(_integer_labels(truth), dtype=np.int64)
+    estimate = np.asarray(_integer_labels(estimate), dtype=np.int64)
     if truth.shape != estimate.shape or truth.ndim != 1:
         raise ValueError("truth and estimate must be equal-length 1-d arrays")
     if (truth < 0).any():

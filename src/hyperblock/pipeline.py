@@ -51,6 +51,7 @@ from .sampler import (
     SIDE_Y2,
     SIDE_Z,
     Hypergraph,
+    _check_edges,
     _id_dtype,
     _stream,
     color_edges,
@@ -379,9 +380,13 @@ def partition(params: ModelParams, h: Hypergraph, cfg: PipelineConfig) -> np.nda
     """Labels from the two-block (k == 2) or multi-block pipeline.
 
     A colored ``h`` keeps its colors.  Deterministic given cfg.seed.
+    A hypergraph that ``sampler._check_edges`` refuses (a repeated edge or
+    vertex, an id outside [0, n), ids that are not integers) raises
+    ValueError before any stage runs.
     """
     if h.n != params.n:
         raise ValueError(f"hypergraph has n = {h.n} vertices, the model n = {params.n}")
+    _check_edges(h)
     subset = model.preprocess_select(params)
     h = restrict_orders(h, subset)
     if not h.is_colored:

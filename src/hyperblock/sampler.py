@@ -21,6 +21,12 @@ holds one stratum's ranks, the keys and the final rows.
 All randomness flows through counter-based Philox generators keyed by
 ``(seed, role, ...)`` so samples, colorings, and splits are reproducible
 and independent trials can run in parallel.
+
+The library's boundary checks live here, next to the types they guard:
+``_check_edges`` refuses a hypergraph whose edges break its invariants
+(``pipeline.partition`` and ``fileio.write_hypergraph`` call it), and
+``_integer_labels`` refuses labels whose dtype is not integer (the
+scorers in ``metrics`` and both label writers in ``fileio`` call it).
 """
 
 from __future__ import annotations
@@ -66,6 +72,17 @@ _RANK_PART = 2**62
 _BLOCK = 2**13
 # the largest j for which _comb steps from C(c, 2) without per-element limits
 _STEP_MAX = 34
+
+
+def _integer_labels(labels) -> np.ndarray:
+    """Labels as an array, refused with ValueError unless its dtype is integer.
+
+    A cast would read float labels truncated and bools as 0/1.
+    """
+    ids = np.asarray(labels)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got dtype {ids.dtype}")
+    return ids
 
 
 def _id_dtype(n: int) -> type:
@@ -174,6 +191,34 @@ def _has_repeats(rows: np.ndarray) -> bool:
     for col in rows.T:
         same &= col[1:] == col[:-1]
     return bool(same.any())
+
+
+def _check_edges(h: Hypergraph) -> None:
+    """Raise ValueError for an order whose edges break the ``Hypergraph`` invariants.
+
+    Each order with edges is checked for an (E, m) integer array with
+    m >= 2, ids in [0, n) by their min and max, strictly ascending rows a
+    column pair at a time, and distinct rows once sorted; in a colored
+    hypergraph, for one RED or BLUE color per edge.
+    """
+    for m, arr in sorted(h.edges.items()):
+        if not len(arr):
+            continue
+        if m < 2 or arr.ndim != 2 or arr.shape[1] != m:
+            raise ValueError(f"order {m}: edge array of shape {arr.shape}; an order m >= 2 "
+                             f"needs shape (E, m)")
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"order {m}: vertex ids must be integers, got dtype {arr.dtype}")
+        if arr.min() < 0 or arr.max() >= h.n:
+            raise ValueError(f"order {m}: vertex id out of range [0, {h.n})")
+        if any((arr[:, p] >= arr[:, p + 1]).any() for p in range(m - 1)):
+            raise ValueError(f"order {m}: vertices must be strictly ascending in every edge")
+        perm = _row_order(arr)
+        if _has_repeats(arr if perm is None else arr[perm]):
+            raise ValueError(f"order {m}: duplicate edge tuples")
+        if h.is_colored and (np.shape(h.colors.get(m)) != (len(arr),)
+                             or not np.isin(h.colors[m], (RED, BLUE)).all()):
+            raise ValueError(f"order {m}: a colored hypergraph needs one RED or BLUE per edge")
 
 
 def _binomial_count(rng: np.random.Generator, size: int, p: float) -> int:

@@ -341,6 +341,24 @@ class TestDetectCommand:
                     "n = 100\nk = 2\norders = 2:30,3\n" + f"input = {hfile}\n")
         assert main(["detect", "--config", bad, "--out", "-"]) == 2
 
+    def test_orders_without_rates_exit_2(self, tmp_path, capsys):
+        # the edges of an order the config leaves out were dropped without a word
+        hfile = tmp_path / "h.txt"
+        sample = write(tmp_path / "s.cfg", "n = 600\nk = 3\norders = 2:40,4;3:30,3;4:2,1\n")
+        assert main(["sample", "--config", sample, "--out", str(hfile)]) == 0
+        count = {m: len(rows) for m, rows in read_hypergraph(hfile.read_bytes())[0].edges.items()}
+        lfile = tmp_path / "l.tsv"
+        cfg = write(tmp_path / "d.cfg", f"n = 600\nk = 3\norders = 3:30,3\ninput = {hfile}\n")
+        assert main(["detect", "--config", cfg, "--out", str(lfile)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: the config gives no rates for edges in the file: order 2 ({count[2]} "
+            f"edges), order 4 ({count[4]} edges)\n")
+        assert not lfile.exists()
+        # rates for an order the file has no edges of are no mismatch
+        cfg = write(tmp_path / "d.cfg", "n = 600\nk = 3\norders = 2:40,4;3:30,3;4:2,1;5:1,1\n"
+                                        f"input = {hfile}\n")
+        assert main(["detect", "--config", cfg, "--out", str(lfile)]) == 0
+
     def test_labels_outside_k_exit_2(self, tmp_path, capsys):
         hfile = write(tmp_path / "h.txt", "HSBM 6 2 2\nLABELS 0 0 0 5 7 1\n2 1 3\n")
         cfg = write(tmp_path / "c.cfg", f"n = 6\nk = 2\norders = 2:3,1\ninput = {hfile}\n")

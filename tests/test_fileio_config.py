@@ -192,6 +192,7 @@ class TestHypergraphFormat:
         ({2: [[1, 2], [0, 2], [1, 2]]}, 2, "order 2: duplicate edge tuples"),
         ({2: [[0, 1, 2]]}, 2, "order 2: edge array of shape (1, 3)"),
         ({3: [[0, 1]]}, 2, "order 3: edge array of shape (1, 2)"),
+        ({2: [[0.0, 1.0]]}, 2, "order 2: vertex ids must be integers, got dtype float64"),
         ({2: [[0, 1]]}, 2.0, "integers n and k, got n = 3, k = 2.0"),
         ({2: [[0, 1]]}, True, "integers n and k, got n = 3, k = True"),
     ])
@@ -585,10 +586,13 @@ class TestByteScan:
 class TestBlockwiseReader:
     """Each scan block is checked and parsed before the next is read."""
 
-    def test_peak_below_three_times_the_file(self):
+    @pytest.fixture(scope="class")
+    def data(self):
+        """The benchmark's n = 20000 file."""
         h, labels = sample_hsbm(ModelParams(20000, 3, {2: (80, 2), 3: (40, 2)}), 1)
-        data = write_hypergraph(h, 3, labels).encode()
-        del h
+        return write_hypergraph(h, 3, labels).encode()
+
+    def test_peak_below_three_times_the_file(self, data):
         tracemalloc.start()
         try:
             got, _, _ = read_hypergraph(data)
@@ -597,6 +601,18 @@ class TestBlockwiseReader:
             tracemalloc.stop()
         assert got.n == 20000 and got.num_edges() > 10**5
         # whole-file token arrays and masks would peak at about 7x the file
+        assert peak < 3 * len(data)
+
+    def test_bad_last_line_peak_below_three_times_the_file(self, data):
+        data += b"2 5 4\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape("strictly ascending in '2 5 4'")):
+                read_hypergraph(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # quoting the line split every edge line of the file, a peak of about 5.75x
         assert peak < 3 * len(data)
 
     @staticmethod

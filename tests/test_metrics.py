@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hyperblock.metrics import (
+    AccuracyReport,
     accuracy_report,
     contingency,
     gamma_correctness,
@@ -161,3 +162,39 @@ class TestReport:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             gamma_correctness(np.array([0, 1]), np.array([0]))
+
+
+class TestLabelDtypes:
+    """Every scorer reads integer labels of any width alike and refuses the rest."""
+
+    SCORERS = [contingency, gamma_correctness, matched_accuracy, accuracy_report]
+
+    @staticmethod
+    def fields(result):
+        """A scorer's result as plain values, with the type of each."""
+        if isinstance(result, AccuracyReport):
+            return [TestLabelDtypes.fields(getattr(result, f)) for f in result.__dataclass_fields__]
+        if isinstance(result, np.ndarray):
+            return result.dtype, result.tolist()
+        return type(result), result
+
+    @pytest.mark.parametrize("scorer", SCORERS, ids=lambda f: f.__name__)
+    def test_float_and_bool_labels_refused(self, scorer):
+        # a cast read 0.5, 1.7 as 0, 1 and True, False as 1, 0: each scored 1.0
+        truth, estimate = np.array([0, 1, 0, 1]), np.array([0, 1, 0, 1])
+        for bad, dtype in ((np.array([0.5, 1.7, 0.0, 1.0]), "float64"),
+                           (np.array([False, True, False, True]), "bool")):
+            for pair in ((truth, bad), (bad, estimate)):
+                with pytest.raises(ValueError, match=f"labels must be integers, got dtype {dtype}"):
+                    scorer(*pair)
+
+    @pytest.mark.parametrize("scorer", SCORERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint32, np.int32])
+    def test_integer_labels_of_any_width_score_alike(self, scorer, dtype):
+        rng = np.random.default_rng(3)
+        truth, estimate = rng.integers(0, 3, size=40), rng.integers(-1, 4, size=40)
+        if np.issubdtype(dtype, np.unsignedinteger):  # no unassigned estimates
+            estimate = np.abs(estimate)
+        want = self.fields(scorer(truth, estimate))
+        assert self.fields(scorer(truth.astype(dtype), estimate.astype(dtype))) == want
+        assert self.fields(scorer(truth.tolist(), estimate.tolist())) == want

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -815,6 +816,42 @@ class TestPartitionEntry:
         params = ModelParams(n, k, self.MODELS[k].orders)
         with pytest.raises(ValueError, match=f"hypergraph has n = 600 .* model n = {n}"):
             partition(params, h, PipelineConfig(seed=123))
+
+    @staticmethod
+    def malformed(h, case):
+        """A copy of h, broken as ``case`` says."""
+        edges = {m: rows.copy() for m, rows in h.edges.items()}
+        colors = None if h.colors is None else dict(h.colors)
+        if case == "every order-2 edge twice":
+            edges[2] = np.concatenate([edges[2], edges[2]])
+            if colors is not None:
+                colors[2] = np.tile(colors[2], 2)
+        elif case == "an order-3 edge repeats a vertex":
+            edges[3][0, 2] = edges[3][0, 1]
+        elif case == "id n":
+            edges[2][-1, 1] = 600
+        elif case == "id -1":
+            edges[2][0, 0] = -1
+        elif case == "float ids":
+            edges[2] = edges[2].astype(np.float64)
+        return Hypergraph(h.n, edges, colors)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("case, named", [
+        ("every order-2 edge twice", "order 2: duplicate edge tuples"),
+        ("an order-3 edge repeats a vertex", "order 3: vertices must be strictly ascending"),
+        ("id n", "order 2: vertex id out of range [0, 600)"),
+        ("id -1", "order 2: vertex id out of range [0, 600)"),
+        ("float ids", "order 2: vertex ids must be integers, got dtype float64"),
+    ])
+    def test_malformed_hypergraph_rejected(self, k, case, named):
+        # the first two ran to other labels; the others failed inside a stage
+        # with an IndexError or a bincount message
+        params = self.MODELS[k]
+        h, _ = sample_hsbm(params, 6)
+        for given in (h, color_edges(h, 4)):
+            with pytest.raises(ValueError, match=re.escape(named)):
+                partition(params, self.malformed(given, case), PipelineConfig(seed=123))
 
 
 class TestBinaryPipeline:
