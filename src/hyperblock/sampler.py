@@ -199,7 +199,7 @@ def _check_edges(h: Hypergraph) -> None:
     Each order with edges is checked for an (E, m) integer array with
     m >= 2, ids in [0, n) by their min and max, strictly ascending rows a
     column pair at a time, and distinct rows once sorted; in a colored
-    hypergraph, for one RED or BLUE color per edge.
+    hypergraph, for one integer RED or BLUE color per edge.
     """
     for m, arr in sorted(h.edges.items()):
         if not len(arr):
@@ -217,6 +217,7 @@ def _check_edges(h: Hypergraph) -> None:
         if _has_repeats(arr if perm is None else arr[perm]):
             raise ValueError(f"order {m}: duplicate edge tuples")
         if h.is_colored and (np.shape(h.colors.get(m)) != (len(arr),)
+                             or not np.issubdtype(np.asarray(h.colors[m]).dtype, np.integer)
                              or not np.isin(h.colors[m], (RED, BLUE)).all()):
             raise ValueError(f"order {m}: a colored hypergraph needs one RED or BLUE per edge")
 

@@ -206,11 +206,14 @@ class TestHypergraphFormat:
         with pytest.raises(ValueError):
             read_hypergraph(text)
 
-    @pytest.mark.parametrize("colors", [{2: [RED]}, {2: [RED, 7]}, {2: [RED, BLUE, RED]}, {}])
-    def test_writer_rejects_colors_that_do_not_fit_the_edges(self, colors):
-        # a short array was broadcast, giving every line the first color
+    @pytest.mark.parametrize("colors, dtype", [
+        ({2: [RED]}, np.uint8), ({2: [RED, 7]}, np.uint8), ({2: [RED, BLUE, RED]}, np.uint8),
+        ({}, np.uint8), ({2: [RED, BLUE]}, bool), ({2: [RED, BLUE]}, np.float64)])
+    def test_writer_rejects_colors_that_do_not_fit_the_edges(self, colors, dtype):
+        # a short array was broadcast, giving every line the first color; a
+        # bool array wrote B on every line, and a float one raised IndexError
         h = Hypergraph(3, {2: np.array([[0, 1], [1, 2]])},
-                       {m: np.array(c, dtype=np.uint8) for m, c in colors.items()})
+                       {m: np.array(c, dtype=dtype) for m, c in colors.items()})
         with pytest.raises(ValueError, match="order 2: a colored hypergraph needs one RED or "
                                              "BLUE per edge"):
             write_hypergraph(h, 2)
